@@ -416,7 +416,7 @@ func (db *DB) Close() error {
 	// application iterator still open past Close keeps its pins but loses
 	// its files here — Close's contract is that the on-NVM image is the
 	// final one, not a snapshot museum.
-	db.scans.closeAll(db)
+	db.scans.closeAll()
 	db.sweepZombies()
 	// Batches still parked for unreachable peers have no future to wait
 	// for: convert them to counted loss so the caller hears about every

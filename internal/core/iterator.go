@@ -1,9 +1,9 @@
 package core
 
-// Ordered iteration with snapshot semantics (ROADMAP item 1). An Iterator is
-// a per-rank k-way merge over every structure that can hold a live version of
-// an owned key — the mutable local MemTable, the immutable local MemTables,
-// optionally the remote-side staging tables, and all live SSTables — visited
+// Ordered iteration with snapshot semantics. An Iterator is a per-rank k-way
+// merge over every structure that can hold a live version of an owned key —
+// the mutable local MemTable, the immutable local MemTables, optionally the
+// remote-side staging tables, and all live SSTables — visited
 // newest-source-first so on a key tie the most recent version wins and a
 // tombstone suppresses every older incarnation below it.
 //
@@ -18,7 +18,10 @@ package core
 //     tables under sstMu, and compaction consults the registry before
 //     unlinking: a pinned input is parked on the zombie list (its manifest
 //     Delete is already committed — the *version* moves on, only the file
-//     lingers) and unlinked when the last pin drops.
+//     lingers) and unlinked when the last pin drops. The tables themselves
+//     are read through db.readers, the same ReaderCache gets use: each
+//     scanner pins its cached reader (open data handle + parsed SSIndex)
+//     until the iterator closes.
 //
 // Flush between the MemTable capture and the SSTable pin can only add a
 // table whose content the iterator already holds from the MemTable side —
@@ -244,7 +247,7 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 	it.pinned = db.pinSnapshotRange(lo, it.hi)
 	dir := db.dir(db.rt.rank)
 	for _, id := range it.pinned {
-		sc, err := sstable.NewScanner(db.rt.cfg.Device, dir, id)
+		sc, err := db.readers.NewScanner(dir, id)
 		if err == nil {
 			err = sc.SeekGE(lo)
 		}

@@ -97,7 +97,7 @@ func (r *scanRegistry) snapshot() map[scanKey]*openScan {
 
 // closeAll releases every parked scan; Close calls it after the handler is
 // down, so no request can race the teardown.
-func (r *scanRegistry) closeAll(db *DB) {
+func (r *scanRegistry) closeAll() {
 	for k, s := range r.snapshot() {
 		s.mu.Lock()
 		s.closeLocked()
@@ -107,30 +107,19 @@ func (r *scanRegistry) closeAll(db *DB) {
 }
 
 // expireScans reaps remote scans idle past ScanIdleTimeout, releasing their
-// pinned snapshots; the prober's tick drives it. An abandoned consumer (a
-// caller that died mid-scan, or whose fire-and-forget close was lost) costs
-// at most one timeout's worth of pinned files.
+// pinned snapshots; the prober's tick drives it. Every stream a caller opened
+// ends with a close — completed ones included — so the sweep only ever finds
+// scans whose consumer died mid-scan or whose fire-and-forget close was lost;
+// each costs at most one timeout's worth of pinned files and retained page.
 func (db *DB) expireScans() {
 	timeout := db.opt.ScanIdleTimeout
 	if timeout <= 0 {
 		return
 	}
-	// A completed scan holds no pins — its entry survives only to replay a
-	// lost final page, so it is reaped after one retry ladder's worth of
-	// time, not the full idle timeout. Otherwise a scan-heavy workload
-	// accumulates 30 seconds of dead entries and their retained pages.
-	replay := 2 * time.Duration(db.opt.RetryAttempts) * db.opt.RetryTimeout
-	if replay <= 0 || replay > timeout {
-		replay = timeout
-	}
 	now := time.Now()
 	for k, s := range db.scans.snapshot() {
 		s.mu.Lock()
-		cutoff := timeout
-		if s.started && s.it == nil {
-			cutoff = replay
-		}
-		expired := now.Sub(s.lastUsed) > cutoff
+		expired := now.Sub(s.lastUsed) > timeout
 		if expired {
 			s.closeLocked()
 		}
@@ -226,21 +215,16 @@ func (db *DB) handleScan(m mpi.Message) {
 			break
 		}
 		if done {
-			// The stream is exhausted: release the pins now — the caller
-			// sends no close for a completed stream — but keep the registry
-			// entry so a retried final-page request replays instead of
-			// erroring; the idle sweep reaps it.
+			// The stream is exhausted: release the pins and cache refs now,
+			// but keep the registry entry so a retried final-page request
+			// replays instead of erroring. The caller's close deletes it; the
+			// idle sweep covers a lost close.
 			s.it.Close()
 			s.it = nil
 		}
 		// Retain the payload for replay; the frame carries this request's
-		// seq, so a retried request re-encodes around it. A short page in a
-		// full-size frame is copied out so the retention does not keep the
-		// whole frame's array alive.
+		// seq, so a retried request re-encodes around it.
 		payload := frame[scanRespHeader:len(frame):len(frame)]
-		if cap(frame)-len(frame) > len(frame) {
-			payload = append([]byte(nil), payload...)
-		}
 		s.lastPage = payload
 		s.lastDone = done
 		s.nextPage++
@@ -258,14 +242,15 @@ func (db *DB) handleScan(m mpi.Message) {
 // straight into a response frame — DecodeEntries' payload format after a
 // reserved scanRespHeader, so the page's bytes are copied exactly once on
 // the owner (handleScan patches the header and hands the frame to SendOwned
-// without another copy). Tombstones ride along: the caller's merge filters
-// them at its own edge, keeping the suppression rule in exactly one place
-// per side.
+// without another copy). The frame starts small and grows by append, so a
+// page costs what the range holds, not what a full page could. Tombstones
+// ride along: the caller's merge filters them at its own edge, keeping the
+// suppression rule in exactly one place per side.
 func (db *DB) producePage(s *openScan, maxBytes int) ([]byte, bool, error) {
 	if maxBytes <= 0 {
 		maxBytes = db.opt.ScanPageBytes
 	}
-	frame := make([]byte, scanRespHeader+4, scanRespHeader+4+maxBytes)
+	frame := make([]byte, scanRespHeader+4, scanRespHeader+4+min(maxBytes, 4<<10))
 	var count uint32
 	var u32 [4]byte
 	done := false
@@ -335,7 +320,8 @@ type scanStream struct {
 	owner  int
 	id     uint64
 	lo, hi []byte
-	opened bool
+	sent   bool // a request reached the wire: the owner may hold state
+	opened bool // the first page arrived: later requests are nexts
 	done   bool
 	page   uint32
 	buf    []memtable.Entry
@@ -402,6 +388,7 @@ func (s *scanStream) fetch(ctx context.Context) error {
 			db.calls.deregister(tagScanResp, seq)
 			return err
 		}
+		s.sent = true
 		m, err := db.awaitReply(ctx, ch)
 		db.calls.deregister(tagScanResp, seq)
 		if errors.Is(err, mpi.ErrTimeout) {
@@ -438,12 +425,15 @@ func (s *scanStream) fetch(ctx context.Context) error {
 	return err
 }
 
-// abort releases the owner side of an unfinished stream with a
-// fire-and-forget close: no reply, no retry — if it is lost, the owner's
-// idle sweep reaps the scan one timeout later.
+// abort releases the owner side of a stream with a fire-and-forget close: no
+// reply, no retry — if it is lost, the owner's idle sweep reaps the scan one
+// timeout later. A completed stream is closed too: its owner dropped the pins
+// with the final page but still holds the registry entry and the page it
+// retains for replay. Only a stream that never put a request on the wire has
+// nothing to release.
 func (s *scanStream) abort() {
-	if s.done && s.err == nil {
-		return // the owner released the scan with the final page
+	if !s.sent {
+		return
 	}
 	req := encodeScanRequest(scanRequest{Seq: s.db.sendSeq.Add(1), ScanID: s.id, Op: scanOpClose})
 	_ = s.db.reqComm.Send(s.owner, tagScan, req)

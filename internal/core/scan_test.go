@@ -334,24 +334,132 @@ func TestScanCtxCancelReleasesPins(t *testing.T) {
 			return err
 		}
 		// Both sides drain: rank 1's registry empties when the close
-		// message lands (fire-and-forget, so poll briefly).
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			db.scans.mu.Lock()
-			parked := len(db.scans.m)
-			db.scans.mu.Unlock()
-			if parked == 0 && db.metrics.IteratorsOpen.Load() == 0 {
-				break
+		// message lands.
+		waitScansDrained(t, db)
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		return db.Close()
+	})
+}
+
+// waitScansDrained polls until this rank's scan registry is empty and no
+// iterator is open. Closes are fire-and-forget, so the drain is prompt but
+// not synchronous; the bound is far below ScanIdleTimeout, so a registry
+// that only the idle sweep would empty fails here.
+func waitScansDrained(t *testing.T, db *DB) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		db.scans.mu.Lock()
+		parked := len(db.scans.m)
+		db.scans.mu.Unlock()
+		if parked == 0 && db.metrics.IteratorsOpen.Load() == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("rank %d: %d scans still parked, iterators_open=%d",
+				db.rt.rank, parked, db.metrics.IteratorsOpen.Load())
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestScanCompletedStreamsDrainRegistry: a remote stream that ran to its
+// final page must leave nothing behind at its owner. The owner keeps a
+// completed scan's registry entry and last page only so a retried final-page
+// request can be replayed; the caller's close — sent for completed streams
+// too — deletes them. Left to the idle sweep instead, a scan-heavy workload
+// holds ScanIdleTimeout's worth of dead entries and retained pages.
+func TestScanCompletedStreamsDrainRegistry(t *testing.T) {
+	const scans = 25
+	runCluster(t, clusterSpec{ranks: 2}, func(rt *Runtime, c *mpi.Comm) error {
+		opt := smallOpt()
+		opt.ScanPageBytes = 256 // several pages per stream
+		db, err := rt.Open("scandrain", opt)
+		if err != nil {
+			return err
+		}
+		own := ownKeys(db, rt.Rank(), 40)
+		for _, k := range own {
+			mustPut(t, db, string(k), string(val(k)))
+		}
+		if err := db.Barrier(LevelSSTable); err != nil {
+			return err
+		}
+		for i := 0; i < scans; i++ {
+			seen := 0
+			if err := db.Scan(context.Background(), nil, nil, func(k, v []byte) error { seen++; return nil }); err != nil {
+				t.Errorf("rank %d scan %d: %v", rt.Rank(), i, err)
 			}
-			if time.Now().After(deadline) {
-				t.Errorf("rank %d: %d scans still parked, iterators_open=%d",
-					rt.Rank(), parked, db.metrics.IteratorsOpen.Load())
-				break
+			if seen != 80 {
+				t.Errorf("rank %d scan %d saw %d keys, want 80", rt.Rank(), i, seen)
 			}
-			time.Sleep(time.Millisecond)
 		}
 		if err := c.Barrier(); err != nil {
 			return err
+		}
+		waitScansDrained(t, db)
+		if n := db.metrics.ScansExpired.Load(); n != 0 {
+			t.Errorf("rank %d: %d scans reaped by the idle sweep, want 0 (closes drain them)", rt.Rank(), n)
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		return db.Close()
+	})
+}
+
+// TestScanReadsThroughReaderCache: iterators and gets share one way to read
+// a table. Once the reader cache holds a rank's tables, opening an iterator
+// over them — seek included — opens no file and counts as cache hits, and
+// closing it returns every pin.
+func TestScanReadsThroughReaderCache(t *testing.T) {
+	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+		opt := smallOpt()
+		opt.CompactionEvery = 0 // keep the flushed tables in place
+		db, err := rt.Open("scancache", opt)
+		if err != nil {
+			return err
+		}
+		keys := ownKeys(db, 0, 120)
+		for _, k := range keys {
+			mustPut(t, db, string(k), string(val(k)))
+		}
+		if err := db.Barrier(LevelSSTable); err != nil {
+			return err
+		}
+		if db.SSTableCount() < 2 {
+			t.Fatalf("only %d SSTables flushed", db.SSTableCount())
+		}
+		scan := func() {
+			it, err := db.NewIterator(keys[30], keys[50])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			for i := 30; it.Next(); i++ {
+				if i >= 50 || string(it.Key()) != string(keys[i]) || string(it.Value()) != string(val(keys[i])) {
+					t.Fatalf("scan[%d] = %q=%q", i, it.Key(), it.Value())
+				}
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan() // loads whatever the flushes left cold
+		dev := rt.cfg.Device
+		opens, hits, misses := dev.Stats().Opens, db.metrics.Readers.Hits.Load(), db.metrics.Readers.Misses.Load()
+		scan()
+		if got := dev.Stats().Opens - opens; got != 0 {
+			t.Errorf("warm iterator opened %d files, want 0", got)
+		}
+		if got := db.metrics.Readers.Misses.Load() - misses; got != 0 {
+			t.Errorf("warm iterator missed the reader cache %d times", got)
+		}
+		if db.metrics.Readers.Hits.Load() == hits {
+			t.Error("warm iterator did not read through the reader cache")
 		}
 		return db.Close()
 	})

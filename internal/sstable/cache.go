@@ -64,8 +64,8 @@ const readerOverhead = 4096
 const negBytes = 64
 
 // tableReader is one cached table handle. ready is closed once the load
-// settles; filter/index/data/err are immutable afterwards. refs and dead
-// are guarded by the owning cache's mutex.
+// settles; filter/index/data/err are immutable afterwards. bytes, refs and
+// dead are guarded by the owning cache's mutex.
 type tableReader struct {
 	key   tableKey
 	ready chan struct{}
@@ -158,7 +158,8 @@ func (c *ReaderCache) acquire(dir string, ssid uint64) (*tableReader, error) {
 	c.mu.Unlock()
 	c.counters.Misses.Add(1)
 
-	r.err = r.load(c.dev)
+	var loaded int64
+	loaded, r.err = r.load(c.dev)
 	close(r.ready)
 
 	c.mu.Lock()
@@ -173,7 +174,10 @@ func (c *ReaderCache) acquire(dir string, ssid uint64) (*tableReader, error) {
 	case r.err != nil:
 		// Negative entry: keep it at its placeholder size.
 	default:
-		c.used += r.bytes - negBytes
+		// r.bytes is read by evictions under c.mu, so the placeholder is
+		// swapped for the loaded size only here, under the same lock.
+		r.bytes = loaded
+		c.used += loaded - negBytes
 		c.evictOverLocked()
 	}
 	c.mu.Unlock()
@@ -186,25 +190,25 @@ func (c *ReaderCache) acquire(dir string, ssid uint64) (*tableReader, error) {
 }
 
 // load reads and validates the bloom filter, parses the SSIndex, and opens
-// the data file. On any error every partial resource is released.
-func (r *tableReader) load(dev *nvm.Device) error {
+// the data file, returning the entry's accounting size. On any error every
+// partial resource is released.
+func (r *tableReader) load(dev *nvm.Device) (int64, error) {
 	filter, err := loadBloom(dev, r.key.dir, r.key.ssid)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	index, err := loadIndex(dev, r.key.dir, r.key.ssid)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	data, err := dev.OpenFile(DataName(r.key.dir, r.key.ssid))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.filter = filter
 	r.index = index
 	r.data = data
-	r.bytes = int64(filter.SizeBytes()) + int64(len(index))*indexEntry + readerOverhead
-	return nil
+	return int64(filter.SizeBytes()) + int64(len(index))*indexEntry + readerOverhead, nil
 }
 
 // release unpins r, closing the data file if r was evicted and this was

@@ -11,26 +11,47 @@ import (
 	"papyruskv/internal/nvm"
 )
 
-// Scanner streams the records of one SSData file in key order, reading the
-// file in large sequential chunks. Compaction, checkpoint redistribution,
-// sequential-search gets, and range scans all use it.
+// Scanner streams the records of one SSData file in key order. Compaction,
+// checkpoint redistribution, sequential-search gets, and range scans all use
+// it. A scanner comes from one of two places, and the only difference is who
+// owns the data handle and where SeekGE finds the SSIndex: NewScanner opens
+// the file itself and loads the index on demand; ReaderCache.NewScanner pins
+// the cached reader and borrows both.
+//
+// Entries returned by Next alias the scanner's read window. A window is
+// never written again once records have been handed out of it (fill moves on
+// to a fresh one), so an entry stays valid for as long as it is referenced —
+// across later Next calls and past Close. It also keeps its whole window
+// reachable: a consumer that retains a few entries long-term copies them.
 type Scanner struct {
 	f    *nvm.File
 	dev  *nvm.Device
 	dir  string
 	ssid uint64
-	buf  []byte
-	off  int64 // file offset of buf[0]
-	pos  int   // parse position within buf
-	size int64
+	// cache and r are set on a cache-opened scanner: r is the pinned reader
+	// that owns f, released — not closed — by Close.
+	cache *ReaderCache
+	r     *tableReader
+
+	buf    []byte
+	off    int64 // file offset of buf[0]
+	pos    int   // parse position within buf
+	size   int64
+	window int // bytes the next refill reads ahead
 	// pending holds one decoded record SeekGE's degraded (index-less) path
 	// read past the seek point; Next returns it before touching the file.
 	pending *memtable.Entry
 }
 
-// scannerChunk is the sequential read unit. Compaction "needs sequential
-// file read" (§2.5); 1MB chunks keep it bandwidth-bound, not latency-bound.
-const scannerChunk = 1 << 20
+// Read-ahead is geometric: the first refill after an open or a seek reads
+// scannerFirstWindow bytes and every later one twice the previous, up to
+// scannerChunk. A short range costs about what it returns, while a long
+// sequential pass — compaction "needs sequential file read" (§2.5) — reaches
+// 1MB reads, bandwidth-bound rather than latency-bound, within nine refills.
+const (
+	scannerFirstWindow = 4 << 10
+	scannerChunk       = 1 << 20
+)
 
 // NewScanner opens SSTable ssid's data file for a sequential scan.
 func NewScanner(dev *nvm.Device, dir string, ssid uint64) (*Scanner, error) {
@@ -38,7 +59,28 @@ func NewScanner(dev *nvm.Device, dir string, ssid uint64) (*Scanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scanner{f: f, dev: dev, dir: dir, ssid: ssid, size: f.Size()}, nil
+	return &Scanner{f: f, dev: dev, dir: dir, ssid: ssid, size: f.Size(), window: scannerFirstWindow}, nil
+}
+
+// NewScanner opens a scanner on SSTable ssid through the cache. The scanner
+// pins the cached reader exactly as a Get does for its duration — an entry
+// evicted, or a table unlinked by compaction, while the scan is in flight
+// stays readable, and the descriptor closes when the last pin drops — and
+// reads through the reader's open data handle and parsed index: a warm open
+// and seek touch no file but SSData itself. With the cache disabled, or when
+// the reader cannot be loaded (a corrupt bloom or index, a stale negative
+// entry), the scanner falls back to an uncached open, which needs neither
+// structure to stream records and degrades a seek to a forward decode.
+func (c *ReaderCache) NewScanner(dir string, ssid uint64) (*Scanner, error) {
+	if c.enabled() {
+		if r, err := c.acquire(dir, ssid); err == nil {
+			return &Scanner{
+				f: r.data, dev: c.dev, dir: dir, ssid: ssid, cache: c, r: r,
+				size: r.data.Size(), window: scannerFirstWindow,
+			}, nil
+		}
+	}
+	return NewScanner(c.dev, dir, ssid)
 }
 
 // SeekGE positions the scanner so the next record returned is the first one
@@ -48,30 +90,35 @@ func NewScanner(dev *nvm.Device, dir string, ssid uint64) (*Scanner, error) {
 // data records' own CRCs still guard every byte actually returned. A nil or
 // empty key rewinds to the start.
 //
-// Seeking resets any buffered read-ahead; interleaving SeekGE with Next is
-// allowed but each seek pays a fresh sequential read.
+// Seeking discards buffered read-ahead and restarts it at the smallest
+// window; interleaving SeekGE with Next is allowed.
 func (s *Scanner) SeekGE(key []byte) error {
 	s.pending = nil
 	if len(key) == 0 {
 		s.rewindTo(0)
 		return nil
 	}
-	// Probe the first record's key before touching the index: a seek at or
-	// before the table's first key — every scan whose range covers the whole
-	// table — resolves with one small read instead of an index load plus a
-	// binary search of point reads. Undecidable probes (empty table, corrupt
-	// or oversized first key) fall through to the index path.
-	if atOrAfter, decided := s.firstKeyAtLeast(key); decided && atOrAfter {
-		s.rewindTo(0)
-		return nil
-	}
-	recs, err := loadIndex(s.dev, s.dir, s.ssid)
-	if err != nil {
-		// Corrupt, truncated, or missing index: fall back to scanning
-		// forward from the start. The degraded path buffers the first
-		// record >= key so it is not lost to the probe.
-		s.rewindTo(0)
-		return s.skipTo(key)
+	var recs []indexRec
+	if s.r != nil {
+		recs = s.r.index
+	} else {
+		// Probe the first record's key before loading the index: a seek at
+		// or before the table's first key — most inputs of a range-bounded
+		// compaction — resolves with one small read instead of an index load
+		// plus a binary search of point reads. Undecidable probes (empty
+		// table, corrupt or oversized first key) fall through to the index.
+		if atOrAfter, decided := s.firstKeyAtLeast(key); decided && atOrAfter {
+			s.rewindTo(0)
+			return nil
+		}
+		var err error
+		if recs, err = loadIndex(s.dev, s.dir, s.ssid); err != nil {
+			// Corrupt, truncated, or missing index: fall back to scanning
+			// forward from the start. The degraded path buffers the first
+			// record >= key so it is not lost to the probe.
+			s.rewindTo(0)
+			return s.skipTo(key)
+		}
 	}
 	// Binary search for the first record with recKey >= key. Index entries
 	// carry offsets, not keys, so each probe reads (and CRC-verifies) its
@@ -131,11 +178,14 @@ func (s *Scanner) firstKeyAtLeast(key []byte) (atOrAfter, decided bool) {
 	return bytes.Compare(first, key) >= 0, true
 }
 
-// rewindTo discards buffered data and repositions the scanner at off.
+// rewindTo discards buffered data, repositions the scanner at off, and
+// restarts the read-ahead ramp. The old window is dropped, not truncated:
+// entries already returned may still alias it.
 func (s *Scanner) rewindTo(off int64) {
-	s.buf = s.buf[:0]
+	s.buf = nil
 	s.off = off
 	s.pos = 0
+	s.window = scannerFirstWindow
 }
 
 // skipTo is SeekGE's index-less fallback: decode records forward until one
@@ -153,8 +203,10 @@ func (s *Scanner) skipTo(key []byte) error {
 	}
 }
 
-// fill ensures at least need bytes are available at s.pos, sliding and
-// extending the buffer as required. Returns false at clean EOF.
+// fill ensures at least need bytes are available at s.pos, reading the next
+// window as required. Returns false at clean EOF. Each refill lands in a
+// fresh window, with the unconsumed tail (at most one partial record)
+// carried over, so entries aliasing the previous window are undisturbed.
 func (s *Scanner) fill(need int) (bool, error) {
 	avail := len(s.buf) - s.pos
 	if avail >= need {
@@ -167,31 +219,26 @@ func (s *Scanner) fill(need int) (bool, error) {
 		}
 		return false, fmt.Errorf("%w: truncated data file (need %d, have %d)", ErrCorrupt, need, int64(avail)+remainingInFile)
 	}
-	// Slide unconsumed bytes to the front and read the next chunk straight
-	// into the buffer's spare capacity — no intermediate chunk allocation,
-	// no second copy. The buffer is allocated once and reused across fills.
-	copy(s.buf, s.buf[s.pos:])
-	s.buf = s.buf[:avail]
-	s.off += int64(s.pos)
-	s.pos = 0
-	toRead := scannerChunk
+	toRead := s.window
+	if s.window < scannerChunk {
+		s.window *= 2
+	}
 	if need-avail > toRead {
 		toRead = need - avail
 	}
 	if int64(toRead) > remainingInFile {
 		toRead = int(remainingInFile)
 	}
-	if cap(s.buf) < avail+toRead {
-		grown := make([]byte, avail, avail+toRead)
-		copy(grown, s.buf)
-		s.buf = grown
-	}
-	n, err := s.f.ReadAt(s.buf[avail:avail+toRead], s.off+int64(avail))
+	win := make([]byte, avail+toRead)
+	copy(win, s.buf[s.pos:])
+	s.off += int64(s.pos)
+	s.pos = 0
+	n, err := s.f.ReadAt(win[avail:], s.off+int64(avail))
+	s.buf = win[:avail+n]
 	if err != nil && err != io.EOF {
 		return false, err
 	}
-	s.buf = s.buf[:avail+n]
-	if len(s.buf)-s.pos < need {
+	if len(s.buf) < need {
 		return false, fmt.Errorf("%w: short read in data file", ErrCorrupt)
 	}
 	return true, nil
@@ -228,15 +275,26 @@ func (s *Scanner) Next() (memtable.Entry, bool, error) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(rec[total-recTrailer:]) {
 		return memtable.Entry{}, false, fmt.Errorf("%w: record checksum mismatch", ErrCorrupt)
 	}
-	// One backing allocation per record: the key and value must not alias
-	// s.buf (the next fill slides it), but they can share an array.
-	kv := make([]byte, klen+vlen)
-	copy(kv, body[recHeader:])
-	return memtable.Entry{Key: kv[:klen:klen], Value: kv[klen:], Tombstone: flags&1 != 0}, true, nil
+	key := body[recHeader : recHeader+int(klen) : recHeader+int(klen)]
+	val := body[recHeader+int(klen) : len(body) : len(body)]
+	return memtable.Entry{Key: key, Value: val, Tombstone: flags&1 != 0}, true, nil
 }
 
-// Close releases the underlying file.
-func (s *Scanner) Close() error { return s.f.Close() }
+// Close releases the data file: a cache-opened scanner drops its pin on the
+// cached reader (whose descriptor closes once it is evicted and unpinned), an
+// uncached one closes the handle it opened.
+func (s *Scanner) Close() error {
+	if s.cache == nil {
+		return s.f.Close()
+	}
+	// The handle belongs to the cache: never close it from here, and drop
+	// the pin once only, so a repeated Close cannot steal another reader's.
+	if s.r != nil {
+		s.cache.release(s.r)
+		s.r = nil
+	}
+	return nil
+}
 
 // ReadAll returns every record of SSTable ssid in key order.
 func ReadAll(dev *nvm.Device, dir string, ssid uint64) ([]memtable.Entry, error) {

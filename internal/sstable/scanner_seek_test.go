@@ -10,20 +10,11 @@ import (
 // collectFrom drains a scanner after SeekGE(start) and returns the keys.
 func collectFrom(t *testing.T, sc *Scanner, start []byte) []string {
 	t.Helper()
-	if err := sc.SeekGE(start); err != nil {
-		t.Fatalf("SeekGE(%q): %v", start, err)
-	}
 	var got []string
-	for {
-		e, ok, err := sc.Next()
-		if err != nil {
-			t.Fatalf("Next after SeekGE(%q): %v", start, err)
-		}
-		if !ok {
-			return got
-		}
+	for _, e := range scanRange(t, sc, start, nil) {
 		got = append(got, string(e.Key))
 	}
+	return got
 }
 
 // oracle returns the sorted-suffix answer SeekGE must match.

@@ -397,7 +397,9 @@ func seqSearch(dev *nvm.Device, dir string, ssid uint64, key []byte) ([]byte, bo
 		}
 		switch c := bytes.Compare(e.Key, key); {
 		case c == 0:
-			return e.Value, e.Tombstone, true, nil
+			// Copied out: the entry aliases the scanner's read window, which
+			// a caller caching this one value must not keep alive.
+			return bytes.Clone(e.Value), e.Tombstone, true, nil
 		case c > 0:
 			// Records are sorted; the key cannot appear later.
 			return nil, false, false, nil

@@ -127,27 +127,75 @@ func TestScannerRoundTrip(t *testing.T) {
 
 func TestScannerLargeValuesAcrossChunks(t *testing.T) {
 	dev := testDev(t)
-	// Values larger than the scanner chunk force multi-chunk fills.
+	// A run of small records walks the read-ahead ramp through several
+	// doubling refills; values larger than the largest window then force
+	// refills sized by the record, not the ramp.
 	big := make([]byte, scannerChunk+12345)
 	for i := range big {
 		big[i] = byte(i)
 	}
-	entries := []memtable.Entry{
-		{Key: []byte("a"), Value: big},
-		{Key: []byte("b"), Value: []byte("small")},
-		{Key: []byte("c"), Value: big[:scannerChunk-1]},
+	var entries []memtable.Entry
+	for i := 0; i < 1500; i++ {
+		entries = append(entries, memtable.Entry{
+			Key:   []byte(fmt.Sprintf("a-%06d", i)),
+			Value: bytes.Repeat([]byte{byte(i)}, 100+i%50),
+		})
 	}
-	if _, err := WriteTable(dev, "d", 1, entries); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(dev, "d", 1)
+	entries = append(entries,
+		memtable.Entry{Key: []byte("b"), Value: big},
+		memtable.Entry{Key: []byte("c"), Value: []byte("small")},
+		memtable.Entry{Key: []byte("d"), Value: big[:scannerChunk-1]},
+	)
+	meta, err := WriteTable(dev, "d", 1, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range entries {
-		if !bytes.Equal(got[i].Value, entries[i].Value) {
-			t.Fatalf("record %d value mismatch (len %d vs %d)", i, len(got[i].Value), len(entries[i].Value))
+
+	before := dev.Stats()
+	sc, err := NewScanner(dev, "d", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	// Hold every entry while the scanner refills under them: an entry
+	// aliases its read window, and a refill must leave earlier windows alone.
+	var got []memtable.Entry
+	refills := 0
+	for {
+		windowOff := sc.off
+		e, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !ok {
+			break
+		}
+		if sc.off != windowOff {
+			refills++ // the window moved on: everything in got aliases older ones
+		}
+		got = append(got, e)
+	}
+	if len(got) != len(entries) {
+		t.Fatalf("scanned %d entries, want %d", len(got), len(entries))
+	}
+	for i := range entries {
+		if !bytes.Equal(got[i].Key, entries[i].Key) || !bytes.Equal(got[i].Value, entries[i].Value) {
+			t.Fatalf("record %d (%q) changed under later refills (value len %d vs %d)",
+				i, entries[i].Key, len(got[i].Value), len(entries[i].Value))
+		}
+	}
+	// The ramp: the small-record prefix (~200KB) alone walks the 4, 8, ...,
+	// 128KB windows, and the whole pass stays logarithmic in the file size —
+	// neither one read per record nor one 1MB read for the first dozen.
+	if refills < 6 {
+		t.Errorf("scan crossed %d refills, want >= 6 (geometric ramp from %d bytes)", refills, scannerFirstWindow)
+	}
+	after := dev.Stats()
+	if reads := after.Reads - before.Reads; reads > 16 {
+		t.Errorf("sequential pass took %d reads for %d bytes, want <= 16", reads, meta.DataBytes)
+	}
+	if read := after.BytesRead - before.BytesRead; read != uint64(meta.DataBytes) {
+		t.Errorf("sequential pass read %d bytes of a %d-byte file", read, meta.DataBytes)
 	}
 }
 
