@@ -65,8 +65,8 @@ func benchModelDB(b *testing.B, ranks int, model nvm.PerfModel, fn func(db *DB, 
 
 func benchConcurrentRemoteGet(b *testing.B, clients int) {
 	// NVMe's 90µs read latency, with writes and opens free so the setup
-	// (puts, WAL, flush) does not inflate the measured region. ~2k entries
-	// means each get's binary search pays ~11 modelled device reads.
+	// (puts, WAL, flush) does not inflate the measured region. Each get
+	// pays one modelled device read: the SSTable block its key can be in.
 	model := nvm.PerfModel{Name: "nvme-read", ReadLatency: nvm.NVMe.ReadLatency, TimeScale: 1}
 	benchModelDB(b, 2, model, func(db *DB, c *mpi.Comm) error {
 		keys := workload.Keys(1, 16, 4096)

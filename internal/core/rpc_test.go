@@ -125,14 +125,13 @@ func TestRPCConcurrentClientsKeepTheirReplies(t *testing.T) {
 // retry timeout. With the old single handler thread every queued slow get
 // stood in front of the put, and the ack regularly missed the deadline.
 func TestRPCSlowGetsDoNotBlockPutAcks(t *testing.T) {
-	// One owner-side get binary-searches the SSTable's data file: ~5
-	// checksum-verified device reads, so 20ms/read makes a get a ~100ms
-	// operation. Eight clients over four workers keep each get comfortably
+	// One owner-side get reads the one SSTable block its key can be in: one
+	// device read, so 100ms/read makes a get a ~100ms operation. Eight clients over four workers keep each get comfortably
 	// inside the 400ms deadline, while the same load serialised behind a
 	// single handler thread queues whole seconds of gets in front of every
 	// put ack. Writes stay free so WAL appends and flushes do not distort
 	// the scenario.
-	slow := nvm.PerfModel{Name: "slownvm", ReadLatency: 20 * time.Millisecond, TimeScale: 1}
+	slow := nvm.PerfModel{Name: "slownvm", ReadLatency: 100 * time.Millisecond, TimeScale: 1}
 	runCluster(t, clusterSpec{ranks: 3, nvmModel: slow}, func(rt *Runtime, c *mpi.Comm) error {
 		opt := rpcOpt()
 		opt.Consistency = Sequential

@@ -18,8 +18,8 @@ func benchDev(b *testing.B) (*nvm.Device, error) {
 //	cold: the package-level Get — re-reads and re-CRCs the bloom file and
 //	      re-parses the whole SSIndex on every probe, the pre-PR behaviour
 //	      of every consumer.
-//	hot:  the same probes through a warm ReaderCache, paying only the
-//	      binary search's record reads.
+//	hot:  the same probes through a warm ReaderCache, paying only the one
+//	      block read.
 //
 // The committed numbers live in EXPERIMENTS.md and BENCH_read.json.
 func BenchmarkSSTableGet(b *testing.B) {

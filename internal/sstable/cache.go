@@ -14,10 +14,10 @@ import (
 // ReaderCache is a per-device cache of open SSTable reader handles, keyed
 // by (dir, ssid). Each entry pins the table's validated bloom filter, its
 // parsed SSIndex, and an open random-access handle on SSData, so a hot get
-// pays only the record probes themselves instead of re-reading and
-// re-checksumming the bloom and index files from NVM on every SSTable it
-// touches (the dominant cost of SSTable-resident reads; cf. Figure 3's read
-// path, which assumes these structures are cheap to consult).
+// pays only its one block read instead of re-reading and re-checksumming
+// the bloom and index files from NVM on every SSTable it touches (cf.
+// Figure 3's read path, which assumes these structures are cheap to
+// consult).
 //
 // One cache is shared by every database on a device — exactly the sharing
 // unit of a storage group (§2.7), so when the owner rank compacts or
@@ -32,12 +32,12 @@ import (
 // path's retry loops evict such entries before re-listing, so a table that
 // legitimately reappears (a restored checkpoint) is re-read fresh.
 //
-// Entries are accounted in bytes (bloom bits + parsed index + a fixed
-// per-handle overhead that also bounds the number of open file
-// descriptors) and evicted LRU-first past the configured capacity. An
-// entry evicted while a concurrent Get has it pinned stays usable — the
-// data file descriptor is closed only when the last reader releases it —
-// so an eviction can never yield a read from a dead fd.
+// Entries are accounted in bytes (bloom bits + the loaded index as
+// ssIndex.memBytes counts it + a fixed per-handle overhead that also bounds
+// the number of open file descriptors) and evicted LRU-first past the
+// configured capacity. An entry evicted while a concurrent Get has it pinned
+// stays usable — the data file descriptor is closed only when the last
+// reader releases it — so an eviction can never yield a read from a dead fd.
 type ReaderCache struct {
 	dev *nvm.Device
 
@@ -71,7 +71,7 @@ type tableReader struct {
 	ready chan struct{}
 
 	filter *bloom.Filter
-	index  []indexRec
+	index  *ssIndex
 	data   *nvm.File
 	err    error // non-nil: the load failed (fs.ErrNotExist entries are cached)
 	bytes  int64
@@ -208,7 +208,7 @@ func (r *tableReader) load(dev *nvm.Device) (int64, error) {
 	r.filter = filter
 	r.index = index
 	r.data = data
-	return int64(filter.SizeBytes()) + int64(len(index))*indexEntry + readerOverhead, nil
+	return int64(filter.SizeBytes()) + index.memBytes() + readerOverhead, nil
 }
 
 // release unpins r, closing the data file if r was evicted and this was
@@ -277,7 +277,7 @@ func (c *ReaderCache) EvictDir(dir string) {
 	c.mu.Unlock()
 }
 
-// cachedCount reports the entry count of a loaded, valid cached index
+// cachedCount reports the record count of a loaded, valid cached index
 // without blocking or touching the device. Merge uses it to size the
 // output bloom filter for free.
 func (c *ReaderCache) cachedCount(dir string, ssid uint64) (int, bool) {
@@ -299,7 +299,7 @@ func (c *ReaderCache) cachedCount(dir string, ssid uint64) (int, bool) {
 	if r.err != nil {
 		return 0, false
 	}
-	return len(r.index), true
+	return r.index.count, true
 }
 
 // evictOverLocked evicts LRU entries until used fits the capacity.

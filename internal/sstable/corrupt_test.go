@@ -104,11 +104,8 @@ func TestParseIndexErrors(t *testing.T) {
 		t.Fatal("zero-magic index parsed")
 	}
 	// Valid magic but truncated entry table.
-	hdr := make([]byte, indexHeader)
-	hdr[0], hdr[1], hdr[2], hdr[3] = 0x49, 0x56, 0x4b, 0x50 // little-endian PKVI
-	hdr[4] = 5                                              // count=5, no entries
-	if _, err := parseIndex(hdr); err == nil {
-		t.Fatal("truncated entry table parsed")
+	if _, err := parseIndex(sealIndex(5, 5, nil)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated entry table: err = %v, want ErrCorrupt", err)
 	}
 }
 

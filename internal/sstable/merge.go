@@ -3,9 +3,6 @@ package sstable
 import (
 	"bytes"
 	"container/heap"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"sort"
 
 	"papyruskv/internal/memtable"
@@ -76,8 +73,9 @@ func MergeOrdered(dev *nvm.Device, dir string, inputs []uint64, newSSID uint64, 
 		// Size the output bloom filter from the inputs' true entry counts,
 		// so merging large tables keeps the configured false-positive rate
 		// and merging tiny ones does not over-allocate. The count is free
-		// when the input's index is in the reader cache; otherwise it is a
-		// 16-byte header read. An unreadable index falls back to a rough
+		// when the input's index is in the reader cache; otherwise it is one
+		// read of the SSIndex, under 1% of the data the merge is about to
+		// stream. An unreadable index falls back to a rough
 		// estimate rather than failing the merge — the merge itself only
 		// needs the data files. A range-bounded merge over-allocates by the
 		// out-of-range share; that costs bloom bits, never correctness.
@@ -128,32 +126,18 @@ func MergeOrdered(dev *nvm.Device, dir string, inputs []uint64, newSSID uint64, 
 
 // EntryCount returns the number of records in SSTable ssid, from the
 // device's reader cache when the table's index is already loaded, else from
-// the SSIndex header (a single 16-byte read; the entries blob is not
-// fetched, so the header CRC cannot be verified here — only the magic is
-// checked).
+// the SSIndex file, read whole so the count is covered by its checksum.
 func EntryCount(dev *nvm.Device, dir string, ssid uint64) (int, error) {
 	if c := lookupCache(dev); c != nil {
 		if n, ok := c.cachedCount(dir, ssid); ok {
 			return n, nil
 		}
 	}
-	f, err := dev.OpenFile(IndexName(dir, ssid))
+	idx, err := loadIndex(dev, dir, ssid)
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	hdr := make([]byte, indexHeader)
-	if _, err := f.ReadAt(hdr, 0); err != nil && err != io.EOF {
-		return 0, err
-	}
-	if binary.LittleEndian.Uint32(hdr) != indexMagic {
-		return 0, fmt.Errorf("%w: bad index magic", ErrCorrupt)
-	}
-	count := binary.LittleEndian.Uint64(hdr[4:])
-	if count > maxKVLen {
-		return 0, fmt.Errorf("%w: implausible index count %d", ErrCorrupt, count)
-	}
-	return int(count), nil
+	return idx.count, nil
 }
 
 // MergeScan streams the logical merge of the given SSTables — each key's

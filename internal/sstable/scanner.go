@@ -2,9 +2,7 @@ package sstable
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"papyruskv/internal/memtable"
@@ -38,9 +36,10 @@ type Scanner struct {
 	pos    int   // parse position within buf
 	size   int64
 	window int // bytes the next refill reads ahead
-	// pending holds one decoded record SeekGE's degraded (index-less) path
-	// read past the seek point; Next returns it before touching the file.
-	pending *memtable.Entry
+	// pending holds the record SeekGE decoded to find the seek point; Next
+	// returns it before touching the file.
+	pending    memtable.Entry
+	hasPending bool
 }
 
 // Read-ahead is geometric: the first refill after an open or a seek reads
@@ -84,98 +83,37 @@ func (c *ReaderCache) NewScanner(dir string, ssid uint64) (*Scanner, error) {
 }
 
 // SeekGE positions the scanner so the next record returned is the first one
-// with key >= key, using the SSIndex to binary-search for the right offset
-// instead of decoding the whole file. An unreadable or corrupt index degrades
-// to a forward decode from offset 0 — a slower scan, never a failed one; the
-// data records' own CRCs still guard every byte actually returned. A nil or
-// empty key rewinds to the start.
+// with key >= key: the SSIndex names the one block that can hold it, and the
+// scanner decodes forward from that block's start instead of from the start
+// of the file. An unreadable or corrupt index degrades to a forward decode
+// from offset 0 — a slower scan, never a failed one; the data records' own
+// CRCs still guard every byte actually returned. A nil or empty key rewinds
+// to the start.
 //
 // Seeking discards buffered read-ahead and restarts it at the smallest
 // window; interleaving SeekGE with Next is allowed.
 func (s *Scanner) SeekGE(key []byte) error {
-	s.pending = nil
+	s.hasPending = false
+	s.rewindTo(0)
 	if len(key) == 0 {
-		s.rewindTo(0)
 		return nil
 	}
-	var recs []indexRec
+	var idx *ssIndex
 	if s.r != nil {
-		recs = s.r.index
-	} else {
-		// Probe the first record's key before loading the index: a seek at
-		// or before the table's first key — most inputs of a range-bounded
-		// compaction — resolves with one small read instead of an index load
-		// plus a binary search of point reads. Undecidable probes (empty
-		// table, corrupt or oversized first key) fall through to the index.
-		if atOrAfter, decided := s.firstKeyAtLeast(key); decided && atOrAfter {
-			s.rewindTo(0)
-			return nil
+		idx = s.r.index
+	} else if loaded, err := loadIndex(s.dev, s.dir, s.ssid); err == nil {
+		idx = loaded
+	}
+	if idx != nil {
+		off, _, ok := idx.locate(key, s.size)
+		if !ok {
+			return nil // every record of the table is >= key
 		}
-		var err error
-		if recs, err = loadIndex(s.dev, s.dir, s.ssid); err != nil {
-			// Corrupt, truncated, or missing index: fall back to scanning
-			// forward from the start. The degraded path buffers the first
-			// record >= key so it is not lost to the probe.
-			s.rewindTo(0)
-			return s.skipTo(key)
-		}
+		s.rewindTo(off)
 	}
-	// Binary search for the first record with recKey >= key. Index entries
-	// carry offsets, not keys, so each probe reads (and CRC-verifies) its
-	// record through the open data file, exactly like searchRecords.
-	lo, hi := 0, len(recs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		recKey, _, _, err := readRecord(s.f, recs[mid])
-		if err != nil {
-			// A record the index pointed at fails validation: distrust the
-			// index and degrade to the sequential path.
-			s.rewindTo(0)
-			return s.skipTo(key)
-		}
-		if bytes.Compare(recKey, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(recs) {
-		s.rewindTo(s.size) // past the last key: scanner is exhausted
-		return nil
-	}
-	s.rewindTo(int64(recs[lo].offset))
-	return nil
-}
-
-// seekProbeLen bounds the first-key probe read: big enough for any sane
-// first record header + key, small enough to be cheap when the answer is
-// "use the index".
-const seekProbeLen = 4096
-
-// firstKeyAtLeast reports whether the table's first key is >= key, with one
-// bounded read and no buffer disturbance. decided=false means the probe
-// could not tell (empty table, short file, implausible header) and the
-// caller should use the index. The probe skips the record CRC: it only
-// routes the seek — every record actually returned is still verified by
-// Next, and a misrouting from corrupt bytes surfaces there.
-func (s *Scanner) firstKeyAtLeast(key []byte) (atOrAfter, decided bool) {
-	n := seekProbeLen
-	if int64(n) > s.size {
-		n = int(s.size)
-	}
-	if n < recHeader {
-		return false, false
-	}
-	probe := make([]byte, n)
-	if _, err := s.f.ReadAt(probe, 0); err != nil && err != io.EOF {
-		return false, false
-	}
-	klen := binary.LittleEndian.Uint32(probe)
-	if klen > maxKVLen || recHeader+int(klen) > n {
-		return false, false
-	}
-	first := probe[recHeader : recHeader+int(klen)]
-	return bytes.Compare(first, key) >= 0, true
+	// Decode forward to the first record >= key and hold it for Next; with
+	// an index that is at most one block away.
+	return s.skipTo(key)
 }
 
 // rewindTo discards buffered data, repositions the scanner at off, and
@@ -188,8 +126,8 @@ func (s *Scanner) rewindTo(off int64) {
 	s.window = scannerFirstWindow
 }
 
-// skipTo is SeekGE's index-less fallback: decode records forward until one
-// with key >= key appears, and hold it for the next Next call.
+// skipTo decodes records forward until one with key >= key appears, and
+// holds it for the next Next call.
 func (s *Scanner) skipTo(key []byte) error {
 	for {
 		e, ok, err := s.Next()
@@ -197,7 +135,7 @@ func (s *Scanner) skipTo(key []byte) error {
 			return err
 		}
 		if bytes.Compare(e.Key, key) >= 0 {
-			s.pending = &e
+			s.pending, s.hasPending = e, true
 			return nil
 		}
 	}
@@ -246,23 +184,18 @@ func (s *Scanner) fill(need int) (bool, error) {
 
 // Next returns the next record. ok=false signals the end of the table.
 func (s *Scanner) Next() (memtable.Entry, bool, error) {
-	if s.pending != nil {
-		e := *s.pending
-		s.pending = nil
-		return e, true, nil
+	if s.hasPending {
+		s.hasPending = false
+		return s.pending, true, nil
 	}
 	ok, err := s.fill(recHeader)
 	if err != nil || !ok {
 		return memtable.Entry{}, false, err
 	}
-	hdr := s.buf[s.pos:]
-	klen := binary.LittleEndian.Uint32(hdr)
-	vlen := binary.LittleEndian.Uint32(hdr[4:])
-	flags := hdr[8]
-	if klen > maxKVLen || vlen > maxKVLen {
-		return memtable.Entry{}, false, fmt.Errorf("%w: implausible record header (klen=%d vlen=%d)", ErrCorrupt, klen, vlen)
+	total, err := recordLen(s.buf[s.pos:])
+	if err != nil {
+		return memtable.Entry{}, false, err
 	}
-	total := recHeader + int(klen) + int(vlen) + recTrailer
 	if ok, err := s.fill(total); err != nil || !ok {
 		if err == nil {
 			err = fmt.Errorf("%w: record body truncated", ErrCorrupt)
@@ -271,13 +204,8 @@ func (s *Scanner) Next() (memtable.Entry, bool, error) {
 	}
 	rec := s.buf[s.pos : s.pos+total]
 	s.pos += total
-	body := rec[:total-recTrailer]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(rec[total-recTrailer:]) {
-		return memtable.Entry{}, false, fmt.Errorf("%w: record checksum mismatch", ErrCorrupt)
-	}
-	key := body[recHeader : recHeader+int(klen) : recHeader+int(klen)]
-	val := body[recHeader+int(klen) : len(body) : len(body)]
-	return memtable.Entry{Key: key, Value: val, Tombstone: flags&1 != 0}, true, nil
+	e, _, err := decodeRecord(rec)
+	return e, err == nil, err
 }
 
 // Close releases the data file: a cache-opened scanner drops its pin on the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"sort"
 	"testing"
 
 	"papyruskv/internal/memtable"
@@ -45,7 +46,8 @@ func refsOf(c *ReaderCache, dir string, ssid uint64) int {
 // TestScannerCachedMatchesUncached: a cache-opened scanner and an uncached
 // one are the same scanner with a different index source, so every range
 // must stream identically — and match the oracle — whether the bound falls
-// before the first key, past the last, on a key, between two, or is empty.
+// before the first key, past the last, on a key, between two, on either side
+// of a block boundary, or is empty.
 func TestScannerCachedMatchesUncached(t *testing.T) {
 	dev := testDev(t)
 	entries := sortedEntries(2000, 21)
@@ -72,6 +74,22 @@ func TestScannerCachedMatchesUncached(t *testing.T) {
 		{nil, entries[5].Key},                            // open lo
 		{entries[len(entries)-100].Key, []byte("zzzzz")}, // hi past the end
 	}
+	// Around every fence: a seek equal to a block's first key, one equal to
+	// the last key of the block before it, and one between the two all land
+	// on a block boundary from a different side.
+	fences := mustLoadIndex(t, dev, "db/r0", 1).keys
+	if len(fences) < 10 {
+		t.Fatalf("table has %d blocks, want a multi-block table", len(fences))
+	}
+	for i := 1; i < len(fences); i++ {
+		j := sort.Search(len(entries), func(j int) bool { return bytes.Compare(entries[j].Key, fences[i]) >= 0 })
+		bounds = append(bounds,
+			[2][]byte{fences[i], between(j + 2)},
+			[2][]byte{entries[j-1].Key, between(j)},
+			[2][]byte{between(j - 1), between(j)},
+		)
+	}
+	bounds = append(bounds, [2][]byte{fences[len(fences)-1], nil}) // the whole last block
 	rng := rand.New(rand.NewSource(22))
 	pick := func() []byte {
 		switch i := rng.Intn(len(entries)); rng.Intn(3) {
@@ -142,7 +160,7 @@ func TestScannerCachedMatchesUncached(t *testing.T) {
 // TestScannerWarmRangeCost pins the point of reading scans through the
 // cache: a 100-key range over a big warm table opens no file (the cached
 // reader owns the data handle and the parsed index) and reads about what it
-// returns — the seek's point probes plus a few small read-ahead windows —
+// returns — a few small read-ahead windows from the block the seek names —
 // not the whole SSIndex and a 1MB chunk.
 func TestScannerWarmRangeCost(t *testing.T) {
 	dev := testDev(t)
@@ -307,11 +325,7 @@ func TestScannerCorruptionBehindCache(t *testing.T) {
 	}
 	check("repaired", true)
 	c.Evict("d", 1)
-	idx, err := loadIndex(dev, "d", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipBit(t, dev, DataName("d", 1), int(idx[200].offset+recHeader+2)*8)
+	flipBit(t, dev, DataName("d", 1), int(recordOffsets(entries)[200]+recHeader+2)*8)
 	for _, open := range map[string]func() (*Scanner, error){
 		"cached":   func() (*Scanner, error) { return c.NewScanner("d", 1) },
 		"uncached": func() (*Scanner, error) { return NewScanner(dev, "d", 1) },

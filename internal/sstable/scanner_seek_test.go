@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 
 	"papyruskv/internal/memtable"
@@ -43,6 +44,22 @@ func TestScannerSeekGE(t *testing.T) {
 		append(entries[150].Key, 0), // just past a middle key
 		entries[299].Key,            // exactly the last
 		[]byte("key-ffffffffff"),    // past every key
+	}
+	fences := mustLoadIndex(t, dev, "db/r0", 1).keys
+	if len(fences) < 2 {
+		t.Fatalf("table has %d blocks, want several", len(fences))
+	}
+	for i, fence := range fences[1:] {
+		j := sort.Search(len(entries), func(j int) bool { return bytes.Compare(entries[j].Key, fence) >= 0 })
+		starts = append(starts,
+			fence,                         // exactly a block's first key
+			entries[j-1].Key,              // the last key of the block before it
+			append(entries[j-1].Key, 0),   // between the two blocks
+			append(bytes.Clone(fence), 0), // just inside the block
+		)
+		if i == len(fences)-2 {
+			starts = append(starts, append(entries[len(entries)-1].Key, 0)) // in the last block, past its last key
+		}
 	}
 	sc, err := NewScanner(dev, "db/r0", 1)
 	if err != nil {

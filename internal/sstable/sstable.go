@@ -6,15 +6,35 @@
 // An SSTable is three files (§2.4):
 //
 //	sst-<ssid>.data   SSData — the key-value records, sorted by key
-//	sst-<ssid>.idx    SSIndex — offsets and lengths of the keys in SSData
+//	sst-<ssid>.idx    SSIndex — one fence entry per block of SSData
 //	sst-<ssid>.bloom  bloom filter over the keys
+//
+// SSData is a run of records, each
+//
+//	klen u32 | vlen u32 | flags u8 | key | value | CRC32C u32 over all before
+//
+// cut into blocks: a block is a run of consecutive records that ends at the
+// first record boundary blockSize or more bytes past its start; a record of
+// blockSize or more is a block of its own. The SSIndex names each block by
+// where it starts and the first key in it (all integers little-endian):
+//
+//	magic  u32   indexMagic
+//	crc    u32   CRC32C over every byte after this field
+//	count  u64   records in SSData
+//	blocks u32   entries that follow
+//	blocks × { offset u64 | klen u32 | key }
+//
+// Offsets and fence keys ascend strictly, the first offset is 0, and the
+// file ends with the last entry. This is the one place the layout is
+// written down; parseIndex is its only decoder.
 //
 // SSIDs are per-database, per-rank, unique increasing integers starting at
 // one. A get opens the bloom filter first to decide whether the SSTable can
 // be skipped; on a possible hit it loads the SSIndex into memory and
-// searches SSData — either by binary search (O(log n) random reads,
-// profitable on NVM's fast random access) or by sequential scan (the
-// baseline the paper's Figure 8 "B" configurations toggle).
+// searches SSData — either through the index (an in-memory binary search
+// over the fence keys, then one random read of the one block that can hold
+// the key; profitable on NVM's fast random access) or by sequential scan
+// (the baseline the paper's Figure 8 "B" configurations toggle).
 package sstable
 
 import (
@@ -27,6 +47,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"papyruskv/internal/bloom"
 	"papyruskv/internal/memtable"
@@ -34,12 +55,24 @@ import (
 )
 
 const (
-	indexMagic  = 0x504b5649 // "PKVI"
-	recHeader   = 9          // klen u32, vlen u32, flags u8
-	recTrailer  = 4          // CRC32C over header+key+value
-	indexEntry  = 16         // offset u64, keylen u32, reclen u32
-	indexHeader = 16         // magic u32, count u64, crc u32 over entries
-	maxKVLen    = 1 << 30    // sanity bound on klen/vlen from disk
+	// indexMagic is "PKVJ". The per-record SSIndex this format replaced was
+	// "PKVI"; a file left over from it fails the magic check as ErrCorrupt.
+	indexMagic  = 0x504b564a
+	recHeader   = 9       // klen u32, vlen u32, flags u8
+	recTrailer  = 4       // CRC32C over header+key+value
+	indexHeader = 20      // magic u32, crc u32, count u64, blocks u32
+	fenceHeader = 12      // offset u64, klen u32; the key follows
+	maxKVLen    = 1 << 30 // sanity bound on klen/vlen from disk
+
+	// blockSize is the SSData span one SSIndex entry covers, and so what a
+	// get reads to answer from a table: small enough that the read and the
+	// walk through it stay a few microseconds, large enough that the fence
+	// keys of a table are a fraction of a percent of its data.
+	blockSize = 4 << 10
+	// maxBlockRecords bounds the records one block can hold (a block is cut
+	// once it spans blockSize and no record is shorter than its framing), and
+	// with it the record count an index of a given block count may claim.
+	maxBlockRecords = blockSize/(recHeader+recTrailer) + 1
 )
 
 // ErrCorrupt reports on-NVM data that fails checksum or structural
@@ -76,18 +109,20 @@ type Meta struct {
 // ascending keys; Close writes the SSIndex and bloom filter and publishes
 // all three files.
 type Writer struct {
-	dev     *nvm.Device
-	dir     string
-	ssid    uint64
-	data    *nvm.Writer
-	index   []byte
-	filter  *bloom.Filter
+	dev      *nvm.Device
+	dir      string
+	ssid     uint64
+	data     *nvm.Writer
+	index    []byte // encoded fence entries, one per block started so far
+	blocks   int
+	blockOff int64 // where the block being filled starts in SSData
+	filter   *bloom.Filter
 	count    int
 	firstKey []byte
 	lastKey  []byte
 	dataCRC  uint32 // running CRC32C over the logical SSData byte stream
 	buf      []byte
-	pending []byte // write-behind buffer: records stream to the device in
+	pending  []byte // write-behind buffer: records stream to the device in
 	// large sequential chunks, as the compaction thread would, instead of
 	// paying one device operation per record
 	written int64 // logical SSData bytes emitted (pending included)
@@ -121,8 +156,12 @@ func (w *Writer) Add(e memtable.Entry) error {
 		w.firstKey = append([]byte(nil), e.Key...)
 	}
 	w.lastKey = append(w.lastKey[:0], e.Key...)
-	offset := w.written
 	recLen := recHeader + len(e.Key) + len(e.Value) + recTrailer
+	if w.count == 0 || w.written-w.blockOff >= blockSize || recLen >= blockSize {
+		w.blockOff = w.written
+		w.index = appendFence(w.index, w.written, e.Key)
+		w.blocks++
+	}
 
 	w.buf = w.buf[:0]
 	var u32 [4]byte
@@ -149,12 +188,6 @@ func (w *Writer) Add(e memtable.Entry) error {
 		w.pending = w.pending[:0]
 	}
 
-	var ie [indexEntry]byte
-	binary.LittleEndian.PutUint64(ie[0:], uint64(offset))
-	binary.LittleEndian.PutUint32(ie[8:], uint32(len(e.Key)))
-	binary.LittleEndian.PutUint32(ie[12:], uint32(recLen))
-	w.index = append(w.index, ie[:]...)
-
 	w.filter.Add(e.Key)
 	w.count++
 	return nil
@@ -175,11 +208,7 @@ func (w *Writer) Close() (Meta, error) {
 	if err := w.data.Close(); err != nil {
 		return Meta{}, err
 	}
-	hdr := make([]byte, indexHeader)
-	binary.LittleEndian.PutUint32(hdr[0:], indexMagic)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(w.count))
-	binary.LittleEndian.PutUint32(hdr[12:], crc32.Checksum(w.index, crcTable))
-	idx := append(hdr, w.index...)
+	idx := sealIndex(w.count, w.blocks, w.index)
 	if err := w.dev.WriteFile(IndexName(w.dir, w.ssid), idx); err != nil {
 		return Meta{}, err
 	}
@@ -224,47 +253,124 @@ func WriteTable(dev *nvm.Device, dir string, ssid uint64, entries []memtable.Ent
 	return w.Close()
 }
 
-// indexRec is one parsed SSIndex entry.
-type indexRec struct {
-	offset uint64
-	keyLen uint32
-	recLen uint32
+// appendFence appends one SSIndex entry: a block starting at off whose first
+// key is key.
+func appendFence(dst []byte, off int64, key []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(off))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	return append(dst, key...)
 }
 
-func parseIndex(raw []byte) ([]indexRec, error) {
+// sealIndex frames the encoded fence entries of a table of count records as
+// an SSIndex file.
+func sealIndex(count, blocks int, fences []byte) []byte {
+	idx := make([]byte, indexHeader, indexHeader+len(fences))
+	binary.LittleEndian.PutUint32(idx[0:], indexMagic)
+	binary.LittleEndian.PutUint64(idx[8:], uint64(count))
+	binary.LittleEndian.PutUint32(idx[16:], uint32(blocks))
+	idx = append(idx, fences...)
+	binary.LittleEndian.PutUint32(idx[4:], crc32.Checksum(idx[8:], crcTable))
+	return idx
+}
+
+// ssIndex is a parsed SSIndex: the fence key and SSData offset of every
+// block, and the table's record count. The keys alias the raw file image it
+// was parsed from.
+type ssIndex struct {
+	count   int
+	offsets []int64
+	keys    [][]byte
+	rawLen  int
+}
+
+// memBytes is what a loaded index holds on the heap: the raw file image the
+// fence keys alias, plus an offset and a slice header per block.
+func (x *ssIndex) memBytes() int64 { return int64(x.rawLen) + int64(len(x.keys))*(8+24) }
+
+// parseIndex validates and decodes an SSIndex file image. The checksum
+// covers the counts as well as the entries, every count is bounded by the
+// bytes present before anything is sized from it, and the entries must
+// ascend strictly and fill the file exactly.
+func parseIndex(raw []byte) (*ssIndex, error) {
 	if len(raw) < indexHeader {
 		return nil, fmt.Errorf("%w: short index (%d bytes)", ErrCorrupt, len(raw))
 	}
 	if binary.LittleEndian.Uint32(raw) != indexMagic {
 		return nil, fmt.Errorf("%w: bad index magic", ErrCorrupt)
 	}
-	count := binary.LittleEndian.Uint64(raw[4:])
-	crc := binary.LittleEndian.Uint32(raw[12:])
-	raw = raw[indexHeader:]
-	if uint64(len(raw)) < count*indexEntry {
-		return nil, fmt.Errorf("%w: index truncated: %d entries, %d bytes", ErrCorrupt, count, len(raw))
-	}
-	if crc32.Checksum(raw, crcTable) != crc {
+	if crc32.Checksum(raw[8:], crcTable) != binary.LittleEndian.Uint32(raw[4:]) {
 		return nil, fmt.Errorf("%w: index checksum mismatch", ErrCorrupt)
 	}
-	recs := make([]indexRec, count)
-	for i := range recs {
-		base := i * indexEntry
-		recs[i] = indexRec{
-			offset: binary.LittleEndian.Uint64(raw[base:]),
-			keyLen: binary.LittleEndian.Uint32(raw[base+8:]),
-			recLen: binary.LittleEndian.Uint32(raw[base+12:]),
+	count := binary.LittleEndian.Uint64(raw[8:])
+	blocks := uint64(binary.LittleEndian.Uint32(raw[16:]))
+	body := raw[indexHeader:]
+	if blocks > uint64(len(body))/fenceHeader || count < blocks || count > blocks*maxBlockRecords {
+		return nil, fmt.Errorf("%w: index of %d bytes claims %d blocks, %d records", ErrCorrupt, len(raw), blocks, count)
+	}
+	x := &ssIndex{
+		count:   int(count),
+		offsets: make([]int64, blocks),
+		keys:    make([][]byte, blocks),
+		rawLen:  len(raw),
+	}
+	for i := range x.keys {
+		if len(body) < fenceHeader {
+			return nil, fmt.Errorf("%w: index truncated at block %d", ErrCorrupt, i)
+		}
+		off := binary.LittleEndian.Uint64(body)
+		klen := binary.LittleEndian.Uint32(body[8:])
+		body = body[fenceHeader:]
+		if uint64(klen) > uint64(len(body)) {
+			return nil, fmt.Errorf("%w: index truncated in block %d's key", ErrCorrupt, i)
+		}
+		key := body[:klen:klen]
+		body = body[klen:]
+		switch {
+		case i == 0 && off != 0:
+			return nil, fmt.Errorf("%w: first block at offset %d", ErrCorrupt, off)
+		case i > 0 && (int64(off) <= x.offsets[i-1] || bytes.Compare(key, x.keys[i-1]) <= 0):
+			return nil, fmt.Errorf("%w: index block %d out of order", ErrCorrupt, i)
+		}
+		x.offsets[i], x.keys[i] = int64(off), key
+	}
+	if len(body) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the last index entry", ErrCorrupt, len(body))
+	}
+	return x, nil
+}
+
+// locate maps key to the one block of an SSData file of dataSize bytes that
+// can hold it — the last block whose fence key is <= key — as the byte span
+// [off, end). ok=false means key sorts before every record of the table (or
+// the table is empty). It is the only routine that turns a key into a data
+// offset, and it touches no device.
+func (x *ssIndex) locate(key []byte, dataSize int64) (off, end int64, ok bool) {
+	lo, hi := 0, len(x.keys) // first block whose fence key is > key
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(x.keys[mid], key) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return recs, nil
+	if lo == 0 {
+		return 0, 0, false
+	}
+	end = dataSize
+	if lo < len(x.offsets) {
+		end = x.offsets[lo]
+	}
+	return x.offsets[lo-1], end, true
 }
 
 // SearchMode selects how Get locates a key inside SSData.
 type SearchMode int
 
 const (
-	// BinarySearch does O(log n) random key reads through the SSIndex —
-	// the PAPYRUSKV_BIN_SEARCH optimisation.
+	// BinarySearch binary-searches the SSIndex's fence keys in memory and
+	// reads the one block that can hold the key — the PAPYRUSKV_BIN_SEARCH
+	// optimisation.
 	BinarySearch SearchMode = iota
 	// SequentialSearch scans SSData from the start, the pre-optimisation
 	// baseline of Figure 8.
@@ -314,7 +420,7 @@ func loadBloom(dev *nvm.Device, dir string, ssid uint64) (*bloom.Filter, error) 
 }
 
 // loadIndex reads and validates SSTable ssid's SSIndex.
-func loadIndex(dev *nvm.Device, dir string, ssid uint64) ([]indexRec, error) {
+func loadIndex(dev *nvm.Device, dir string, ssid uint64) (*ssIndex, error) {
 	raw, err := dev.ReadFile(IndexName(dir, ssid))
 	if err != nil {
 		return nil, err
@@ -323,7 +429,7 @@ func loadIndex(dev *nvm.Device, dir string, ssid uint64) ([]indexRec, error) {
 }
 
 func binSearch(dev *nvm.Device, dir string, ssid uint64, key []byte) ([]byte, bool, bool, error) {
-	recs, err := loadIndex(dev, dir, ssid)
+	idx, err := loadIndex(dev, dir, ssid)
 	if err != nil {
 		return nil, false, false, err
 	}
@@ -332,53 +438,110 @@ func binSearch(dev *nvm.Device, dir string, ssid uint64, key []byte) ([]byte, bo
 		return nil, false, false, err
 	}
 	defer f.Close()
-	return searchRecords(f, recs, key)
+	return searchRecords(f, idx, key)
 }
 
-// searchRecords binary-searches the records listed in recs through the open
-// data file. Every probe reads and checksum-verifies the full record before
-// its key is trusted: an unverified bit-flipped key could silently misroute
-// the search into a wrong "not found".
-func searchRecords(f *nvm.File, recs []indexRec, key []byte) ([]byte, bool, bool, error) {
-	lo, hi := 0, len(recs)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		recKey, val, flags, err := readRecord(f, recs[mid])
+// blockPool holds the scratch buffers searchRecords reads blocks into. A
+// buffer never leaves searchRecords: what a get returns is copied out of it.
+var blockPool = sync.Pool{New: func() any { b := make([]byte, 0, 2*blockSize); return &b }}
+
+// maxPooledBlock is the largest block read through the pool; a bigger one (a
+// single oversized record) gets a buffer of its own, left to the collector.
+const maxPooledBlock = 64 << 10
+
+// searchRecords looks key up in the open data file f through its index: one
+// in-memory locate, one read of the block it names, and a forward walk that
+// checksum-verifies every record before its key is compared — an unverified
+// bit-flipped key could silently misroute the search into a wrong "not
+// found". The value returned is an exact-size copy, so a caller that caches
+// it retains those bytes and nothing else.
+func searchRecords(f *nvm.File, idx *ssIndex, key []byte) ([]byte, bool, bool, error) {
+	off, end, ok := idx.locate(key, f.Size())
+	if !ok {
+		return nil, false, false, nil
+	}
+	if end <= off || end > f.Size() {
+		return nil, false, false, fmt.Errorf("%w: index block [%d,%d) outside a data file of %d bytes", ErrCorrupt, off, end, f.Size())
+	}
+	n := int(end - off)
+	if n > maxPooledBlock {
+		return searchBlock(f, make([]byte, n), off, key)
+	}
+	bp := blockPool.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	val, tomb, found, err := searchBlock(f, (*bp)[:n], off, key)
+	blockPool.Put(bp)
+	return val, tomb, found, err
+}
+
+// searchBlock fills block from f at off and walks its records for key.
+func searchBlock(f *nvm.File, block []byte, off int64, key []byte) ([]byte, bool, bool, error) {
+	if n, err := f.ReadAt(block, off); err != nil && err != io.EOF {
+		return nil, false, false, err
+	} else if n < len(block) {
+		return nil, false, false, fmt.Errorf("%w: data file ends %d bytes into the block at %d", ErrCorrupt, n, off)
+	}
+	for len(block) > 0 {
+		e, n, err := decodeRecord(block)
 		if err != nil {
 			return nil, false, false, err
 		}
-		switch c := bytes.Compare(key, recKey); {
-		case c < 0:
-			hi = mid - 1
+		switch c := bytes.Compare(e.Key, key); {
+		case c == 0:
+			return detach(e.Value), e.Tombstone, true, nil
 		case c > 0:
-			lo = mid + 1
-		default:
-			return val, flags&1 != 0, true, nil
+			return nil, false, false, nil
 		}
+		block = block[n:]
 	}
 	return nil, false, false, nil
 }
 
-// readRecord reads the record described by r and verifies its CRC32C
-// trailer, returning the key, value, and flags.
-func readRecord(f *nvm.File, r indexRec) (key, val []byte, flags byte, err error) {
-	if r.recLen < recHeader+recTrailer || r.keyLen > maxKVLen || r.recLen > 2*maxKVLen {
-		return nil, nil, 0, fmt.Errorf("%w: implausible index entry (keyLen=%d recLen=%d)", ErrCorrupt, r.keyLen, r.recLen)
+// detach returns a copy of v with cap == len: values leave this package
+// owning exactly their own bytes, never a read buffer's.
+func detach(v []byte) []byte {
+	out := make([]byte, len(v))
+	copy(out, v)
+	return out
+}
+
+// recordLen returns the encoded length of the record whose header starts
+// buf, which must hold at least recHeader bytes.
+func recordLen(buf []byte) (int, error) {
+	klen := binary.LittleEndian.Uint32(buf)
+	vlen := binary.LittleEndian.Uint32(buf[4:])
+	if klen > maxKVLen || vlen > maxKVLen {
+		return 0, fmt.Errorf("%w: implausible record header (klen=%d vlen=%d)", ErrCorrupt, klen, vlen)
 	}
-	rec := make([]byte, r.recLen)
-	if _, err := f.ReadAt(rec, int64(r.offset)); err != nil && err != io.EOF {
-		return nil, nil, 0, err
+	return recHeader + int(klen) + int(vlen) + recTrailer, nil
+}
+
+// decodeRecord decodes the record at the start of buf and verifies its
+// CRC32C trailer, returning the entry — key and value alias buf — and the
+// record's encoded length.
+func decodeRecord(buf []byte) (memtable.Entry, int, error) {
+	if len(buf) < recHeader {
+		return memtable.Entry{}, 0, fmt.Errorf("%w: %d trailing bytes where a record should start", ErrCorrupt, len(buf))
 	}
-	body := rec[:len(rec)-recTrailer]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(rec[len(rec)-recTrailer:]) {
-		return nil, nil, 0, fmt.Errorf("%w: record checksum mismatch", ErrCorrupt)
+	total, err := recordLen(buf)
+	if err != nil {
+		return memtable.Entry{}, 0, err
 	}
-	klen := binary.LittleEndian.Uint32(rec)
-	vlen := binary.LittleEndian.Uint32(rec[4:])
-	if uint64(recHeader)+uint64(klen)+uint64(vlen)+recTrailer != uint64(len(rec)) {
-		return nil, nil, 0, fmt.Errorf("%w: record length mismatch", ErrCorrupt)
+	if total > len(buf) {
+		return memtable.Entry{}, 0, fmt.Errorf("%w: record of %d bytes overruns its %d-byte block", ErrCorrupt, total, len(buf))
 	}
-	return rec[recHeader : recHeader+klen], rec[recHeader+klen : recHeader+klen+vlen], rec[8], nil
+	body := buf[:total-recTrailer]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(buf[total-recTrailer:]) {
+		return memtable.Entry{}, 0, fmt.Errorf("%w: record checksum mismatch", ErrCorrupt)
+	}
+	klen := int(binary.LittleEndian.Uint32(buf))
+	return memtable.Entry{
+		Key:       body[recHeader : recHeader+klen : recHeader+klen],
+		Value:     body[recHeader+klen : len(body) : len(body)],
+		Tombstone: body[8]&1 != 0,
+	}, total, nil
 }
 
 func seqSearch(dev *nvm.Device, dir string, ssid uint64, key []byte) ([]byte, bool, bool, error) {
@@ -399,7 +562,7 @@ func seqSearch(dev *nvm.Device, dir string, ssid uint64, key []byte) ([]byte, bo
 		case c == 0:
 			// Copied out: the entry aliases the scanner's read window, which
 			// a caller caching this one value must not keep alive.
-			return bytes.Clone(e.Value), e.Tombstone, true, nil
+			return detach(e.Value), e.Tombstone, true, nil
 		case c > 0:
 			// Records are sorted; the key cannot appear later.
 			return nil, false, false, nil
@@ -465,8 +628,8 @@ func Remove(dev *nvm.Device, dir string, ssid uint64) error {
 }
 
 // ReadMeta reconstructs SSTable ssid's Meta from its on-device files: sizes
-// and CRCs by full read, entry count from the index, key bounds from the
-// first and last data records. Open uses it to adopt tables that predate
+// and CRCs by full read, entry count from the index header, key bounds from
+// the first and last data records. Open uses it to adopt tables that predate
 // the manifest (a legacy zero-copy reopen) and restart uses it to manifest
 // restored snapshot files; both are cold paths, so the full reads are
 // acceptable.
@@ -479,7 +642,7 @@ func ReadMeta(dev *nvm.Device, dir string, ssid uint64) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
-	recs, err := parseIndex(idxRaw)
+	idx, err := parseIndex(idxRaw)
 	if err != nil {
 		return Meta{}, err
 	}
@@ -489,26 +652,32 @@ func ReadMeta(dev *nvm.Device, dir string, ssid uint64) (Meta, error) {
 	}
 	m := Meta{
 		SSID:      ssid,
-		Count:     len(recs),
+		Count:     idx.count,
 		DataBytes: int64(len(data)),
 		DataCRC:   crc32.Checksum(data, crcTable),
 		IndexCRC:  crc32.Checksum(idxRaw, crcTable),
 		BloomCRC:  crc32.Checksum(blm, crcTable),
 	}
-	if len(recs) > 0 {
-		for i, r := range []indexRec{recs[0], recs[len(recs)-1]} {
-			end := r.offset + uint64(r.recLen)
-			if r.recLen < recHeader+recTrailer || end > uint64(len(data)) ||
-				uint64(r.keyLen) > uint64(r.recLen)-recHeader-recTrailer {
-				return Meta{}, fmt.Errorf("%w: index entry overruns data file", ErrCorrupt)
-			}
-			key := append([]byte(nil), data[r.offset+recHeader:r.offset+recHeader+uint64(r.keyLen)]...)
-			if i == 0 {
-				m.MinKey = key
-			} else {
-				m.MaxKey = key
-			}
-		}
+	if idx.count == 0 {
+		return m, nil
 	}
+	// The last block starts at the last fence; walk it to the file's end.
+	last := idx.offsets[len(idx.offsets)-1]
+	if last >= int64(len(data)) {
+		return Meta{}, fmt.Errorf("%w: index block at %d past a data file of %d bytes", ErrCorrupt, last, len(data))
+	}
+	first, _, err := decodeRecord(data)
+	if err != nil {
+		return Meta{}, err
+	}
+	m.MinKey = bytes.Clone(first.Key)
+	for rest := data[last:]; len(rest) > 0; {
+		e, n, err := decodeRecord(rest)
+		if err != nil {
+			return Meta{}, err
+		}
+		m.MaxKey, rest = e.Key, rest[n:]
+	}
+	m.MaxKey = bytes.Clone(m.MaxKey)
 	return m, nil
 }
