@@ -3,31 +3,88 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"papyruskv/internal/memtable"
 )
 
-// Write admission control and the deferred-table lists.
+// The sealed-table lists, write admission control, and the one wait
+// primitive both need.
 //
-// The put path used to have exactly one form of backpressure: a silently
-// blocking flushQ.Enqueue with no latency bound — a put could stall for as
-// long as the compaction thread took to drain a queue slot, and on a
-// Degraded rank (whose flushes cannot run at all) it would have blocked
-// forever. Both problems are solved here:
+// A sealed MemTable has exactly one home: its immutable list (immLocal or
+// immRemote, oldest first, under db.mu). The list IS the queue of §2.4 — the
+// flush thread always writes immLocal[0], the dispatcher always sends the
+// oldest table it has not sent yet — so flush order is seal order because it
+// is list order, whatever failed, degraded or healed in between. Sealing is
+// "append and wake": it cannot block and cannot fail. A table whose work
+// cannot run (the rank is Degraded or Failed) stays where it is —
+// get-visible and WAL-backed — until heal wakes the thread or Recover drops
+// the lists for the WAL replay.
 //
-//   - Enqueueing never blocks. A sealed MemTable that does not fit in its
-//     queue — or that the background thread dequeued while the rank was
-//     Degraded — is deferred: it stays get-visible in immLocal/immRemote,
-//     stays WAL-backed, holds no pendingFlush/pendingMigr count (so Fence
-//     and Barrier on a degraded rank terminate), and is requeued when
-//     space and health allow.
-//   - Backpressure moves to admission control at the top of the put path:
-//     above Options.StallSoftDepth immutable tables, puts stall in short
-//     jittered sleeps bounded by Options.StallTimeout; at StallHardDepth,
-//     or when the stall budget expires, they fail fast with typed
-//     ErrWriteStalled. No put ever blocks longer than StallTimeout plus
-//     one stall period.
+// Backpressure is admission control at the top of the put path: above
+// Options.StallSoftDepth immutable tables, puts stall in short jittered
+// sleeps bounded by Options.StallTimeout; at StallHardDepth, or when the
+// stall budget expires, they fail fast with typed ErrWriteStalled. No put
+// ever blocks longer than StallTimeout plus one stall period.
+
+// await blocks until try reports true. try runs once up front and again
+// after every wakeAll — every seal, retire, thread going idle, health
+// transition and Close — and may act on its verdict in the same critical
+// section: the threads claim their table there, Recover drops the lists
+// there.
+//
+// The broadcast is a channel that wakeAll closes and replaces. Loading it
+// BEFORE running try is what makes the wait lossless: a change landing after
+// try looked closes the very channel this call then blocks on.
+func (db *DB) await(try func() bool) {
+	for {
+		ch := *db.wake.Load()
+		if try() {
+			return
+		}
+		<-ch
+	}
+}
+
+// wakeAll makes every await re-run its try. It takes no lock — an atomic
+// swap and a close — so it may be called under db.mu and db.failMu alike
+// and adds no edge to the lock order.
+func (db *DB) wakeAll() {
+	ch := make(chan struct{})
+	close(*db.wake.Swap(&ch))
+}
+
+// idle clears a background thread's busy flag (flushBusy or migrBusy, both
+// guarded by db.mu) once it has let go of its table.
+func (db *DB) idle(busy *bool) {
+	db.mu.Lock()
+	*busy = false
+	db.mu.Unlock()
+	db.wakeAll()
+}
+
+// retireTable takes a sealed table whose contents are safe elsewhere — in an
+// SSTable, or applied by their owners — off its get-visible list and deletes
+// the WAL segment that shadowed it, which keeps on-device WAL bytes bounded
+// by the MemTable budget. The vacated slot is cleared (slices.Delete) so the
+// list's backing array does not pin the table.
+func (db *DB) retireTable(list *[]*memtable.Table, t *memtable.Table) {
+	db.mu.Lock()
+	if i := slices.Index(*list, t); i >= 0 {
+		*list = slices.Delete(*list, i, i+1)
+	}
+	ref, logged := db.walSegs[t]
+	delete(db.walSegs, t)
+	db.mu.Unlock()
+	db.wakeAll()
+	if !logged {
+		return
+	}
+	if err := ref.log.Remove(ref.name); err != nil {
+		db.fail(fmt.Errorf("wal segment gc: %w", err))
+	}
+}
 
 // immDepth reports the immutable-table backlog the put path contributes to:
 // local tables awaiting flush, or remote tables awaiting migration.
@@ -111,233 +168,6 @@ func (db *DB) admitWrite(ctx context.Context, remote bool) error {
 	}
 }
 
-// enqueueFlush hands a sealed local MemTable to the compaction thread
-// without ever blocking: a full queue — or older tables already deferred,
-// which must flush first — defers the table instead. Only a closed queue
-// (the database is shutting down) is an error.
-func (db *DB) enqueueFlush(sealed *memtable.Table) error {
-	db.stallMu.Lock()
-	if len(db.deferredFlush) == 0 {
-		db.pendingFlush.add(1)
-		if db.flushQ.TryEnqueue(sealed) {
-			db.flushOut = append(db.flushOut, sealed.SealSeq())
-			db.stallMu.Unlock()
-			return nil
-		}
-		db.pendingFlush.done()
-		if db.flushQ.Closed() {
-			db.stallMu.Unlock()
-			return ErrInvalidDB
-		}
-	}
-	db.insertDeferredFlushLocked(sealed)
-	db.stallMu.Unlock()
-	db.metrics.FlushesDeferred.Add(1)
-	return nil
-}
-
-// enqueueMigration is enqueueFlush's twin for sealed remote MemTables.
-func (db *DB) enqueueMigration(sealed *memtable.Table) error {
-	db.stallMu.Lock()
-	if len(db.deferredMigr) == 0 {
-		db.pendingMigr.add(1)
-		if db.migrateQ.TryEnqueue(sealed) {
-			db.stallMu.Unlock()
-			return nil
-		}
-		db.pendingMigr.done()
-		if db.migrateQ.Closed() {
-			db.stallMu.Unlock()
-			return ErrInvalidDB
-		}
-	}
-	db.deferredMigr = append(db.deferredMigr, sealed)
-	db.stallMu.Unlock()
-	db.metrics.FlushesDeferred.Add(1)
-	return nil
-}
-
-// deferFlush parks a dequeued table back on the deferred list — the
-// compaction thread's move when the rank is Degraded and the device cannot
-// take the SSTable. The table keeps serving gets from immLocal and its WAL
-// segment stays pinned; the flush reruns after heal.
-//
-// The list is kept sorted by seal sequence, NOT append order: entries
-// already deferred because the queue was full were sealed LATER than a
-// table the thread just dequeued, and flushing them first would hand the
-// older table a higher SSID — reads and compaction would then prefer its
-// stale values forever.
-func (db *DB) deferFlush(t *memtable.Table) {
-	db.stallMu.Lock()
-	db.removeFlushOutLocked(t.SealSeq())
-	db.insertDeferredFlushLocked(t)
-	db.stallMu.Unlock()
-	db.metrics.FlushesDeferred.Add(1)
-}
-
-// flushDone retires a dequeued table's seal seq from the outstanding set
-// once its flush landed (or the table was drained on a Failed rank).
-func (db *DB) flushDone(t *memtable.Table) {
-	db.stallMu.Lock()
-	db.removeFlushOutLocked(t.SealSeq())
-	db.stallMu.Unlock()
-}
-
-// deferBatch re-defers the unflushed remainder of a flush run in one step:
-// the dequeued table leaves the outstanding set and every table in batch
-// rejoins the deferred list at its seal-order position, under a single
-// critical section — a concurrent requeue can never observe the dequeued
-// table retired while older claimed tables are still off the list.
-func (db *DB) deferBatch(table *memtable.Table, batch []*memtable.Table) {
-	db.stallMu.Lock()
-	db.removeFlushOutLocked(table.SealSeq())
-	for _, t := range batch {
-		db.insertDeferredFlushLocked(t)
-	}
-	db.stallMu.Unlock()
-	db.metrics.FlushesDeferred.Add(uint64(len(batch)))
-}
-
-// insertDeferredFlushLocked inserts t into deferredFlush at its seal-order
-// position. Caller holds db.stallMu.
-func (db *DB) insertDeferredFlushLocked(t *memtable.Table) {
-	seq := t.SealSeq()
-	i := len(db.deferredFlush)
-	for i > 0 && db.deferredFlush[i-1].SealSeq() > seq {
-		i--
-	}
-	db.deferredFlush = append(db.deferredFlush, nil)
-	copy(db.deferredFlush[i+1:], db.deferredFlush[i:])
-	db.deferredFlush[i] = t
-}
-
-// flushOutMaxLocked returns the newest seal seq currently in the flushing
-// queue or in flight at the compaction thread. Caller holds db.stallMu.
-func (db *DB) flushOutMaxLocked() (uint64, bool) {
-	var max uint64
-	for _, s := range db.flushOut {
-		if s > max {
-			max = s
-		}
-	}
-	return max, len(db.flushOut) > 0
-}
-
-// removeFlushOutLocked drops one seal seq from the outstanding set. Caller
-// holds db.stallMu.
-func (db *DB) removeFlushOutLocked(seq uint64) {
-	for i, s := range db.flushOut {
-		if s == seq {
-			db.flushOut = append(db.flushOut[:i], db.flushOut[i+1:]...)
-			return
-		}
-	}
-}
-
-// claimOlderDeferred removes and returns the deferred tables sealed before
-// t, oldest first — the tables the compaction thread must flush ahead of t
-// to keep SSID order equal to seal order. They come back via deferFlush if
-// the flush run fails partway.
-func (db *DB) claimOlderDeferred(t *memtable.Table) []*memtable.Table {
-	seq := t.SealSeq()
-	db.stallMu.Lock()
-	defer db.stallMu.Unlock()
-	n := 0
-	for n < len(db.deferredFlush) && db.deferredFlush[n].SealSeq() < seq {
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	older := append([]*memtable.Table(nil), db.deferredFlush[:n]...)
-	// Copy-shrink so the backing array does not pin the claimed tables.
-	db.deferredFlush = append([]*memtable.Table(nil), db.deferredFlush[n:]...)
-	return older
-}
-
-// requeueDeferredFlushes moves deferred local tables back into the flushing
-// queue, oldest first, while the rank is Healthy and the queue has room.
-// Called by the compaction thread after each dequeue, by heal, and by the
-// prober's tick as a belt-and-braces sweep. A deferred table older than
-// anything still queued or in flight is NOT re-enqueued — FIFO order would
-// flush it last, inverting seal order; the compaction thread picks such
-// tables up via claimOlderDeferred before it flushes the newer table.
-func (db *DB) requeueDeferredFlushes() {
-	if db.State() != StateHealthy {
-		return // a degraded rank's flushes would only fail again
-	}
-	db.stallMu.Lock()
-	for len(db.deferredFlush) > 0 {
-		t := db.deferredFlush[0]
-		if max, ok := db.flushOutMaxLocked(); ok && t.SealSeq() < max {
-			break
-		}
-		db.pendingFlush.add(1)
-		if !db.flushQ.TryEnqueue(t) {
-			db.pendingFlush.done()
-			break
-		}
-		db.flushOut = append(db.flushOut, t.SealSeq())
-		// Copy-shrink so the backing array does not pin requeued tables.
-		db.deferredFlush = append([]*memtable.Table(nil), db.deferredFlush[1:]...)
-	}
-	db.stallMu.Unlock()
-}
-
-// requeueDeferredMigrations moves deferred remote tables back into the
-// migration queue. A Degraded rank still migrates out — sending frees its
-// WAL segments, which is reclaim — so the gate is failed-only.
-func (db *DB) requeueDeferredMigrations() {
-	if db.readHealth() != nil {
-		return
-	}
-	db.stallMu.Lock()
-	for len(db.deferredMigr) > 0 {
-		t := db.deferredMigr[0]
-		db.pendingMigr.add(1)
-		if !db.migrateQ.TryEnqueue(t) {
-			db.pendingMigr.done()
-			break
-		}
-		db.deferredMigr = append([]*memtable.Table(nil), db.deferredMigr[1:]...)
-	}
-	db.stallMu.Unlock()
-}
-
-// drainDeferredMigrations blocks until every deferred migration table has
-// been handed to the dispatcher (Fence's completeness guarantee), the rank
-// fails, or the database begins closing. The dispatcher is live in every
-// state this loop runs in, so queue space keeps appearing.
-func (db *DB) drainDeferredMigrations() {
-	for {
-		db.requeueDeferredMigrations()
-		db.stallMu.Lock()
-		n := len(db.deferredMigr)
-		db.stallMu.Unlock()
-		if n == 0 || db.readHealth() != nil || db.isClosing() {
-			return
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// drainDeferredFlushes blocks until every deferred local table has been
-// handed to the compaction thread, the rank leaves the Healthy state, or
-// the database begins closing. Barrier(LevelSSTable) calls it so "flushed"
-// means the deferred backlog too, not just the queue.
-func (db *DB) drainDeferredFlushes() {
-	for {
-		db.requeueDeferredFlushes()
-		db.stallMu.Lock()
-		n := len(db.deferredFlush)
-		db.stallMu.Unlock()
-		if n == 0 || db.State() != StateHealthy || db.isClosing() {
-			return
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
 // isClosing reports whether Close has begun teardown.
 func (db *DB) isClosing() bool {
 	select {
@@ -346,16 +176,6 @@ func (db *DB) isClosing() bool {
 	default:
 		return false
 	}
-}
-
-// clearDeferred empties both deferred lists — Recover drops the MemTables
-// they point at wholesale (the WAL replay resurrects their pairs), so the
-// references must not outlive them. The outstanding-flush set goes with
-// them: the compaction thread of a failed rank drains without flushing.
-func (db *DB) clearDeferred() {
-	db.stallMu.Lock()
-	db.deferredFlush, db.deferredMigr, db.flushOut = nil, nil, nil
-	db.stallMu.Unlock()
 }
 
 // writeBacklogged reports whether this rank's local flush backlog is at or

@@ -268,9 +268,8 @@ func (db *DB) runCompactions(force bool) {
 }
 
 // pickCompaction selects the highest-scoring eligible job and claims its
-// tables. Lock order: sstMu before compactMu (nothing takes them the other
-// way around). Returns nil when no level is due or every due level's tables
-// are already claimed by running jobs — whose completion kicks again.
+// tables. Returns nil when no level is due or every due level's tables are
+// already claimed by running jobs — whose completion kicks again.
 func (db *DB) pickCompaction(force bool) *compactionJob {
 	db.sstMu.Lock()
 	defer db.sstMu.Unlock()

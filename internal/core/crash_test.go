@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"papyruskv/internal/faults"
+	"papyruskv/internal/memtable"
 	"papyruskv/internal/mpi"
+	"papyruskv/internal/sstable"
 )
 
 // Crash soak: kill the rank at every injection point in the
@@ -371,6 +373,50 @@ func TestCrashCheckpointMatrix(t *testing.T) {
 		}
 		if err := restoreAndCheck("restored-clean", "B", true); err != nil {
 			return err
+		}
+		return db.Close()
+	})
+}
+
+// TestCrashUnlistedTablesNeverAdopted: the manifest log alone decides which
+// SSTables are live, with no exception for an empty log. Tables on the device
+// that no edit lists — a WALDisabled rank that crashed between its first
+// WriteTable and its first manifest commit leaves exactly this, a never-acked
+// table beside an empty log — are quarantined and counted on open, and their
+// keys never materialise.
+func TestCrashUnlistedTablesNeverAdopted(t *testing.T) {
+	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+		dev, dir := rt.cfg.Device, "orphandb/r0"
+		for ssid := uint64(1); ssid <= 2; ssid++ {
+			k := []byte(fmt.Sprintf("orphan-%d", ssid))
+			if _, err := sstable.WriteTable(dev, dir, ssid, []memtable.Entry{{Key: k, Value: val(k)}}); err != nil {
+				return err
+			}
+		}
+		opt := smallOpt()
+		opt.WAL = WALDisabled
+		db, err := rt.Open("orphandb", opt)
+		if err != nil {
+			return err
+		}
+		if err := db.Health(); err != nil {
+			t.Fatalf("unhealthy after open: %v", err)
+		}
+		if n := db.SSTableCount(); n != 0 {
+			t.Errorf("opened with %d live tables, want 0 (the log lists none)", n)
+		}
+		if q := db.Metrics().QuarantinedTables.Load(); q != 2 {
+			t.Errorf("quarantined_tables = %d, want 2", q)
+		}
+		for ssid := 1; ssid <= 2; ssid++ {
+			for _, suffix := range []string{"data", "idx", "bloom"} {
+				if q := fmt.Sprintf("%s/quarantine/sst-%06d.%s", dir, ssid, suffix); !dev.Exists(q) {
+					t.Errorf("quarantined file %s missing", q)
+				}
+			}
+			if err := wantMissing(db, fmt.Sprintf("orphan-%d", ssid)); err != nil {
+				t.Errorf("unlisted table's key materialised: %v", err)
+			}
 		}
 		return db.Close()
 	})

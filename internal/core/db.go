@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"papyruskv/internal/faults"
-	"papyruskv/internal/fifo"
 	"papyruskv/internal/lru"
 	"papyruskv/internal/manifest"
 	"papyruskv/internal/memtable"
@@ -26,6 +25,19 @@ import (
 // one goroutine per rank, in the same order on every rank, and not
 // concurrently with each other; that is MPI's own collective-ordering
 // contract, not a lock this layer could supply.
+//
+// Lock order for the eight mutexes declared below, outermost first. A
+// goroutine may take a lock only while holding locks listed above it:
+//
+//	recoverMu, scrubMu   each held across one whole Recover / scrub cycle;
+//	                     never both at once
+//	mu, sstMu            never held together
+//	compactMu, snapMu    each only under sstMu or alone; never together
+//	scrubRepMu           leaf
+//	failMu               leaf, taken under any of the above (a WAL rotation
+//	                     degrades the rank under mu)
+//
+// The wake broadcast (backlog.go) is lock-free and sits outside the order.
 type DB struct {
 	rt   *Runtime
 	name string
@@ -46,21 +58,34 @@ type DB struct {
 	replyComm *mpi.Comm
 	ckptComm  *mpi.Comm
 
-	// mu guards the MemTables, immutable-table lists, consistency and
-	// protection state.
+	// mu guards the MemTables, the immutable-table lists and the background
+	// threads' claims on them, the WAL stream pointers and walSegs, and the
+	// consistency, protection and closed flags.
+	//
+	// immLocal and immRemote hold the sealed MemTables, oldest first. Gets
+	// search them newest first; the flush thread and the dispatcher consume
+	// them oldest first (backlog.go) — the lists are the paper's flushing
+	// and migration queues. flushBusy/migrBusy are set while a thread works
+	// on a table it claimed; migrPending counts the tail of immRemote the
+	// dispatcher has not claimed yet (a sent table can linger ahead of it
+	// while a parked batch pins it).
 	mu          sync.Mutex
 	opt         Options
 	localMT     *memtable.Table
 	remoteMT    *memtable.Table
-	immLocal    []*memtable.Table // oldest first; gets search newest first
+	immLocal    []*memtable.Table
 	immRemote   []*memtable.Table
+	flushBusy   bool
+	migrBusy    bool
+	migrPending int
 	consistency Consistency
 	protection  Protection
 	closed      bool
-	// sealSeq numbers sealed MemTables in seal order (local and remote share
-	// it; only relative order within each list matters). Flushes must retire
-	// local tables in this order — see deferFlush.
-	sealSeq uint64
+
+	// wake is the broadcast behind await/wakeAll (backlog.go): a channel
+	// closed and replaced on every seal, retire, idle thread, health
+	// transition and Close.
+	wake atomic.Pointer[chan struct{}]
 
 	localCache  *lru.Cache
 	remoteCache *lru.Cache
@@ -70,12 +95,6 @@ type DB struct {
 	// group — resolves to the same instance, so the owner's invalidations
 	// on compaction, restore, and teardown cover the peers' shared reads.
 	readers *sstable.ReaderCache
-
-	flushQ   *fifo.Queue[*memtable.Table]
-	migrateQ *fifo.Queue[*memtable.Table]
-
-	pendingFlush *counter
-	pendingMigr  *counter
 
 	// sstMu guards the leveled live-table state and the SSID allocator.
 	// levels[0] is the overlap-allowed level, ordered by SSID ascending
@@ -105,9 +124,7 @@ type DB struct {
 	// counts the open iterators holding each SSTable in their pinned view,
 	// and zombieSSIDs marks tables compaction has already superseded (the
 	// manifest Delete is committed, the file is not) whose unlink waits for
-	// the last pin to drop. snapMu nests inside sstMu (pinSnapshot takes it
-	// under sstMu.RLock); compact takes it only after releasing sstMu, so
-	// the order is acyclic.
+	// the last pin to drop.
 	snapMu      sync.Mutex
 	pinnedSSIDs map[uint64]int
 	zombieSSIDs map[uint64]bool
@@ -153,23 +170,6 @@ type DB struct {
 	parkedBytesUsed int64
 	parkedTables    map[*memtable.Table]int
 	lost            map[int]*lossRecord
-
-	// stallMu guards the deferred-table lists: sealed MemTables that could
-	// not be queued — the queue was full, or the rank was Degraded when the
-	// background thread dequeued them. Deferred tables stay get-visible in
-	// immLocal/immRemote and hold no pendingFlush/pendingMigr count, so a
-	// degraded rank's Fence and Barrier terminate instead of waiting on
-	// work that cannot run; requeueDeferred* moves them back into the
-	// queues as space and health allow.
-	// deferredFlush is kept sorted by seal sequence, and flushOut tracks the
-	// seal seqs of tables currently in flushQ or in flight at the compaction
-	// thread: requeueDeferredFlushes only re-enqueues a deferred table newer
-	// than everything outstanding, so the flush order always equals the seal
-	// order even when tables detour through the deferred list.
-	stallMu       sync.Mutex
-	deferredFlush []*memtable.Table
-	deferredMigr  []*memtable.Table
-	flushOut      []uint64
 
 	// incarnation is this rank's life number — the replayed WAL epoch, so
 	// it is strictly monotonic across restarts and in-run recoveries. It
@@ -227,36 +227,34 @@ func (rt *Runtime) Open(name string, opt Options) (*DB, error) {
 	}
 	opt = opt.withDefaults()
 	db := &DB{
-		rt:            rt,
-		name:          name,
-		opt:           opt,
-		reqComm:       rt.cfg.Comm.Dup(),
-		respComm:      rt.cfg.Comm.Dup(),
-		replyComm:     rt.cfg.Comm.Dup(),
-		ckptComm:      rt.cfg.Comm.Dup(),
-		closing:       make(chan struct{}),
-		routerDone:    make(chan struct{}),
-		inj:           rt.cfg.Faults,
-		localMT:       memtable.New(),
-		remoteMT:      memtable.New(),
-		consistency:   opt.Consistency,
-		protection:    opt.Protection,
-		localCache:    lru.New(opt.LocalCacheCapacity),
-		remoteCache:   lru.New(opt.RemoteCacheCapacity),
-		flushQ:        fifo.New[*memtable.Table](opt.QueueDepth),
-		migrateQ:      fifo.New[*memtable.Table](opt.QueueDepth),
-		pendingFlush:   newCounter(),
-		pendingMigr:    newCounter(),
+		rt:             rt,
+		name:           name,
+		opt:            opt,
+		reqComm:        rt.cfg.Comm.Dup(),
+		respComm:       rt.cfg.Comm.Dup(),
+		replyComm:      rt.cfg.Comm.Dup(),
+		ckptComm:       rt.cfg.Comm.Dup(),
+		closing:        make(chan struct{}),
+		routerDone:     make(chan struct{}),
+		inj:            rt.cfg.Faults,
+		localMT:        memtable.New(),
+		remoteMT:       memtable.New(),
+		consistency:    opt.Consistency,
+		protection:     opt.Protection,
+		localCache:     lru.New(opt.LocalCacheCapacity),
+		remoteCache:    lru.New(opt.RemoteCacheCapacity),
 		checkpointPin:  newCounter(),
 		pendingCompact: newCounter(),
 		compactKick:    make(chan struct{}, 1),
 		compactBusy:    make(map[uint64]bool),
-		readers:       sstable.CacheFor(rt.cfg.Device, opt.ReaderCacheBytes),
-		nextSSID:      1,
-		pinnedSSIDs:   make(map[uint64]int),
-		zombieSSIDs:   make(map[uint64]bool),
-		scrubLim:      scrub.NewLimiter(opt.ScrubBytesPerSec),
+		readers:        sstable.CacheFor(rt.cfg.Device, opt.ReaderCacheBytes),
+		nextSSID:       1,
+		pinnedSSIDs:    make(map[uint64]int),
+		zombieSSIDs:    make(map[uint64]bool),
+		scrubLim:       scrub.NewLimiter(opt.ScrubBytesPerSec),
 	}
+	wake := make(chan struct{})
+	db.wake.Store(&wake)
 	db.scans.m = make(map[scanKey]*openScan)
 	db.applyProtection(opt.Protection)
 	// The counters are device-wide (shared with the storage group's other
@@ -264,9 +262,8 @@ func (rt *Runtime) Open(name string, opt Options) (*DB, error) {
 	db.metrics.Readers = db.readers.Counters()
 
 	// Compose from the manifest log (zero-copy reopen): the log alone
-	// decides which SSTables are live; unlisted files are quarantined, and
-	// a directory with tables but no log — a legacy pre-manifest image —
-	// is adopted into a first edit. A corrupt or unopenable manifest fails
+	// decides which SSTables are live, and unlisted files are quarantined.
+	// A corrupt or unopenable manifest fails
 	// this rank's domain rather than the collective Open, exactly like a
 	// corrupt WAL below: the world keeps its alignment, the damage stays
 	// inside the failure domain that owns it.
@@ -396,17 +393,17 @@ func (db *DB) Close() error {
 		// application thread that raced Close, or requests to an already
 		// failed peer): their backoff timers and reply waits select on
 		// closing and error out instead of stalling the teardown below.
+		// The flush thread and the dispatcher see closing at their next
+		// wake and exit once nothing they may work on is left.
 		close(db.closing)
+		db.wakeAll()
 		// Stop the handler and the response router with self-addressed
-		// control messages, then close the queues to stop the compactor
-		// and dispatcher, and the stop channel to end the WAL
+		// control messages, and close the stop channel to end the WAL
 		// group-commit thread.
 		sendErr = db.reqComm.Send(db.rt.rank, tagShutdown, nil)
 		if err := db.replyComm.Send(db.rt.rank, tagShutdown, nil); err != nil && sendErr == nil {
 			sendErr = err
 		}
-		db.flushQ.Close()
-		db.migrateQ.Close()
 		close(db.walStop)
 	})
 	db.wg.Wait()

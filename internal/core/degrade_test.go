@@ -92,8 +92,8 @@ func TestDegradeENOSPCReadOnlyThenReclaim(t *testing.T) {
 				t.Errorf("degraded_transitions=%d degraded=%d, want 1/1",
 					m.DegradedTransitions.Load(), m.Degraded.Load())
 			}
-			if m.FlushesDeferred.Load() == 0 {
-				t.Error("no flush was deferred on the degraded rank")
+			if db.immDepth(false) == 0 {
+				t.Error("the unflushed table did not stay on the degraded rank's immutable list")
 			}
 		} else if berr != nil {
 			t.Errorf("rank %d Barrier err = %v, want nil", rt.Rank(), berr)
@@ -130,8 +130,8 @@ func TestDegradeENOSPCReadOnlyThenReclaim(t *testing.T) {
 		}
 
 		// Phase 4: the application reclaims space (the transient fault has
-		// cleared); the rank heals, requeues the deferred flush, and
-		// accepts writes again.
+		// cleared); the rank heals, flushes the table that waited in place,
+		// and accepts writes again.
 		if rt.Rank() == victim {
 			if err := db.Reclaim(); err != nil {
 				t.Errorf("Reclaim: %v", err)
@@ -190,7 +190,6 @@ func TestDegradeStallTimeout(t *testing.T) {
 	runCluster(t, clusterSpec{ranks: 1, nvmModel: slow}, func(rt *Runtime, c *mpi.Comm) error {
 		o := faultOpt()
 		o.MemTableCapacity = 256
-		o.QueueDepth = 1
 		o.StallSoftDepth = 1
 		o.StallHardDepth = 8
 		o.StallTimeout = stallTimeout
@@ -370,40 +369,38 @@ func TestOverloadSoak(t *testing.T) {
 				t.Errorf("victim never churned: degraded_transitions=%d reclaims=%d",
 					m.DegradedTransitions.Load(), m.Reclaims.Load())
 			}
-			t.Logf("victim churn: %d degradations, %d reclaims, %d flushes deferred, %d stalls, %d puts shed",
-				m.DegradedTransitions.Load(), m.Reclaims.Load(), m.FlushesDeferred.Load(),
-				m.Stalls.Load(), m.PutsShed.Load())
+			t.Logf("victim churn: %d degradations, %d reclaims, %d stalls, %d puts shed",
+				m.DegradedTransitions.Load(), m.Reclaims.Load(), m.Stalls.Load(), m.PutsShed.Load())
 		}
 		return db.Close()
 	})
 }
 
-// TestDegradeDeferredFlushOrder: deferred flushes must retire in seal order.
-// Three MemTables seal back-to-back while the first one's flush is stuck in
-// a slow device write that ends in ENOSPC, so the FIRST-sealed table is
-// deferred AFTER the later two. The regression this guards: deferFlush used
-// to append the dequeued (oldest) table behind entries deferred later, so
-// after reclaim the newer table flushed first and the older one took the
-// higher SSID — reads and compaction then preferred the older table's value
-// for any overlapping key, permanently.
-func TestDegradeDeferredFlushOrder(t *testing.T) {
+// TestDegradeFlushOrder: flushes must retire in seal order across a
+// degradation. Three MemTables seal back-to-back while the first one's flush
+// is stuck in a slow device write that ends in ENOSPC, so all three wait on
+// the Degraded rank's immutable list. The regression this guards: a design
+// that re-queued waiting tables in any order but the seal order let the
+// newer table flush first and the older one take the higher SSID — reads and
+// compaction then preferred the older table's value for any overlapping key,
+// permanently. It fails if the flush thread picks any table but the oldest.
+func TestDegradeFlushOrder(t *testing.T) {
 	const hot = "hot-key"
 	inj := faults.New(0x5ea105)
 	slow := nvm.PerfModel{Name: "slow", WriteLatency: 120 * time.Millisecond, TimeScale: 1}
 	runCluster(t, clusterSpec{ranks: 1, nvmModel: slow, faults: inj}, func(rt *Runtime, c *mpi.Comm) error {
 		o := faultOpt()
 		o.MemTableCapacity = 256 // every put below seals a table
-		o.QueueDepth = 1
-		o.StallSoftDepth = 64 // keep admission control out of the way
-		o.WAL = WALDisabled   // keep the flush path the only device writer
-		o.ProbeInterval = -1  // heal only through the explicit Reclaim
+		o.StallSoftDepth = 64    // keep admission control out of the way
+		o.WAL = WALDisabled      // keep the flush path the only device writer
+		o.ProbeInterval = -1     // heal only through the explicit Reclaim
 		db, err := rt.Open("orderdb", o)
 		if err != nil {
 			return err
 		}
 		// The first flush attempt fails with ENOSPC — after the slow
 		// write's model latency, which is the window the later seals land
-		// in. Disabled again before Reclaim so the requeued flushes land.
+		// in. Disabled again before Reclaim so the resumed flushes land.
 		inj.Enable(faults.Rule{
 			Point: faults.NVMWriteNoSpace, Rank: faults.AnyRank, Tag: faults.AnyTag,
 			Where: "r0/sst-", Count: 1, Fires: 1 << 20,
@@ -411,32 +408,27 @@ func TestDegradeDeferredFlushOrder(t *testing.T) {
 		pad := func(c byte) string { return strings.Repeat(string(c), 300) }
 		// Table A: hot = a. Seals and its flush starts failing slowly.
 		mustPut(t, db, hot, pad('a'))
-		// Table B: filler; lands in (or queues behind) the depth-1 queue.
+		// Table B: filler, sealed behind A.
 		mustPut(t, db, "filler", pad('b'))
-		// Table C: hot = c. Deferred — ahead of A, which is still in
-		// flight and will only join the deferred list after its failure.
+		// Table C: hot = c, sealed last: it must also flush last.
 		mustPut(t, db, hot, pad('c'))
 
 		waitState(t, db, StateDegraded, 10*time.Second)
-		// All three tables must be on the deferred list before the reclaim:
-		// A (failed flush), B (dequeued while Degraded), C (full queue).
-		deadline := time.Now().Add(10 * time.Second)
-		for db.Metrics().FlushesDeferred.Load() < 3 {
-			if time.Now().After(deadline) {
-				t.Fatalf("flushes_deferred = %d, want >= 3", db.Metrics().FlushesDeferred.Load())
-			}
-			time.Sleep(time.Millisecond)
+		// All three tables wait in place: A (failed flush), B and C (never
+		// started on the Degraded rank).
+		if got := db.immDepth(false); got != 3 {
+			t.Fatalf("immDepth = %d on the degraded rank, want 3", got)
 		}
 		inj.Disable(faults.NVMWriteNoSpace)
 		if err := db.Reclaim(); err != nil {
 			t.Fatalf("Reclaim: %v", err)
 		}
-		// The barrier drains the deferred backlog into SSTables.
+		// The barrier drains the waiting backlog into SSTables.
 		if err := db.Barrier(LevelSSTable); err != nil {
 			t.Fatalf("Barrier: %v", err)
 		}
 		if err := wantGet(db, hot, pad('c')); err != nil {
-			t.Errorf("after in-order requeue: %v", err)
+			t.Errorf("after the in-order flush: %v", err)
 		}
 		return db.Close()
 	})
@@ -447,44 +439,68 @@ func TestDegradeDeferredFlushOrder(t *testing.T) {
 // own puts — refuses incoming remote writes with the typed stall status
 // instead of buffering them without bound, while its reads keep serving and
 // the sender's circuit stays closed (the owner is alive, just overloaded).
-// Once the backlog drains, writes flow again.
+// Once the backlog drains, writes flow again. The backlog is real: the
+// owner's device is slow, every remote put seals a table, and the sender
+// outruns the flush thread.
 func TestHandlerBackpressureShedsRemoteWrites(t *testing.T) {
 	opt := faultOpt()
 	opt.Consistency = Sequential
 	opt.WAL = WALDisabled
+	opt.MemTableCapacity = 256 // every put below seals a table
 	opt.StallSoftDepth = 2
 	opt.StallHardDepth = 4
-	runCluster(t, clusterSpec{ranks: 2}, func(rt *Runtime, c *mpi.Comm) error {
+	slow := nvm.PerfModel{Name: "slow", WriteLatency: 20 * time.Millisecond, TimeScale: 1}
+	runCluster(t, clusterSpec{ranks: 2, nvmModel: slow}, func(rt *Runtime, c *mpi.Comm) error {
 		db, err := rt.Open("backpressure", opt)
 		if err != nil {
 			return err
 		}
-		keys := ownKeys(db, 0, 2)
-		if rt.Rank() == 0 {
-			// White-box: pile sealed-but-unqueued tables past the hard
-			// threshold. The handler must refuse on the backlog itself,
-			// whatever produced it.
-			db.mu.Lock()
-			for len(db.immLocal) < opt.StallHardDepth {
-				db.rollLocalLocked()
-			}
-			db.mu.Unlock()
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
+		keys := ownKeys(db, 0, 65)
+		absent, keys := keys[64], keys[:64]
+		pad := []byte(strings.Repeat("p", 300))
 		if rt.Rank() == 1 {
-			// A sequential put to the backlogged owner is shed, typed...
-			if err := db.Put(keys[0], val(keys[0])); !errors.Is(err, ErrWriteStalled) {
-				t.Errorf("putSync to backlogged owner err = %v, want ErrWriteStalled", err)
+			// Sequential puts to the slow owner pile sealed tables up to the
+			// hard threshold; the next one is shed, typed...
+			acked := 0
+			var shed error
+			for _, k := range keys {
+				if shed = db.Put(k, pad); shed != nil {
+					break
+				}
+				acked++
+			}
+			if !errors.Is(shed, ErrWriteStalled) {
+				t.Fatalf("putSync to backlogged owner err = %v after %d acked puts, want ErrWriteStalled", shed, acked)
+			}
+			if acked < opt.StallHardDepth {
+				t.Errorf("owner shed after %d acked puts, below its hard threshold %d", acked, opt.StallHardDepth)
 			}
 			// ...the refusal does not trip the circuit...
 			if err := db.peerErr(0); err != nil {
 				t.Errorf("circuit tripped by stall refusal: %v", err)
 			}
 			// ...and reads keep being served through the overload.
-			if err := wantMissing(db, string(keys[1])); err != nil {
+			if err := wantGet(db, string(keys[0]), string(pad)); err != nil {
 				t.Errorf("remote read during owner backlog: %v", err)
+			}
+			if err := wantMissing(db, string(absent)); err != nil {
+				t.Errorf("remote read during owner backlog: %v", err)
+			}
+			// The flush thread drains the backlog at device speed, and the
+			// writer is let in again.
+			deadline := time.Now().Add(20 * time.Second)
+			for {
+				err := db.Put(absent, pad)
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, ErrWriteStalled) || time.Now().After(deadline) {
+					t.Fatalf("put after the backlog should have drained: %v", err)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if err := wantGet(db, string(absent), string(pad)); err != nil {
+				t.Errorf("after backlog drained: %v", err)
 			}
 		}
 		if err := c.Barrier(); err != nil {
@@ -493,20 +509,6 @@ func TestHandlerBackpressureShedsRemoteWrites(t *testing.T) {
 		if rt.Rank() == 0 {
 			if got := db.Metrics().PutsShed.Load(); got == 0 {
 				t.Error("owner recorded no shed puts")
-			}
-			// Drain the backlog (the piled tables are empty, nothing is
-			// lost) and let the writer in again.
-			db.mu.Lock()
-			db.immLocal = nil
-			db.mu.Unlock()
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if rt.Rank() == 1 {
-			mustPut(t, db, string(keys[0]), string(val(keys[0])))
-			if err := wantGet(db, string(keys[0]), string(val(keys[0]))); err != nil {
-				t.Errorf("after backlog drained: %v", err)
 			}
 		}
 		return db.Close()

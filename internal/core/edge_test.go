@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"papyruskv/internal/mpi"
@@ -149,6 +150,40 @@ func TestEventWaitTwice(t *testing.T) {
 		// A second Wait must return the same (nil) result, not hang.
 		if err := ev.Wait(); err != nil {
 			return err
+		}
+		return db.Close()
+	})
+}
+
+// TestCheckpointPinReleasedBeforeWaitReturns: once Event.Wait returns, the
+// checkpoint pin is gone. The checkpoint goroutine used to complete the event
+// first and release the pin second, so a Scrub issued right after the wait
+// found the pin held and silently skipped its whole cycle, and a compaction
+// trigger in that window was deferred for no reason. The test spins on the
+// event's completion and reads the pin the instant it lands, a hundred
+// checkpoints over, so the window is hit without the race detector's timing.
+func TestCheckpointPinReleasedBeforeWaitReturns(t *testing.T) {
+	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("db", smallOpt())
+		if err != nil {
+			return err
+		}
+		mustPut(t, db, "k", "v")
+		for i := 0; i < 100; i++ {
+			ev, err := db.Checkpoint("snap-pin")
+			if err != nil {
+				return err
+			}
+			for len(ev.done) == 0 {
+				runtime.Gosched()
+			}
+			pins := db.checkpointPin.value()
+			if err := ev.Wait(); err != nil {
+				return err
+			}
+			if pins != 0 {
+				t.Fatalf("checkpoint %d: checkpointPin = %d once the event completed, want 0", i, pins)
+			}
 		}
 		return db.Close()
 	})

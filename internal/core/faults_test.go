@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -258,8 +259,9 @@ func TestFaultKillRankRestartRecovery(t *testing.T) {
 
 // TestFaultCorruptSnapshotRestart covers the snapshot-validation satellite:
 // a snapshot whose files were bit-flipped or truncated after commit is
-// refused with ErrCorrupt, a missing or unparseable manifest with
-// ErrNoSnapshot/ErrCorrupt, and an intact snapshot still restores.
+// refused with ErrCorrupt, a missing, superseded-format or unparseable
+// manifest with ErrNoSnapshot/ErrCorrupt, and an intact snapshot still
+// restores.
 func TestFaultCorruptSnapshotRestart(t *testing.T) {
 	spec := clusterSpec{ranks: 1}
 	runCluster(t, spec, func(rt *Runtime, c *mpi.Comm) error {
@@ -342,6 +344,19 @@ func TestFaultCorruptSnapshotRestart(t *testing.T) {
 		}
 		if _, _, err := rt.Restart("snap", "snapdb", opt, false); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("garbage manifest: err = %v, want ErrCorrupt", err)
+		}
+
+		// A manifest in the superseded format 3 (no per-file levels): there is
+		// one snapshot format and one decoder, so it is refused typed.
+		format3 := bytes.Replace(rawManifest, []byte(`"format":4`), []byte(`"format":3`), 1)
+		if bytes.Equal(format3, rawManifest) {
+			t.Fatalf("manifest does not carry \"format\":4: %s", rawManifest)
+		}
+		if err := pfs.WriteFile("snap/MANIFEST", format3); err != nil {
+			return err
+		}
+		if _, _, err := rt.Restart("snap", "snapdb", opt, false); !errors.Is(err, ErrNoSnapshot) {
+			t.Errorf("format-3 manifest: err = %v, want ErrNoSnapshot", err)
 		}
 
 		// Missing manifest: the snapshot was never committed.

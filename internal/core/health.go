@@ -23,18 +23,20 @@ import (
 //     rank persisting new writes. Puts and incoming migrations are refused
 //     with typed ErrReadOnly (carried across the wire), but local gets,
 //     remote gets, shared reads, and checkpoint reads keep serving from
-//     MemTables + SSTables. Sealed tables whose flush cannot run are
-//     deferred, readable, and still WAL-backed. The proberThread's reclaim
-//     probe — or an explicit Reclaim call — transitions back to Healthy
-//     once the device accepts writes again; peers' circuit probes then see
-//     ackOK and redeliver what they parked, exactly as after Recover.
+//     MemTables + SSTables. Sealed tables whose flush cannot run wait in
+//     place on immLocal, readable and still WAL-backed. The proberThread's
+//     reclaim probe — or an explicit Reclaim call — transitions back to
+//     Healthy once the device accepts writes again; peers' circuit probes
+//     then see ackOK and redeliver what they parked, exactly as after
+//     Recover.
 //   - Failed: everything else. The rank's Put/Get/Barrier return
-//     ErrRankFailed wrapping the root cause, its background threads drain
-//     their queues without doing work (so Fence and Barrier never hang),
-//     and its message handler stays alive answering remote requests with
-//     error responses. Recover (recover.go) heals a failed rank from its
-//     WAL. Failed dominates Degraded: a degraded rank that then hits a
-//     non-resource error is failed outright.
+//     ErrRankFailed wrapping the root cause, its background threads leave
+//     the sealed tables where they are (Fence and Barrier wait only for a
+//     thread to go idle, so they never hang), and its message handler stays
+//     alive answering remote requests with error responses. Recover
+//     (recover.go) heals a failed rank from its WAL. Failed dominates
+//     Degraded: a degraded rank that then hits a non-resource error is
+//     failed outright.
 
 // HealthState is a rank's position on the degradation ladder.
 type HealthState int
@@ -101,6 +103,7 @@ func (db *DB) fail(err error) {
 	}
 	db.failMu.Unlock()
 	if first {
+		db.wakeAll()
 		// Outside failMu: eviction takes the cache lock and closes fds,
 		// and callers of Health() hold failMu-adjacent paths.
 		db.readers.EvictDir(db.dir(db.rt.rank))
@@ -128,6 +131,7 @@ func (db *DB) degradeLocked(err error) {
 	db.degradedErr = err
 	db.metrics.DegradedTransitions.Add(1)
 	db.metrics.Degraded.Store(1)
+	db.wakeAll()
 }
 
 // failOrDegrade routes a background error to its rung of the ladder:
@@ -146,9 +150,10 @@ func (db *DB) failOrDegrade(err error) {
 	db.fail(err)
 }
 
-// heal moves a Degraded rank back to Healthy and requeues the flushes that
-// were deferred while it could not write. A Failed rank is not healed here
-// — that is Recover's job. Returns whether a transition happened.
+// heal moves a Degraded rank back to Healthy and wakes the flush thread for
+// the tables that waited in place while it could not write. A Failed rank is
+// not healed here — that is Recover's job. Returns whether a transition
+// happened.
 func (db *DB) heal() bool {
 	db.failMu.Lock()
 	healed := db.failedErr == nil && db.degradedErr != nil
@@ -164,8 +169,7 @@ func (db *DB) heal() bool {
 		return false
 	}
 	db.metrics.Reclaims.Add(1)
-	db.requeueDeferredFlushes()
-	db.requeueDeferredMigrations()
+	db.wakeAll()
 	return true
 }
 

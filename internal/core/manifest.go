@@ -21,9 +21,8 @@ import (
 //     deleted or overwritten values.
 //   - Files the log does not list are orphans — the remains of a crash
 //     mid-transition — and are quarantined (moved aside and counted under
-//     quarantined_tables), never adopted. The one exception is a directory
-//     with tables but no log at all: a legacy pre-manifest image, adopted
-//     wholesale into a first edit.
+//     quarantined_tables), never adopted, with no exception: an empty log
+//     lists nothing.
 
 // tableMetaOf converts an sstable.Meta into its manifest record.
 func tableMetaOf(m sstable.Meta) manifest.TableMeta {
@@ -52,15 +51,11 @@ func (db *DB) manifestApply(e manifest.Edit) error {
 
 // manifestOpen opens (or creates) this rank's manifest log, reconciles the
 // directory against it, and installs the composed live set into db.levels /
-// db.nextSSID (legacy records carry no level and land on L0). validate
-// additionally re-checks every listed table's bloom
+// db.nextSSID. validate additionally re-checks every listed table's bloom
 // filter and index CRCs through a fresh reader-cache registration — the
 // Recover path, where on-NVM damage is the suspected cause.
 //
 // Reconciliation:
-//   - fresh log + tables on the device: a legacy pre-manifest image (the
-//     zero-copy reopen of §4.1); adopt every complete table in one
-//     bootstrap edit.
 //   - tables the log does not list: orphans from a crash mid-transition;
 //     quarantined under <dir>/quarantine and counted.
 //   - tables the log lists but the device lacks (or whose data size
@@ -79,32 +74,6 @@ func (db *DB) manifestOpen(validate bool) error {
 	})
 	if err != nil {
 		return err
-	}
-
-	if man.Fresh() {
-		// Legacy bootstrap: a directory with tables but no manifest is a
-		// pre-manifest image. Fingerprint and adopt every complete table;
-		// from here on the log is authoritative.
-		listed, err := sstable.ListSSIDs(dev, dir)
-		if err != nil {
-			man.Close()
-			return err
-		}
-		if len(listed) > 0 {
-			var e manifest.Edit
-			for _, id := range listed {
-				meta, err := sstable.ReadMeta(dev, dir, id)
-				if err != nil {
-					man.Close()
-					return fmt.Errorf("adopting pre-manifest SSTable %d: %w", id, err)
-				}
-				e.Add = append(e.Add, tableMetaOf(meta))
-			}
-			if err := man.Apply(e); err != nil {
-				man.Close()
-				return err
-			}
-		}
 	}
 
 	v := man.Version()

@@ -134,9 +134,6 @@ type Options struct {
 	// opened on that device. 0 selects the default (32MB); a negative
 	// value disables the cache.
 	ReaderCacheBytes int64
-	// QueueDepth bounds the flushing and migration queues; a full queue
-	// blocks puts (back-pressure, §2.4).
-	QueueDepth int
 	// RetryAttempts bounds how many times a remote request (migration
 	// batch, synchronous put, remote get) is resent when no matching
 	// acknowledgement arrives within RetryTimeout. Retries reuse the
@@ -199,8 +196,8 @@ type Options struct {
 	// staged remote puts) MemTables reaches it, puts sleep in short
 	// jittered periods — bounded by StallTimeout — waiting for the flush
 	// or migration backlog to drain, instead of growing it. 0 selects the
-	// default (2x QueueDepth); a negative value disables admission control
-	// entirely, restoring unbounded backlog growth.
+	// default (8); a negative value disables admission control entirely,
+	// restoring unbounded backlog growth.
 	StallSoftDepth int
 	// StallHardDepth is the fail-fast threshold: a put finding the backlog
 	// at or above it returns ErrWriteStalled immediately, spending no
@@ -255,7 +252,6 @@ func DefaultOptions() Options {
 		LevelBytesBase:      8 << 20,
 		LevelBytesGrowth:    10,
 		ReaderCacheBytes:    32 << 20,
-		QueueDepth:          4,
 		RetryAttempts:       5,
 		RetryTimeout:        10 * time.Second,
 		RetryBackoff:        2 * time.Millisecond,
@@ -266,7 +262,7 @@ func DefaultOptions() Options {
 		WALFlushInterval:    2 * time.Millisecond,
 		ParkedBytes:         8 << 20,
 		ProbeInterval:       250 * time.Millisecond,
-		StallSoftDepth:      8, // 2x the default QueueDepth
+		StallSoftDepth:      8,
 		StallHardDepth:      32,
 		StallTimeout:        time.Second,
 		ScanPageBytes:       256 << 10,
@@ -284,9 +280,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReaderCacheBytes == 0 {
 		o.ReaderCacheBytes = d.ReaderCacheBytes
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = d.QueueDepth
 	}
 	if o.Hash == nil {
 		o.Hash = hashfn.Default
@@ -331,7 +324,7 @@ func (o Options) withDefaults() Options {
 		o.ProbeInterval = d.ProbeInterval
 	}
 	if o.StallSoftDepth == 0 {
-		o.StallSoftDepth = 2 * o.QueueDepth
+		o.StallSoftDepth = d.StallSoftDepth
 	}
 	if o.StallSoftDepth > 0 {
 		if o.StallHardDepth <= 0 {

@@ -37,9 +37,9 @@ func (e *Event) Wait() error {
 
 // manifestFile fingerprints one snapshot file: restart refuses to restore a
 // file whose size or CRC32C no longer matches what checkpoint recorded.
-// Level (format 4) records which LSM level the table lived on, the same for
-// all three files of a triple, so a verbatim restore re-installs the leveled
-// shape instead of flattening everything onto L0.
+// Level records which LSM level the table lived on, the same for all three
+// files of a triple, so a verbatim restore re-installs the leveled shape
+// instead of flattening everything onto L0.
 type manifestFile struct {
 	Name  string `json:"name"`
 	Size  int64  `json:"size"`
@@ -62,12 +62,9 @@ type ckptManifest struct {
 	Files  [][]manifestFile `json:"files"` // indexed by snapshot rank
 }
 
-// manifestFormat is the current snapshot layout. Format 4 added the
-// per-file Level field; format-3 snapshots are still restorable (their
-// tables simply all land on L0, which is always a correct placement).
+// manifestFormat is the one snapshot layout, written and restored: a
+// snapshot in any other format is ErrNoSnapshot.
 const manifestFormat = 4
-
-const oldestRestorableFormat = 3
 
 func manifestName(path string) string { return path + "/MANIFEST" }
 func snapshotDir(path string, gen, r int) string {
@@ -122,8 +119,11 @@ func (db *DB) Checkpoint(path string) (*Event, error) {
 
 	ev := newEvent()
 	go func() {
-		ev.complete(db.copyOut(path, snapshot, rankErr))
+		// Release the pin BEFORE completing the event: a Scrub or compaction
+		// trigger issued right after Wait returns must not still find it held.
+		err := db.copyOut(path, snapshot, rankErr)
 		db.releaseCheckpointPin()
+		ev.complete(err)
 	}()
 	return ev, nil
 }
@@ -283,7 +283,7 @@ func readManifest(pfs *nvm.Device, path string) (ckptManifest, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return m, fmt.Errorf("%w: manifest does not parse: %v", ErrCorrupt, err)
 	}
-	if m.Format < oldestRestorableFormat || m.Format > manifestFormat {
+	if m.Format != manifestFormat {
 		return m, fmt.Errorf("%w: unsupported snapshot format %d", ErrNoSnapshot, m.Format)
 	}
 	if m.Gen < 1 {
@@ -374,8 +374,7 @@ func (rt *Runtime) restartVerbatim(path, name string, opt Options, m ckptManifes
 		// SSIDs that now exist — then compose: commit the restored tables
 		// to this rank's manifest (the directory was cleared above, so the
 		// log is fresh and they would otherwise be quarantined orphans)
-		// and adopt them, each at the level the snapshot recorded for it
-		// (format-3 snapshots recorded none: everything lands on L0).
+		// and adopt them, each at the level the snapshot recorded for it.
 		db.readers.EvictDir(dst)
 		levelOf := snapshotLevels(m.Files[rt.rank])
 		ids, err := sstable.ListSSIDs(rt.cfg.Device, dst)
@@ -470,7 +469,7 @@ func ssidOfSnapshotFile(name string) (uint64, bool) {
 }
 
 // snapshotLevels maps each table of one rank's snapshot file list to its
-// recorded level (a triple's three files agree; format-3 lists default 0).
+// recorded level (a triple's three files agree).
 func snapshotLevels(files []manifestFile) map[uint64]uint32 {
 	levels := map[uint64]uint32{}
 	for _, f := range files {
@@ -484,8 +483,7 @@ func snapshotLevels(files []manifestFile) map[uint64]uint32 {
 // snapshotRecency orders one rank's snapshot tables for a redistributing
 // merge scan: L0 newest-first (SSID descending), then each deeper level —
 // internally disjoint, so its order is immaterial — in ascending level
-// order. A format-3 snapshot recorded no levels, so everything is L0 and
-// the order degenerates to the plain SSID-descending scan it always used.
+// order.
 func snapshotRecency(files []manifestFile) []uint64 {
 	levels := snapshotLevels(files)
 	ids := make([]uint64, 0, len(levels))

@@ -89,8 +89,8 @@ func (db *DB) putLocal(e memtable.Entry) error {
 }
 
 // putLocalBuffered inserts an entry this rank owns into the local MemTable,
-// evicting any stale local-cache entry for the key and rolling the MemTable
-// into the flushing queue when it reaches capacity. The entry is appended
+// evicting any stale local-cache entry for the key and sealing the MemTable
+// onto the flushing queue when it reaches capacity. The entry is appended
 // to the local WAL stream in the same critical section as the insert, but
 // not yet committed: the caller chooses the durability point (walCommit per
 // put, per batch, or the group-commit thread's tick). Both the application
@@ -112,36 +112,29 @@ func (db *DB) putLocalBuffered(e memtable.Entry) error {
 		return db.Health()
 	}
 	db.localMT.Put(e)
-	var sealed *memtable.Table
 	if db.localMT.Bytes() >= db.opt.MemTableCapacity {
-		sealed = db.rollLocalLocked()
+		db.rollLocalLocked()
 	}
 	db.mu.Unlock()
-
-	if sealed != nil {
-		// Never blocks: a full queue defers the sealed table instead (the
-		// paper's §2.4 back-pressure now lives in admitWrite, with a bound).
-		return db.enqueueFlush(sealed)
-	}
 	return nil
 }
 
-// rollLocalLocked seals the local MemTable, makes it visible to gets via
-// immLocal, installs a fresh mutable table, and rotates the local WAL
-// stream at the same record boundary. Caller holds db.mu.
-func (db *DB) rollLocalLocked() *memtable.Table {
+// rollLocalLocked seals the local MemTable onto the tail of immLocal — which
+// both makes it visible to gets and queues it for the flush thread (the
+// paper's §2.4 back-pressure lives in admitWrite, with a bound) — installs a
+// fresh mutable table, and rotates the local WAL stream at the same record
+// boundary. Caller holds db.mu.
+func (db *DB) rollLocalLocked() {
 	sealed := db.localMT
 	sealed.Seal()
-	db.sealSeq++
-	sealed.SetSealSeq(db.sealSeq)
 	db.immLocal = append(db.immLocal, sealed)
 	db.localMT = memtable.New()
 	db.walRotateLocked(db.walLocal, sealed)
-	return sealed
+	db.wakeAll()
 }
 
 // putRemote stages a remote-owned entry in the remote MemTable (relaxed
-// consistency), rolling it into the migration queue at capacity. The entry
+// consistency), sealing it onto the migration queue at capacity. The entry
 // is WAL-logged in the remote stream first: the application's Put returns
 // success before the pair reaches its owner, so the promise must already
 // be on this rank's NVM.
@@ -157,31 +150,23 @@ func (db *DB) putRemote(e memtable.Entry) error {
 		return db.Health()
 	}
 	db.remoteMT.Put(e)
-	var sealed *memtable.Table
 	if db.remoteMT.Bytes() >= db.opt.MemTableCapacity {
-		sealed = db.rollRemoteLocked()
+		db.rollRemoteLocked()
 	}
 	db.mu.Unlock()
-
-	if sealed != nil {
-		if err := db.enqueueMigration(sealed); err != nil {
-			return err
-		}
-	}
 	return db.walCommit(db.walStream(true))
 }
 
-// rollRemoteLocked seals the remote MemTable into immRemote and rotates the
-// remote WAL stream with it. Caller holds db.mu.
-func (db *DB) rollRemoteLocked() *memtable.Table {
+// rollRemoteLocked is rollLocalLocked's twin for the remote MemTable:
+// immRemote's tail is the dispatcher's queue. Caller holds db.mu.
+func (db *DB) rollRemoteLocked() {
 	sealed := db.remoteMT
 	sealed.Seal()
-	db.sealSeq++
-	sealed.SetSealSeq(db.sealSeq)
 	db.immRemote = append(db.immRemote, sealed)
+	db.migrPending++
 	db.remoteMT = memtable.New()
 	db.walRotateLocked(db.walRemote, sealed)
-	return sealed
+	db.wakeAll()
 }
 
 // putSync sends a single put/delete directly and synchronously to the owner

@@ -59,9 +59,9 @@ func (db *DB) retainTable(t *memtable.Table) {
 	db.failMu.Unlock()
 }
 
-// releaseTableRef drops one pin; the last drop removes the table from the
-// get-visible immutable remote list and deletes the WAL segment shadowing
-// it. Must not be called with failMu or db.mu held.
+// releaseTableRef drops one pin; the last drop retires the table: off the
+// get-visible immutable remote list, WAL segment deleted. Must not be called
+// with failMu or db.mu held.
 func (db *DB) releaseTableRef(t *memtable.Table) {
 	db.failMu.Lock()
 	db.parkedTables[t]--
@@ -70,18 +70,9 @@ func (db *DB) releaseTableRef(t *memtable.Table) {
 		delete(db.parkedTables, t)
 	}
 	db.failMu.Unlock()
-	if !last {
-		return
+	if last {
+		db.retireTable(&db.immRemote, t)
 	}
-	db.mu.Lock()
-	for i, x := range db.immRemote {
-		if x == t {
-			db.immRemote = append(db.immRemote[:i], db.immRemote[i+1:]...)
-			break
-		}
-	}
-	db.mu.Unlock()
-	db.walDropSegment(t)
 }
 
 // tryPark parks b when owner's circuit is open, or when batches are already
@@ -155,8 +146,7 @@ func (db *DB) parkLocked(st *peerCircuit, owner int, b parkedBatch) {
 // answer closes the circuit and redelivers the parked backlog. It also
 // re-drives redelivery for closed circuits with a backlog, so no missed
 // wakeup can strand a parked batch. The same tick drives this rank's own
-// reclaim probe while it is Degraded, and sweeps the deferred-table lists
-// as a backstop against missed requeues. A failed rank does neither — its
+// reclaim probe while it is Degraded. A failed rank does neither — its
 // domain is down, and Recover restarts the duty by clearing the failure; a
 // Degraded rank keeps probing peers, because migrating out is exactly the
 // work that frees its space.
@@ -181,12 +171,9 @@ func (db *DB) proberThread() {
 				continue
 			}
 			if db.State() == StateDegraded {
-				// Best effort; the cause may not have cleared yet. A
-				// successful reclaim heals and requeues deferred work.
+				// Best effort; the cause may not have cleared yet.
 				_ = db.tryReclaim()
 			}
-			db.requeueDeferredFlushes()
-			db.requeueDeferredMigrations()
 			open, backlogged := db.circuitRanks()
 			for _, r := range open {
 				db.probe(r)
@@ -199,7 +186,7 @@ func (db *DB) proberThread() {
 }
 
 // tryReclaim tests whether this rank's degradation cause has cleared and,
-// if so, heals it back to Healthy: deferred flushes requeue, stalled puts
+// if so, heals it back to Healthy: waiting flushes resume, stalled puts
 // admit again, and the next peer ping answered ackOK triggers redelivery of
 // everything parked for this rank. The test matches the cause: a
 // parked-budget overflow heals once the backlog has drained below half the
@@ -402,30 +389,33 @@ func (db *DB) Recover() error {
 		return nil
 	}
 
-	// The background threads drain their queues without working while the
-	// rank is failed, so these waits terminate promptly; afterwards no
-	// flush or migration references the tables we are about to drop.
-	db.pendingFlush.wait()
-	db.pendingMigr.wait()
-
-	db.mu.Lock()
-	if db.walLocal != nil {
-		// Abandon, not Close: the group-commit thread of a failed rank is
-		// as dead as the rest of it, and whatever never reached the device
-		// is the crash's loss window. What did reach it replays below.
-		db.walLocal.Abandon()
-		db.walRemote.Abandon()
-		db.walLocal, db.walRemote = nil, nil
-	}
-	db.localMT = memtable.New()
-	db.remoteMT = memtable.New()
-	db.immLocal = nil
-	db.immRemote = nil
-	db.walSegs = make(map[*memtable.Table]walSegRef)
-	db.mu.Unlock()
-	// The deferred lists reference tables the lines above just dropped; the
-	// WAL replay below resurrects their pairs, so the references must go too.
-	db.clearDeferred()
+	// The background threads claim nothing new while the rank is failed, so
+	// this waits only for a flush or migration already in flight. The "no
+	// thread holds a table" check and the drop of the lists are ONE db.mu
+	// critical section, and a thread claims its table under db.mu, so a
+	// claim can never land between the two: afterwards no flush or migration
+	// references the tables dropped here.
+	db.await(func() bool {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if db.flushBusy || db.migrBusy {
+			return false
+		}
+		if db.walLocal != nil {
+			// Abandon, not Close: the group-commit thread of a failed rank
+			// is as dead as the rest of it, and whatever never reached the
+			// device is the crash's loss window. What did reach it replays
+			// below.
+			db.walLocal.Abandon()
+			db.walRemote.Abandon()
+			db.walLocal, db.walRemote = nil, nil
+		}
+		db.localMT = memtable.New()
+		db.remoteMT = memtable.New()
+		db.immLocal, db.immRemote, db.migrPending = nil, nil, 0
+		db.walSegs = make(map[*memtable.Table]walSegRef)
+		return true
+	})
 	db.localCache.Clear()
 	db.remoteCache.Clear()
 
@@ -486,6 +476,7 @@ func (db *DB) Recover() error {
 	// degradeLocked's Store(1).
 	db.metrics.Degraded.Store(0)
 	db.failMu.Unlock()
+	db.wakeAll()
 	db.metrics.Recoveries.Add(1)
 	return nil
 }

@@ -105,13 +105,14 @@ func TestMixedOpsMirror(t *testing.T) {
 	})
 }
 
-// TestQueueBackPressure drives puts far faster than the (tiny) flushing
-// queue can drain, relying on the paper's back-pressure: puts block when
-// the queue is full rather than exhausting memory, and nothing is lost.
+// TestQueueBackPressure drives puts far faster than the flush thread can
+// drain a (tiny) admission threshold, relying on the paper's back-pressure:
+// puts stall while the immutable list is full rather than exhausting
+// memory, and nothing is lost.
 func TestQueueBackPressure(t *testing.T) {
 	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
 		opt := smallOpt()
-		opt.QueueDepth = 1
+		opt.StallSoftDepth = 2
 		opt.MemTableCapacity = 512
 		opt.LocalCacheCapacity = 0
 		db, err := rt.Open("bp", opt)

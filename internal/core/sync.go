@@ -14,7 +14,7 @@ const (
 )
 
 // Fence migrates this rank's remote MemTable and every immutable remote
-// MemTable in the migration queue to their owner ranks immediately
+// MemTable still awaiting dispatch to their owner ranks immediately
 // (papyruskv_fence). It returns once every owner has applied and
 // acknowledged the pairs; if some owner has failed, it still drains and then
 // reports that the pairs owned by the failed rank were not applied. Fence is
@@ -30,20 +30,22 @@ func (db *DB) Fence() error {
 		return err
 	}
 	db.mu.Lock()
-	table := db.remoteMT
-	roll := table.Len() > 0
-	if roll {
+	if db.remoteMT.Len() > 0 {
 		db.rollRemoteLocked()
 	}
 	db.mu.Unlock()
-
-	if roll {
-		if err := db.enqueueMigration(table); err != nil {
-			return err
-		}
+	// Wait until the dispatcher has sent everything sealed so far. On a rank
+	// that failed meanwhile (or is closing) the unsent tables wait in place
+	// for Recover, so only the table the dispatcher still holds is awaited.
+	db.await(func() bool {
+		stuck := db.readHealth() != nil || db.isClosing()
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return !db.migrBusy && (db.migrPending == 0 || stuck)
+	})
+	if err := db.readHealth(); err != nil {
+		return err
 	}
-	db.drainDeferredMigrations()
-	db.pendingMigr.wait()
 	return db.anyPeerErr()
 }
 
@@ -77,26 +79,28 @@ func (db *DB) Barrier(level BarrierLevel) error {
 		return rankErr
 	}
 	// Phase 2: flush local MemTables — after receiving everyone's pairs,
-	// per the paper — and wait for the compaction thread to drain. Only a
-	// Healthy rank flushes: a Failed rank's compaction thread is draining
-	// without writing, and a Degraded rank's would only defer the table —
-	// it reports the incomplete flush through its Health error below.
+	// per the paper — and wait for the flush thread to drain the list. Only
+	// a Healthy rank flushes: a Degraded or Failed rank's sealed tables wait
+	// in place, and it reports the incomplete flush through its Health error
+	// below.
 	if db.State() == StateHealthy {
 		db.mu.Lock()
-		table := db.localMT
-		roll := table.Len() > 0
-		if roll {
+		if db.localMT.Len() > 0 {
 			db.rollLocalLocked()
 		}
 		db.mu.Unlock()
-		if roll {
-			if err := db.enqueueFlush(table); err != nil {
-				return err
-			}
-		}
-		db.drainDeferredFlushes()
 	}
-	db.pendingFlush.wait()
+	// "List empty AND thread idle", not just "list empty": flushOne unlists
+	// its table before it kicks compaction, and Checkpoint relies on that
+	// kick preceding this return. On a rank that cannot flush (or is
+	// closing) the wait is "thread idle" only, which is what lets a degraded
+	// rank's Barrier and Close terminate.
+	db.await(func() bool {
+		stuck := db.State() != StateHealthy || db.isClosing()
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return !db.flushBusy && (len(db.immLocal) == 0 || stuck)
+	})
 	if err := db.respComm.Barrier(); err != nil {
 		return err
 	}
@@ -104,7 +108,7 @@ func (db *DB) Barrier(level BarrierLevel) error {
 		return rankErr
 	}
 	// The flush itself may have failed — or degraded the rank, leaving
-	// deferred tables unflushed — during the wait.
+	// sealed tables unflushed — during the wait.
 	return db.Health()
 }
 

@@ -15,68 +15,50 @@ import (
 )
 
 // compactionThread is the paper's compaction thread, reduced to its flush
-// half: it dequeues immutable local MemTables from the flushing queue and
-// writes each as a new L0 SSTable on NVM (§2.4 Flushing). Merging moved to
-// the leveled compaction workers (compact.go); a flush that fills L0 past
-// its trigger kicks them. It exits when the flushing queue is closed and
-// drained.
+// half: over and over it writes the oldest sealed local MemTable — immLocal[0],
+// the head of the flushing queue — as a new L0 SSTable on NVM (§2.4
+// Flushing). Merging moved to the leveled compaction workers (compact.go); a
+// flush that fills L0 past its trigger kicks them.
 //
-// The thread follows the degradation ladder. Healthy: flush; a flush that
-// degrades the rank (ENOSPC) defers its table instead of abandoning it.
-// Degraded: defer every dequeued table — it stays get-visible in immLocal
-// and WAL-backed, and requeues after heal. Failed: drain without touching
-// NVM. Every table still passes through pendingFlush.done(), so Fence and
-// Barrier terminate in every state instead of hanging.
+// It works only while the rank is Healthy. A flush that degrades the rank
+// (ENOSPC) leaves its table at the head of the list, and a Degraded or Failed
+// rank's tables wait there too, until heal wakes the thread or Recover drops
+// them — so the next table flushed is always the oldest one sealed. The
+// thread exits once Close has begun and nothing it may flush is left.
 func (db *DB) compactionThread() {
 	defer db.wg.Done()
 	for {
-		table, ok := db.flushQ.Dequeue()
-		if !ok {
+		var table *memtable.Table
+		db.await(func() bool {
+			healthy := db.State() == StateHealthy
+			db.mu.Lock()
+			defer db.mu.Unlock()
+			if healthy && len(db.immLocal) > 0 {
+				table, db.flushBusy = db.immLocal[0], true
+				return true
+			}
+			return db.isClosing()
+		})
+		if table == nil {
 			return
 		}
 		db.maybeKill()
-		switch db.State() {
-		case StateHealthy:
-			db.flushInOrder(table)
-		case StateDegraded:
-			db.deferFlush(table)
-		default:
-			// Failed: drain without touching NVM; Recover rebuilds from WAL.
-			db.flushDone(table)
+		// Re-checked after the claim: the kill above, or a failure since the
+		// claim's own look, must keep this thread off the device.
+		if db.State() == StateHealthy {
+			db.flushOne(table)
 		}
-		db.pendingFlush.done()
-		db.requeueDeferredFlushes()
+		db.idle(&db.flushBusy)
 	}
-}
-
-// flushInOrder flushes a dequeued table, preceded by any deferred tables
-// sealed before it: a table that detoured through the deferred list (failed
-// flush, full queue) must still get a lower SSID than every table sealed
-// after it, or reads and compaction resolve the wrong version. A failure
-// partway re-defers the unflushed remainder — a Degraded rank retries it
-// after heal; a Failed rank's Recover drops it and replays the WAL.
-func (db *DB) flushInOrder(table *memtable.Table) {
-	batch := append(db.claimOlderDeferred(table), table)
-	for i, t := range batch {
-		if !db.flushOne(t) {
-			if db.State() == StateDegraded {
-				db.deferBatch(table, batch[i:])
-			} else {
-				db.flushDone(table)
-			}
-			return
-		}
-	}
-	db.flushDone(table)
 }
 
 // flushOne writes one sealed MemTable as a new SSTable, publishes it, drops
-// the MemTable from the get-visible immutable list, and runs compaction if
-// due, reporting whether the flush landed. A failed flush is triaged by
-// cause: resource exhaustion (ENOSPC) degrades the rank to read-only — the
-// MemTable stays in the immutable list, readable and WAL-backed, awaiting
-// reclaim — while any other write error fails the domain outright.
-func (db *DB) flushOne(table *memtable.Table) bool {
+// the MemTable from the get-visible immutable list, and kicks compaction if
+// due. A failed flush is triaged by cause: resource exhaustion (ENOSPC)
+// degrades the rank to read-only — the MemTable stays at the head of the
+// immutable list, readable and WAL-backed, awaiting reclaim — while any other
+// write error fails the domain outright.
+func (db *DB) flushOne(table *memtable.Table) {
 	dir := db.dir(db.rt.rank)
 
 	db.sstMu.Lock()
@@ -87,15 +69,15 @@ func (db *DB) flushOne(table *memtable.Table) bool {
 	meta, err := sstable.WriteTable(db.rt.cfg.Device, dir, ssid, table.Entries())
 	if err != nil {
 		db.failOrDegrade(fmt.Errorf("flush of SSTable %d: %w", ssid, err))
-		return false
+		return
 	}
 	// Commit the table to the manifest before publishing it and — crucially
-	// — before walDropSegment below deletes the records that shadow it. A
+	// — before retireTable below deletes the records that shadow it. A
 	// crash here leaves the written files unlisted: orphans quarantined on
 	// reopen, with the WAL segment still replaying every pair.
 	if err := db.manifestApply(manifest.Edit{Add: []manifest.TableMeta{tableMetaOf(meta)}}); err != nil {
 		db.failOrDegrade(fmt.Errorf("manifest commit of SSTable %d: %w", ssid, err))
-		return false
+		return
 	}
 	db.metrics.Flushes.Add(1)
 
@@ -108,19 +90,9 @@ func (db *DB) flushOne(table *memtable.Table) bool {
 	due := db.opt.CompactionEvery > 0 && uint64(len(db.levels[0])) >= db.opt.CompactionEvery
 	db.sstMu.Unlock()
 
-	// The flushed MemTable's data is now reachable via the SSTable;
-	// remove the table from the immutable list and free it, and delete
-	// the WAL segment that was shadowing it — the SSTable has taken over
-	// its durability.
-	db.mu.Lock()
-	for i, t := range db.immLocal {
-		if t == table {
-			db.immLocal = append(db.immLocal[:i], db.immLocal[i+1:]...)
-			break
-		}
-	}
-	db.mu.Unlock()
-	db.walDropSegment(table)
+	// The flushed MemTable's data is now reachable via the SSTable, which
+	// has taken over its durability.
+	db.retireTable(&db.immLocal, table)
 
 	if due {
 		// Score-driven trigger, decoupled from the flush path: the workers
@@ -129,29 +101,44 @@ func (db *DB) flushOne(table *memtable.Table) bool {
 		// stalls flushing and a pinned trigger is never lost.
 		db.kickCompact()
 	}
-	return true
 }
 
-// dispatcherThread is the paper's message dispatcher: it dequeues immutable
-// remote MemTables from the migration queue, groups their pairs by owner
-// rank, and sends one accumulated chunk per owner, retrying until the owner
-// acknowledges application (§2.4 Migration). On a failed rank it drains the
-// queue without sending so waiters never hang; a Degraded rank keeps
-// migrating — sending frees the batches' WAL segments, which is itself
-// reclaim — so the gate is readHealth, not Health.
+// dispatcherThread is the paper's message dispatcher: over and over it takes
+// the oldest sealed remote MemTable it has not sent yet, groups its pairs by
+// owner rank, and sends one accumulated chunk per owner, retrying until the
+// owner acknowledges application (§2.4 Migration). A sent table can linger on
+// immRemote while a parked batch pins it, so "not sent yet" is the list's
+// tail: its last migrPending tables.
+//
+// A Degraded rank keeps migrating — sending frees the batches' WAL segments,
+// which is itself reclaim — so the gate is readHealth, not Health. A Failed
+// rank's tables wait in place for Recover, which drops both lists and zeroes
+// the count; that is also why a table claimed but left unsent by the re-check
+// below needs no un-claim. The thread exits once Close has begun and nothing
+// it may send is left.
 func (db *DB) dispatcherThread() {
 	defer db.wg.Done()
 	for {
-		table, ok := db.migrateQ.Dequeue()
-		if !ok {
+		var table *memtable.Table
+		db.await(func() bool {
+			failed := db.readHealth() != nil
+			db.mu.Lock()
+			defer db.mu.Unlock()
+			if !failed && db.migrPending > 0 {
+				table, db.migrBusy = db.immRemote[len(db.immRemote)-db.migrPending], true
+				db.migrPending--
+				return true
+			}
+			return db.isClosing()
+		})
+		if table == nil {
 			return
 		}
 		db.maybeKill()
 		if db.readHealth() == nil {
 			db.migrateOne(table)
 		}
-		db.pendingMigr.done()
-		db.requeueDeferredMigrations()
+		db.idle(&db.migrBusy)
 	}
 }
 
@@ -334,11 +321,10 @@ func (db *DB) handleBatch(m mpi.Message, migration bool) {
 	} else if db.writeBacklogged() {
 		// Healthy but the flush backlog is past the hard admission
 		// threshold: this rank is already shedding its OWN puts, so
-		// buffering remote writes would grow immLocal without bound — the
-		// old blocking flushQ.Enqueue throttled senders here, and this
-		// typed refusal is its non-blocking replacement. Senders park the
-		// batch and redeliver once a ping reports the backlog drained;
-		// like ackReadOnly the refusal is never dedup-recorded.
+		// buffering remote writes would grow immLocal without bound.
+		// Senders park the batch and redeliver once a ping reports the
+		// backlog drained; like ackReadOnly the refusal is never
+		// dedup-recorded.
 		db.metrics.PutsShed.Add(1)
 		rec = ackRecord{status: ackStalled,
 			msg: fmt.Sprintf("%d immutable tables at hard threshold %d", db.immDepth(false), db.opt.StallHardDepth)}

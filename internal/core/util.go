@@ -9,9 +9,7 @@ import (
 )
 
 // counter is a waitable pending-work counter: the runtime uses one for
-// in-flight flushes (immutable local MemTables not yet on NVM) and one for
-// in-flight migrations (immutable remote MemTables not yet acked by their
-// owner ranks). Fence and barrier wait for them to drain.
+// in-flight compaction jobs and one for held checkpoint pins.
 type counter struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -85,7 +83,6 @@ type Metrics struct {
 	Stalls              atomic.Uint64 // puts that entered the admission-control stall loop
 	StallNanos          atomic.Uint64 // total nanoseconds puts spent stalled
 	PutsShed            atomic.Uint64 // puts refused with ErrWriteStalled
-	FlushesDeferred     atomic.Uint64 // sealed MemTables deferred (queue full or rank degraded)
 	ProbesSent          atomic.Uint64 // half-open circuit probes sent
 	CircuitsOpened      atomic.Uint64 // peer circuit breakers tripped open
 	CircuitsClosed      atomic.Uint64 // peer circuit breakers closed by a healthy probe answer
@@ -189,7 +186,6 @@ func (m *Metrics) Snapshot() map[string]uint64 {
 		"stalls":               m.Stalls.Load(),
 		"stall_ns_total":       m.StallNanos.Load(),
 		"puts_shed":            m.PutsShed.Load(),
-		"flushes_deferred":     m.FlushesDeferred.Load(),
 
 		"probes_sent":         m.ProbesSent.Load(),
 		"circuits_opened":     m.CircuitsOpened.Load(),

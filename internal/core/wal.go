@@ -17,7 +17,7 @@ import (
 // also runs under db.mu, inside rollLocalLocked/rollRemoteLocked — always
 // cuts both structures at the same record boundary: a sealed segment holds
 // exactly its sealed table's records, and is deleted once that table's
-// flush or migration commits. One database-wide sequence counter stamps
+// flush or migration commits (retireTable). One database-wide sequence counter stamps
 // every record, giving replay a total order across the two streams.
 
 // walSegRef remembers the sealed segment backing one sealed MemTable.
@@ -161,29 +161,10 @@ func (db *DB) walRotateLocked(l *wal.Log, sealed *memtable.Table) {
 	}
 }
 
-// walDropSegment deletes the sealed segment backing table, if any — called
-// after the table's contents committed to an SSTable (local stream) or
-// were applied by their owners (remote stream). This keeps on-device WAL
-// bytes bounded by the MemTable budget.
-func (db *DB) walDropSegment(table *memtable.Table) {
-	db.mu.Lock()
-	ref, ok := db.walSegs[table]
-	if ok {
-		delete(db.walSegs, table)
-	}
-	db.mu.Unlock()
-	if !ok {
-		return
-	}
-	if err := ref.log.Remove(ref.name); err != nil {
-		db.fail(fmt.Errorf("wal segment gc: %w", err))
-	}
-}
-
 // walFlushThread is the WALAsync group-commit loop: every WALFlushInterval
 // it writes and fsyncs whatever both streams accumulated. (The paper's
-// runtime hangs periodic work off the compaction thread; here the flushing
-// queue has no timed dequeue, so the ticker gets its own goroutine.) It
+// runtime hangs periodic work off the compaction thread; here that thread
+// has no timed wake-up, so the ticker gets its own goroutine.) It
 // stops when walStop closes, and goes quiet once the rank has failed.
 func (db *DB) walFlushThread() {
 	defer db.wg.Done()

@@ -373,8 +373,9 @@ func TestWALBytesBounded(t *testing.T) {
 		dev := rt.cfg.Device
 		dir := db.dir(0)
 		// Generous bound: the active segment plus every sealed-but-unflushed
-		// segment the queue can hold, with framing overhead headroom.
-		bound := int64(opt.QueueDepth+4) * int64(opt.MemTableCapacity) * 4
+		// segment admission control lets pile up (StallSoftDepth), with
+		// framing overhead headroom.
+		bound := int64(opt.withDefaults().StallSoftDepth+1) * int64(opt.MemTableCapacity) * 4
 		var maxSeen int64
 		for _, k := range ownKeys(db, 0, 400) {
 			mustPut(t, db, string(k), string(val(k)))

@@ -234,7 +234,7 @@ func TestMetricsSnapshotComplete(t *testing.T) {
 	if snap["wal_records_appended"] != 11 {
 		t.Fatalf("snapshot is missing the WAL counters: %v", snap)
 	}
-	if len(snap) != 63 {
+	if len(snap) != 62 {
 		t.Fatalf("snapshot has %d fields; update Snapshot when adding metrics", len(snap))
 	}
 	if _, ok := snap["pairs_lost"]; !ok {
@@ -259,12 +259,12 @@ func TestOptionStringers(t *testing.T) {
 
 func TestDefaultOptionsFilled(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MemTableCapacity <= 0 || o.QueueDepth <= 0 || o.Hash == nil {
+	if o.MemTableCapacity <= 0 || o.StallSoftDepth <= 0 || o.Hash == nil {
 		t.Fatalf("withDefaults left zero fields: %+v", o)
 	}
 	// Explicit values survive.
-	o2 := Options{MemTableCapacity: 42, QueueDepth: 7}.withDefaults()
-	if o2.MemTableCapacity != 42 || o2.QueueDepth != 7 {
+	o2 := Options{MemTableCapacity: 42, StallSoftDepth: 7}.withDefaults()
+	if o2.MemTableCapacity != 42 || o2.StallSoftDepth != 7 {
 		t.Fatalf("withDefaults clobbered explicit values: %+v", o2)
 	}
 }

@@ -10,10 +10,11 @@ import (
 )
 
 // fuzzSeedFrames builds the seed logs the committed corpus under
-// testdata/fuzz/FuzzManifestDecode mirrors: whole logs of V1 and V2 frames,
-// a snapshot mid-log, torn tails at both boundary kinds, a flipped
-// checksum, an unknown frame kind, and a payload whose internal lengths
-// overrun it behind a valid checksum.
+// testdata/fuzz/FuzzManifestDecode mirrors: whole logs, a snapshot mid-log,
+// a frame of the level-less predecessor format (kind 1 — must be refused),
+// torn tails at both boundary kinds, a flipped checksum, an unknown frame
+// kind, and a payload whose internal lengths overrun it behind a valid
+// checksum.
 func fuzzSeedFrames() [][]byte {
 	t1 := TableMeta{SSID: 1, Level: 0, DataBytes: 64, Entries: 3,
 		DataCRC: 0x11111111, IndexCRC: 0x22222222, BloomCRC: 0x33333333,
@@ -22,15 +23,12 @@ func fuzzSeedFrames() [][]byte {
 		DataCRC: 0x44444444, IndexCRC: 0x55555555, BloomCRC: 0x66666666,
 		MinKey: []byte("nnn"), MaxKey: []byte("zzz")}
 
-	one := appendFrame(nil, frameEditV2, Edit{Add: []TableMeta{t1}, WALEpoch: 1})
+	one := appendFrame(nil, frameEdit, Edit{Add: []TableMeta{t1}, WALEpoch: 1})
 
-	multi := appendFrame(nil, frameEditV2, Edit{Add: []TableMeta{t1}, WALEpoch: 1})
-	multi = appendFrame(multi, frameEditV2, Edit{Add: []TableMeta{t2}, Checkpoint: "ckpt/g1"})
-	multi = appendFrame(multi, frameSnapV2, Edit{Add: []TableMeta{t2}, NextSSID: 3, WALEpoch: 2})
-	multi = appendFrame(multi, frameEditV2, Edit{Delete: []uint64{2}, NextSSID: 5})
-
-	legacy := appendFrame(nil, frameEdit, Edit{Add: []TableMeta{t1}})
-	legacy = appendFrame(legacy, frameSnapshot, Edit{Add: []TableMeta{t1}, NextSSID: 2})
+	multi := appendFrame(nil, frameEdit, Edit{Add: []TableMeta{t1}, WALEpoch: 1})
+	multi = appendFrame(multi, frameEdit, Edit{Add: []TableMeta{t2}, Checkpoint: "ckpt/g1"})
+	multi = appendFrame(multi, frameSnapshot, Edit{Add: []TableMeta{t2}, NextSSID: 3, WALEpoch: 2})
+	multi = appendFrame(multi, frameEdit, Edit{Delete: []uint64{2}, NextSSID: 5})
 
 	badCRC := append([]byte(nil), one...)
 	badCRC[0] ^= 0xff
@@ -40,21 +38,30 @@ func fuzzSeedFrames() [][]byte {
 
 	// A frame whose header says more adds than the payload holds, behind a
 	// recomputed-valid checksum: decodePayload's overrun checks must fire.
-	overrun := appendFrame(nil, frameEditV2, Edit{Add: []TableMeta{t1}})
+	overrun := appendFrame(nil, frameEdit, Edit{Add: []TableMeta{t1}})
 	overrun[frameHeader+17] = 0xff // nAdd
 	reseal(overrun)
 
 	return [][]byte{
-		{},                     // empty log
-		one,                    // single edit
-		multi,                  // edits + snapshot + post-snapshot edit
-		legacy,                 // V1 frames
-		multi[:len(multi)-5],   // torn payload
-		multi[:3],              // torn header
-		badCRC,                 // flipped checksum
-		badKind,                // unknown kind (fails the CRC first)
-		overrun,                // lengths overrun a checksum-valid payload
+		{},                   // empty log
+		one,                  // single edit
+		multi,                // edits + snapshot + post-snapshot edit
+		legacyV1Frame(),      // predecessor-format frame: must be ErrCorrupt
+		multi[:len(multi)-5], // torn payload
+		multi[:3],            // torn header
+		badCRC,               // flipped checksum
+		badKind,              // unknown kind (fails the CRC first)
+		overrun,              // lengths overrun a checksum-valid payload
 	}
+}
+
+// legacyV1Frame returns one checksum-valid edit frame of the level-less
+// predecessor format (kind 1), which this package does not decode.
+func legacyV1Frame() []byte {
+	frame := appendFrame(nil, frameEdit, Edit{NextSSID: 2})
+	frame[frameHeader] = 1 // payload[0] is the frame kind
+	reseal(frame)
+	return frame
 }
 
 // reseal recomputes the first frame's checksum so structural damage inside
@@ -69,9 +76,7 @@ func reseal(frame []byte) {
 // checks the contract Open's replay — and the scrubber's read-back — depend
 // on: any input either composes cleanly, truncates as a torn tail, or
 // reports typed ErrCorrupt; never a panic, never an edit the encoder could
-// not have written. Mirrors FuzzWALDecode; byte-identity is checked against
-// a V2 re-encoding (V1 frames decode to the same edits they re-encode to,
-// just in the newer framing).
+// not have written. Mirrors FuzzWALDecode.
 func FuzzManifestDecode(f *testing.F) {
 	for _, seed := range fuzzSeedFrames() {
 		f.Add(seed)
@@ -99,7 +104,7 @@ func FuzzManifestDecode(f *testing.F) {
 		// encoder would not write.
 		var re []byte
 		for _, e := range edits {
-			re = appendFrame(re, frameEditV2, e)
+			re = appendFrame(re, frameEdit, e)
 		}
 		edits2, clean2, err2 := decodeFrames(re)
 		if err2 != nil || clean2 != len(re) {

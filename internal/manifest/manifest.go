@@ -55,7 +55,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //	crc32c  uint32  // over the payload
 //	length  uint32  // payload bytes
 //	payload:
-//	  kind     uint8  // frameEdit/frameSnapshot (v1) or the V2 kinds
+//	  kind     uint8  // frameEdit or frameSnapshot
 //	  nextSSID uint64 // 0 = unchanged (snapshot: absolute)
 //	  walEpoch uint32 // 0 = unchanged (snapshot: absolute)
 //	  ckptLen  uint32 // checkpoint-marker path bytes
@@ -65,27 +65,21 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //	  adds     [nAdd]TableMeta
 //	  dels     [nDel]uint64
 //
-// V2 frames carry one extra uint32 per TableMeta — the table's LSM level —
-// appended to the fixed prefix. Writers always emit V2; readers accept both,
-// defaulting legacy tables to level 0 (the overlap-allowed level, which is
-// exactly what every pre-leveled table was).
+// This is the only frame format. Kinds 1 and 2 belonged to a level-less
+// predecessor nobody deployed; like any other unknown kind they are
+// ErrCorrupt.
 const (
 	frameHeader  = 8
 	payloadFixed = 1 + 8 + 4 + 4 + 4 + 4
 
-	frameEdit     = 1
-	frameSnapshot = 2
-	frameEditV2   = 3
-	frameSnapV2   = 4
+	frameEdit     = 3
+	frameSnapshot = 4
 )
 
-// tableMetaFixed is the fixed-size prefix of one encoded v1 TableMeta:
+// tableMetaFixed is the fixed-size prefix of one encoded TableMeta:
 // ssid u64, dataBytes u64, entries u64, dataCRC u32, indexCRC u32,
-// bloomCRC u32, minLen u32, maxLen u32. V2 appends level u32.
-const (
-	tableMetaFixed   = 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4
-	tableMetaFixedV2 = tableMetaFixed + 4
-)
+// bloomCRC u32, minLen u32, maxLen u32, level u32.
+const tableMetaFixed = 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4
 
 // TableMeta fingerprints one live SSTable: identity, placement, sizes, key
 // bounds, and the CRC32C of each of its three files. Recovery validates the
@@ -182,22 +176,20 @@ type Manifest struct {
 	st     *stats.Manifest
 	rotate int
 
-	mu        sync.Mutex
-	tables    map[uint64]TableMeta
-	nextSSID  uint64
-	walEpoch  uint32
-	ckpt      string
-	app       *nvm.Appender
-	edits     int  // edits appended since the last snapshot
-	fresh     bool // the log had no frames at Open (brand-new database)
-	poisoned  bool // a torn append fired: the rank is dead past this point
-	closed    bool
+	mu       sync.Mutex
+	tables   map[uint64]TableMeta
+	nextSSID uint64
+	walEpoch uint32
+	ckpt     string
+	app      *nvm.Appender
+	edits    int  // edits appended since the last snapshot
+	poisoned bool // a torn append fired: the rank is dead past this point
+	closed   bool
 }
 
 // Open replays the manifest log under cfg.Dir and returns the handle. A
-// missing log is a fresh manifest (Fresh reports true); a torn tail is
-// truncated to the last whole frame; mid-log corruption returns an error
-// wrapping ErrCorrupt.
+// missing log is an empty manifest; a torn tail is truncated to the last
+// whole frame; mid-log corruption returns an error wrapping ErrCorrupt.
 func Open(cfg Config) (*Manifest, error) {
 	m := &Manifest{
 		dev:      cfg.Device,
@@ -208,7 +200,6 @@ func Open(cfg Config) (*Manifest, error) {
 		rotate:   cfg.RotateEvery,
 		tables:   make(map[uint64]TableMeta),
 		nextSSID: 1,
-		fresh:    true,
 	}
 	if m.st == nil {
 		m.st = &stats.Manifest{}
@@ -240,10 +231,6 @@ func Open(cfg Config) (*Manifest, error) {
 			m.applyLocked(e)
 		}
 		m.st.EditsRecovered.Add(uint64(len(edits)))
-		// A non-empty log — even one holding only a torn first frame — means
-		// a manifest-run database lived here; only a missing or zero-byte
-		// log marks a brand-new (or legacy pre-manifest) directory.
-		m.fresh = len(raw) == 0
 		m.edits = len(edits)
 	}
 	app, err := cfg.Device.OpenAppend(log)
@@ -258,16 +245,6 @@ func Open(cfg Config) (*Manifest, error) {
 	}
 	m.app = app
 	return m, nil
-}
-
-// Fresh reports whether the log held no frames at Open — a brand-new
-// database directory, as opposed to one whose manifest merely lists no live
-// tables. Core uses it to decide whether pre-manifest SSTables found on the
-// device are a legacy image to adopt or orphans to quarantine.
-func (m *Manifest) Fresh() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fresh
 }
 
 // Version returns the composed state.
@@ -326,7 +303,7 @@ func (m *Manifest) Apply(e Edit) error {
 	if m.closed || m.poisoned {
 		return ErrClosed
 	}
-	frame := appendFrame(nil, frameEditV2, e)
+	frame := appendFrame(nil, frameEdit, e)
 	if m.inj != nil {
 		if dec := m.inj.Eval(faults.ManifestTornAppend, m.site()); dec.Fire {
 			m.poisoned = true
@@ -344,7 +321,6 @@ func (m *Manifest) Apply(e Edit) error {
 		return fmt.Errorf("manifest: sync: %w", err)
 	}
 	m.applyLocked(e)
-	m.fresh = false
 	m.edits++
 	m.st.Edits.Add(1)
 	if m.edits >= m.rotate {
@@ -378,7 +354,7 @@ func (m *Manifest) rotateLocked() error {
 	}
 	snap := Edit{NextSSID: m.nextSSID, WALEpoch: m.walEpoch, Checkpoint: m.ckpt}
 	snap.Add = m.versionLocked().Tables
-	frame := appendFrame(nil, frameSnapV2, snap)
+	frame := appendFrame(nil, frameSnapshot, snap)
 
 	tmp := newName(m.dir)
 	if err := m.dev.Remove(tmp); err != nil {
@@ -460,20 +436,11 @@ func (m *Manifest) Close() error {
 	return nil
 }
 
-// metaFixedOf returns the fixed TableMeta prefix size for a frame kind.
-func metaFixedOf(kind byte) int {
-	if kind == frameEditV2 || kind == frameSnapV2 {
-		return tableMetaFixedV2
-	}
-	return tableMetaFixed
-}
-
 // appendFrame appends one framed edit of the given kind to dst.
 func appendFrame(dst []byte, kind byte, e Edit) []byte {
-	metaFixed := metaFixedOf(kind)
 	plen := payloadFixed + len(e.Checkpoint)
 	for _, t := range e.Add {
-		plen += metaFixed + len(t.MinKey) + len(t.MaxKey)
+		plen += tableMetaFixed + len(t.MinKey) + len(t.MaxKey)
 	}
 	plen += 8 * len(e.Delete)
 
@@ -497,10 +464,8 @@ func appendFrame(dst []byte, kind byte, e Edit) []byte {
 		binary.LittleEndian.PutUint32(p[w+32:], t.BloomCRC)
 		binary.LittleEndian.PutUint32(p[w+36:], uint32(len(t.MinKey)))
 		binary.LittleEndian.PutUint32(p[w+40:], uint32(len(t.MaxKey)))
-		if metaFixed == tableMetaFixedV2 {
-			binary.LittleEndian.PutUint32(p[w+44:], t.Level)
-		}
-		w += metaFixed
+		binary.LittleEndian.PutUint32(p[w+44:], t.Level)
+		w += tableMetaFixed
 		w += copy(p[w:], t.MinKey)
 		w += copy(p[w:], t.MaxKey)
 	}
@@ -526,13 +491,12 @@ func decodePayload(p []byte) (frameRec, error) {
 		return fr, fmt.Errorf("%w: payload of %d bytes", ErrCorrupt, len(p))
 	}
 	switch p[0] {
-	case frameEdit, frameEditV2:
-	case frameSnapshot, frameSnapV2:
+	case frameEdit:
+	case frameSnapshot:
 		fr.snap = true
 	default:
 		return fr, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, p[0])
 	}
-	metaFixed := uint64(metaFixedOf(p[0]))
 	e := &fr.edit
 	e.NextSSID = binary.LittleEndian.Uint64(p[1:])
 	e.WALEpoch = binary.LittleEndian.Uint32(p[9:])
@@ -546,7 +510,7 @@ func decodePayload(p []byte) (frameRec, error) {
 	e.Checkpoint = string(p[w : w+uint64(ckptLen)])
 	w += uint64(ckptLen)
 	for i := uint32(0); i < nAdd; i++ {
-		if w+metaFixed > uint64(len(p)) {
+		if w+tableMetaFixed > uint64(len(p)) {
 			return fr, fmt.Errorf("%w: table meta overruns payload", ErrCorrupt)
 		}
 		var t TableMeta
@@ -558,10 +522,8 @@ func decodePayload(p []byte) (frameRec, error) {
 		t.BloomCRC = binary.LittleEndian.Uint32(p[w+32:])
 		minLen := binary.LittleEndian.Uint32(p[w+36:])
 		maxLen := binary.LittleEndian.Uint32(p[w+40:])
-		if metaFixed == tableMetaFixedV2 {
-			t.Level = binary.LittleEndian.Uint32(p[w+44:])
-		}
-		w += metaFixed
+		t.Level = binary.LittleEndian.Uint32(p[w+44:])
+		w += tableMetaFixed
 		if w+uint64(minLen)+uint64(maxLen) > uint64(len(p)) {
 			return fr, fmt.Errorf("%w: table key bounds overrun payload", ErrCorrupt)
 		}

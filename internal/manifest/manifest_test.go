@@ -44,9 +44,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	dev := newDevice(t)
 	cfg := Config{Device: dev, Dir: "db/r0"}
 	m := open(t, cfg)
-	if !m.Fresh() {
-		t.Fatal("new log should be fresh")
-	}
 	apply(t, m, Edit{Add: []TableMeta{meta(1)}, WALEpoch: 3})
 	apply(t, m, Edit{Add: []TableMeta{meta(2)}})
 	apply(t, m, Edit{Add: []TableMeta{meta(3)}, Delete: []uint64{1, 2}})
@@ -56,9 +53,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 
 	m = open(t, cfg)
-	if m.Fresh() {
-		t.Fatal("replayed log should not be fresh")
-	}
 	v := m.Version()
 	if len(v.Tables) != 1 || v.Tables[0].SSID != 3 {
 		t.Fatalf("live set = %+v, want just sst 3", v.Tables)
@@ -160,6 +154,20 @@ func TestManifestMidLogCorruption(t *testing.T) {
 
 	if _, err := Open(cfg); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over mid-log corruption = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestManifestLegacyFrameRefused: there is one frame format. A log written in
+// the level-less predecessor format (frame kinds 1 and 2) is a loud typed
+// error at Open, not a silently re-interpreted version.
+func TestManifestLegacyFrameRefused(t *testing.T) {
+	dev := newDevice(t)
+	cfg := Config{Device: dev, Dir: "db/r0"}
+	if err := dev.WriteFile(LogName(cfg.Dir), legacyV1Frame()); err != nil {
+		t.Fatalf("write log: %v", err)
+	}
+	if _, err := Open(cfg); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open over a V1 frame = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -38,7 +38,6 @@ type Table struct {
 	tree   *rbtree.Tree
 	bytes  int64
 	sealed bool
-	seq    uint64
 }
 
 // New returns an empty MemTable.
@@ -122,25 +121,6 @@ func (t *Table) Sealed() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.sealed
-}
-
-// SetSealSeq stamps the table with its seal-order sequence number. Flushes
-// must retire sealed tables strictly in seal order — SSID order is how reads
-// and compaction resolve recency between SSTables, so a table sealed earlier
-// must never be flushed after one sealed later. The stamp is what the
-// deferred-flush bookkeeping sorts by when tables leave the FIFO path.
-func (t *Table) SetSealSeq(n uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seq = n
-}
-
-// SealSeq returns the seal-order stamp; zero means the table was never
-// stamped.
-func (t *Table) SealSeq() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.seq
 }
 
 // Ascend visits entries in ascending key order (the order an SSTable flush

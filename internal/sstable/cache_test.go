@@ -285,7 +285,7 @@ func TestMergeBloomSizedFromInputs(t *testing.T) {
 	if _, err := WriteTable(dev, "db/r0", 2, b); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := Merge(dev, "db/r0", []uint64{1, 2}, 3)
+	meta, err := MergeOrdered(dev, "db/r0", []uint64{2, 1}, 3, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestMergeBloomSizedFromInputs(t *testing.T) {
 	if _, err := WriteTable(dev, "db/r1", 2, sortedEntries(10, 13)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Merge(dev, "db/r1", []uint64{1, 2}, 3); err != nil {
+	if _, err := MergeOrdered(dev, "db/r1", []uint64{2, 1}, 3, nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	raw, err = dev.ReadFile(BloomName("db/r1", 3))
@@ -348,7 +348,7 @@ func TestMergeSurvivesCorruptIndex(t *testing.T) {
 	if err := dev.WriteFile(IndexName("db/r0", 2), []byte("garbage-index-xx")); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := Merge(dev, "db/r0", []uint64{1, 2}, 3)
+	meta, err := MergeOrdered(dev, "db/r0", []uint64{2, 1}, 3, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,7 +185,7 @@ func TestMergeScanNewestWins(t *testing.T) {
 		{Key: []byte("c"), Tombstone: true},
 	})
 	var got []string
-	err := MergeScan(dev, "d", []uint64{1, 2}, func(e memtable.Entry) error {
+	err := MergeScanOrdered(dev, "d", []uint64{2, 1}, func(e memtable.Entry) error {
 		got = append(got, fmt.Sprintf("%s=%s/%v", e.Key, e.Value, e.Tombstone))
 		return nil
 	})
@@ -194,17 +194,17 @@ func TestMergeScanNewestWins(t *testing.T) {
 	}
 	want := []string{"a=new/false", "b=keep/false", "c=/true"}
 	if len(got) != len(want) {
-		t.Fatalf("MergeScan yielded %v", got)
+		t.Fatalf("MergeScanOrdered yielded %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("MergeScan[%d] = %q, want %q", i, got[i], want[i])
+			t.Fatalf("MergeScanOrdered[%d] = %q, want %q", i, got[i], want[i])
 		}
 	}
-	// Inputs must survive (MergeScan never deletes).
+	// Inputs must survive (MergeScanOrdered never deletes).
 	ids, _ := ListSSIDs(dev, "d")
 	if len(ids) != 2 {
-		t.Fatalf("MergeScan deleted inputs: %v", ids)
+		t.Fatalf("MergeScanOrdered deleted inputs: %v", ids)
 	}
 }
 
@@ -213,7 +213,7 @@ func TestMergeScanCallbackError(t *testing.T) {
 	WriteTable(dev, "d", 1, sortedEntries(10, 4))
 	wantErr := fmt.Errorf("stop here")
 	calls := 0
-	err := MergeScan(dev, "d", []uint64{1}, func(memtable.Entry) error {
+	err := MergeScanOrdered(dev, "d", []uint64{1}, func(memtable.Entry) error {
 		calls++
 		if calls == 3 {
 			return wantErr
@@ -230,7 +230,7 @@ func TestMergeScanCallbackError(t *testing.T) {
 
 func TestMergeScanMissingInput(t *testing.T) {
 	dev := corruptDev(t)
-	if err := MergeScan(dev, "d", []uint64{42}, func(memtable.Entry) error { return nil }); err == nil {
+	if err := MergeScanOrdered(dev, "d", []uint64{42}, func(memtable.Entry) error { return nil }); err == nil {
 		t.Fatal("missing input scanned")
 	}
 }
@@ -238,7 +238,7 @@ func TestMergeScanMissingInput(t *testing.T) {
 func TestMergeScanEmptyInputs(t *testing.T) {
 	dev := corruptDev(t)
 	called := false
-	if err := MergeScan(dev, "d", nil, func(memtable.Entry) error { called = true; return nil }); err != nil {
+	if err := MergeScanOrdered(dev, "d", nil, func(memtable.Entry) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {

@@ -3,34 +3,23 @@ package sstable
 import (
 	"bytes"
 	"container/heap"
-	"sort"
 
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/nvm"
 )
-
-// Merge compacts the SSTables listed in ssids (any order) into a single new
-// SSTable newSSID. When several inputs hold the same key, the record from
-// the input with the highest SSID — the newest — wins (§2.5). Tombstones
-// are carried into the merged table: a compaction over a subset of SSTables
-// cannot prove the key is absent from older, unmerged tables, so dropping
-// the tombstone would resurrect deleted keys.
-func Merge(dev *nvm.Device, dir string, ssids []uint64, newSSID uint64) (Meta, error) {
-	ordered := append([]uint64(nil), ssids...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] > ordered[j] })
-	return MergeOrdered(dev, dir, ordered, newSSID, nil, nil, false)
-}
 
 // MergeOrdered compacts the SSTables listed in inputs — newest FIRST; with
 // leveled compaction SSID order is no longer recency order, so the caller
 // states recency explicitly — into a single new SSTable newSSID. Only
 // records with lo <= key <= hi are merged (nil bounds are unbounded), so a
 // leveled compaction can rewrite just the victim's key range. When several
-// inputs hold the same key, the earliest input in the list wins.
+// inputs hold the same key, the earliest input in the list wins (§2.5).
 //
-// dropTombstones elides deletion markers from the output; it is only sound
-// when the output lands on the bottom level of the store — any deeper table
-// could otherwise resurrect the deleted key.
+// Tombstones are carried into the merged table — a compaction over a subset
+// of SSTables cannot prove the key is absent from older, unmerged tables —
+// unless dropTombstones elides them, which is only sound when the output
+// lands on the bottom level of the store: any deeper table could otherwise
+// resurrect the deleted key.
 //
 // The inputs are NOT deleted here. The caller must first commit the
 // install+delete edit to its manifest and only then Remove the inputs — a
@@ -38,90 +27,51 @@ func Merge(dev *nvm.Device, dir string, ssids []uint64, newSSID uint64) (Meta, e
 // leave either the old version (edit not committed: the output is an
 // orphan, quarantined on reopen) or the new one (edit committed: leftover
 // inputs are orphans), never a mix that resurrects overwritten values.
-//
-// The merge is a streaming k-way heap merge over sequential scanners, so it
-// performs the sequential file reads the paper describes and never holds
-// more than one record per input in memory.
 func MergeOrdered(dev *nvm.Device, dir string, inputs []uint64, newSSID uint64, lo, hi []byte, dropTombstones bool) (Meta, error) {
-	scanners := make([]*Scanner, 0, len(inputs))
-	defer func() {
-		for _, sc := range scanners {
-			sc.Close()
-		}
-	}()
-
-	h := &mergeHeap{}
+	m, err := openMerger(dev, dir, inputs, lo)
+	if err != nil {
+		return Meta{}, err
+	}
+	defer m.close()
+	// Size the output bloom filter from the inputs' true entry counts, so
+	// merging large tables keeps the configured false-positive rate and
+	// merging tiny ones does not over-allocate. The count is free when the
+	// input's index is in the reader cache; otherwise it is one read of the
+	// SSIndex, under 1% of the data the merge is about to stream. An
+	// unreadable index falls back to a rough estimate rather than failing
+	// the merge — the merge itself only needs the data files. A
+	// range-bounded merge over-allocates by the out-of-range share; that
+	// costs bloom bits, never correctness.
 	expected := 0
-	for pri, id := range inputs {
-		sc, err := NewScanner(dev, dir, id)
-		if err != nil {
-			return Meta{}, err
-		}
-		scanners = append(scanners, sc)
-		if len(lo) > 0 {
-			if err := sc.SeekGE(lo); err != nil {
-				return Meta{}, err
-			}
-		}
-		e, ok, err := sc.Next()
-		if err != nil {
-			return Meta{}, err
-		}
-		if ok {
-			heap.Push(h, mergeItem{entry: e, pri: pri, scanner: sc})
-		}
-		// Size the output bloom filter from the inputs' true entry counts,
-		// so merging large tables keeps the configured false-positive rate
-		// and merging tiny ones does not over-allocate. The count is free
-		// when the input's index is in the reader cache; otherwise it is one
-		// read of the SSIndex, under 1% of the data the merge is about to
-		// stream. An unreadable index falls back to a rough
-		// estimate rather than failing the merge — the merge itself only
-		// needs the data files. A range-bounded merge over-allocates by the
-		// out-of-range share; that costs bloom bits, never correctness.
+	for _, id := range inputs {
 		if n, err := EntryCount(dev, dir, id); err == nil {
 			expected += n
 		} else {
 			expected += 1024
 		}
 	}
-
 	w, err := NewWriter(dev, dir, newSSID, expected)
 	if err != nil {
 		return Meta{}, err
 	}
-
-	var lastKey []byte
-	haveLast := false
-	for h.Len() > 0 {
-		item := heap.Pop(h).(mergeItem)
-		if len(hi) > 0 && bytes.Compare(item.entry.Key, hi) > 0 {
-			// Every remaining record in every input is past the range.
-			break
-		}
-		// The heap orders equal keys by input priority, so the first
-		// occurrence of a key is the newest; later duplicates are stale.
-		if !haveLast || !bytes.Equal(item.entry.Key, lastKey) {
-			if !dropTombstones || !item.entry.Tombstone {
-				if err := w.Add(item.entry); err != nil {
-					w.Abort()
-					return Meta{}, err
-				}
-			}
-			lastKey = append(lastKey[:0], item.entry.Key...)
-			haveLast = true
-		}
-		next, ok, err := item.scanner.Next()
+	for {
+		e, ok, err := m.next()
 		if err != nil {
 			w.Abort()
 			return Meta{}, err
 		}
-		if ok {
-			heap.Push(h, mergeItem{entry: next, pri: item.pri, scanner: item.scanner})
+		if !ok || (len(hi) > 0 && bytes.Compare(e.Key, hi) > 0) {
+			// Inputs exhausted, or every remaining record is past the range.
+			return w.Close()
+		}
+		if dropTombstones && e.Tombstone {
+			continue
+		}
+		if err := w.Add(e); err != nil {
+			w.Abort()
+			return Meta{}, err
 		}
 	}
-
-	return w.Close()
 }
 
 // EntryCount returns the number of records in SSTable ssid, from the
@@ -140,69 +90,100 @@ func EntryCount(dev *nvm.Device, dir string, ssid uint64) (int, error) {
 	return idx.count, nil
 }
 
-// MergeScan streams the logical merge of the given SSTables — each key's
-// newest version only, in ascending key order — to fn without writing a new
-// table. Recency is SSID order (pre-leveled semantics); use
-// MergeScanOrdered when the caller knows a different recency order.
-func MergeScan(dev *nvm.Device, dir string, ssids []uint64, fn func(memtable.Entry) error) error {
-	ordered := append([]uint64(nil), ssids...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] > ordered[j] })
-	return MergeScanOrdered(dev, dir, ordered, fn)
-}
-
 // MergeScanOrdered streams the logical merge of the given SSTables — inputs
 // newest FIRST, each key's newest version only, in ascending key order — to
 // fn without writing a new table. Restart-with-redistribution uses it to
 // re-put each snapshot pair exactly once (§4.2). A non-nil error from fn
 // aborts the scan.
 func MergeScanOrdered(dev *nvm.Device, dir string, inputs []uint64, fn func(memtable.Entry) error) error {
-	scanners := make([]*Scanner, 0, len(inputs))
-	defer func() {
-		for _, sc := range scanners {
-			sc.Close()
+	m, err := openMerger(dev, dir, inputs, nil)
+	if err != nil {
+		return err
+	}
+	defer m.close()
+	for {
+		e, ok, err := m.next()
+		if err != nil || !ok {
+			return err
 		}
-	}()
-	h := &mergeHeap{}
+		if err := fn(e); err != nil {
+			return err
+		}
+	}
+}
+
+// merger is the one k-way merge over SSTables: a heap of sequential
+// scanners, one per input, that yields each key's newest version in
+// ascending key order. It performs the sequential file reads the paper
+// describes and never holds more than one record per input in memory.
+type merger struct {
+	scanners []*Scanner
+	heap     mergeHeap
+	lastKey  []byte
+	started  bool
+}
+
+// openMerger opens a scanner on every input — newest first: an input's
+// position is its priority on a key tie — positions each at the first key
+// >= lo (nil: the start), and primes the heap. The caller closes the merger.
+func openMerger(dev *nvm.Device, dir string, inputs []uint64, lo []byte) (*merger, error) {
+	m := &merger{scanners: make([]*Scanner, 0, len(inputs))}
 	for pri, id := range inputs {
 		sc, err := NewScanner(dev, dir, id)
-		if err != nil {
-			return err
-		}
-		scanners = append(scanners, sc)
-		e, ok, err := sc.Next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			heap.Push(h, mergeItem{entry: e, pri: pri, scanner: sc})
-		}
-	}
-	var lastKey []byte
-	haveLast := false
-	for h.Len() > 0 {
-		item := heap.Pop(h).(mergeItem)
-		if !haveLast || !bytes.Equal(item.entry.Key, lastKey) {
-			if err := fn(item.entry); err != nil {
-				return err
+		if err == nil {
+			m.scanners = append(m.scanners, sc)
+			if len(lo) > 0 {
+				err = sc.SeekGE(lo)
 			}
-			lastKey = append(lastKey[:0], item.entry.Key...)
-			haveLast = true
 		}
-		next, ok, err := item.scanner.Next()
+		if err == nil {
+			err = m.refill(pri)
+		}
 		if err != nil {
-			return err
-		}
-		if ok {
-			heap.Push(h, mergeItem{entry: next, pri: item.pri, scanner: item.scanner})
+			m.close()
+			return nil, err
 		}
 	}
-	return nil
+	return m, nil
+}
+
+// refill pushes input pri's next record, if it has one.
+func (m *merger) refill(pri int) error {
+	e, ok, err := m.scanners[pri].Next()
+	if ok {
+		heap.Push(&m.heap, mergeItem{entry: e, pri: pri})
+	}
+	return err
+}
+
+// next returns the next key's newest version. The heap orders equal keys by
+// input priority, so the first occurrence of a key is the newest; later
+// duplicates are stale and skipped.
+func (m *merger) next() (memtable.Entry, bool, error) {
+	for m.heap.Len() > 0 {
+		item := heap.Pop(&m.heap).(mergeItem)
+		if err := m.refill(item.pri); err != nil {
+			return memtable.Entry{}, false, err
+		}
+		if m.started && bytes.Equal(item.entry.Key, m.lastKey) {
+			continue
+		}
+		m.lastKey = append(m.lastKey[:0], item.entry.Key...)
+		m.started = true
+		return item.entry, true, nil
+	}
+	return memtable.Entry{}, false, nil
+}
+
+func (m *merger) close() {
+	for _, sc := range m.scanners {
+		sc.Close()
+	}
 }
 
 type mergeItem struct {
-	entry   memtable.Entry
-	pri     int // input position: lower = newer, wins ties
-	scanner *Scanner
+	entry memtable.Entry
+	pri   int // input position: lower = newer, wins ties
 }
 
 type mergeHeap []mergeItem

@@ -267,7 +267,7 @@ func TestMergeNewestWins(t *testing.T) {
 	WriteTable(dev, "d", 3, []memtable.Entry{
 		{Key: []byte("k2"), Tombstone: true},
 	})
-	meta, err := Merge(dev, "d", []uint64{1, 2, 3}, 4)
+	meta, err := MergeOrdered(dev, "d", []uint64{3, 2, 1}, 4, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +323,9 @@ func TestMergeEquivalentToMap(t *testing.T) {
 		if _, err := WriteTable(dev, "d", ssid, m.Entries()); err != nil {
 			t.Fatal(err)
 		}
-		ssids = append(ssids, ssid)
+		ssids = append([]uint64{ssid}, ssids...) // newest first
 	}
-	meta, err := Merge(dev, "d", ssids, 6)
+	meta, err := MergeOrdered(dev, "d", ssids, 6, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestMergeSingleInput(t *testing.T) {
 	dev := testDev(t)
 	entries := sortedEntries(50, 3)
 	WriteTable(dev, "d", 1, entries)
-	if _, err := Merge(dev, "d", []uint64{1}, 2); err != nil {
+	if _, err := MergeOrdered(dev, "d", []uint64{1}, 2, nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := ReadAll(dev, "d", 2)
