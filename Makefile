@@ -41,16 +41,19 @@ crash:
 scrub:
 	$(SOAK) 'TestSoakScrub'
 
-# Short coverage-guided runs of the WAL and manifest replay decoders and the
-# SSIndex decoder on top of their committed seed corpora
-# (internal/{wal,manifest,sstable}/testdata/fuzz). The index target repairs
-# each input's checksum, so nearly every byte of an input matters and
-# minimising one that adds coverage would spend the default 60 s budget —
-# the whole run — executing nothing new.
+# Short coverage-guided runs of the WAL and manifest replay decoders, the
+# SSIndex decoder and the cross-rank wire decoders on top of their committed
+# seed corpora (internal/{wal,manifest,sstable,core}/testdata/fuzz). The
+# index and wire targets bound minimisation: the index target repairs each
+# input's checksum, so nearly every byte of an input matters, and the wire
+# target runs every decoder on each input — minimising one that adds
+# coverage would spend the default 60 s budget, the whole run, executing
+# nothing new.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s ./internal/manifest
 	$(GO) test -run '^$$' -fuzz FuzzIndexDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/sstable
+	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 
 # One-iteration benchmark runs: catches benchmarks that no longer compile
 # or error out, without paying for real measurements.

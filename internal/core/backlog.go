@@ -178,11 +178,21 @@ func (db *DB) isClosing() bool {
 	}
 }
 
-// writeBacklogged reports whether this rank's local flush backlog is at or
-// past the hard admission threshold — the point where its own puts are
-// already being shed. The message handler refuses incoming writes with
-// ackStalled at the same line, so N-1 remote senders cannot grow a slow
-// owner's immutable list without bound while its own writers are blocked.
-func (db *DB) writeBacklogged() bool {
-	return db.opt.StallSoftDepth >= 0 && db.immDepth(false) >= db.opt.StallHardDepth
+// writeRefusal is why this rank refuses an incoming write right now, or nil:
+// its health (Failed, or Degraded to read-only), or a local flush backlog at
+// or past the hard admission threshold — the point where its own puts are
+// already being shed. The message handler refuses incoming batches at the
+// same line, so N-1 remote senders cannot grow a slow owner's immutable list
+// without bound while its own writers are blocked.
+func (db *DB) writeRefusal() error {
+	if err := db.Health(); err != nil {
+		return err
+	}
+	if db.opt.StallSoftDepth < 0 {
+		return nil // admission control disabled
+	}
+	if depth := db.immDepth(false); depth >= db.opt.StallHardDepth {
+		return fmt.Errorf("%w: %d immutable tables at hard threshold %d", ErrWriteStalled, depth, db.opt.StallHardDepth)
+	}
+	return nil
 }

@@ -94,7 +94,7 @@ func sortLevel(run []manifest.TableMeta, n int) {
 // candidateSSIDs returns the SSIDs that may hold key, in probe (recency)
 // order: every L0 table whose bounds cover key, newest first, then at most
 // one table per deeper level, found by binary search on the MinKey-sorted
-// disjoint run. This is what makes own-rank gets and getSearchShare
+// disjoint run. This is what makes own-rank gets and statusShare
 // O(levels) instead of O(tables).
 func (db *DB) candidateSSIDs(key []byte) []uint64 {
 	db.sstMu.RLock()

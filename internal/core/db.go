@@ -179,8 +179,8 @@ type DB struct {
 	// recoverMu serializes Recover against itself.
 	recoverMu sync.Mutex
 
-	// sendSeq numbers this database's outbound reliable requests; acks
-	// echo the seq so retries and duplicates are matched exactly.
+	// sendSeq numbers this database's outbound requests; replies echo the
+	// seq so retries and duplicates are matched exactly.
 	sendSeq atomic.Uint64
 	// dedup is the handler-side duplicate-request window.
 	dedup dedupWindow

@@ -149,7 +149,7 @@ func TestDegradeENOSPCReadOnlyThenReclaim(t *testing.T) {
 			return err
 		}
 
-		// Phase 5: the peers' probes get ackOK now, circuits close, parked
+		// Phase 5: the peers' probes get statusOK now, circuits close, parked
 		// batches redeliver in order, and a Fence finally runs clean.
 		if rt.Rank() != victim {
 			waitFenceClean(t, db, 10*time.Second)

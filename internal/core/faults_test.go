@@ -17,9 +17,7 @@ import (
 func faultOpt() Options {
 	o := smallOpt()
 	o.CompactionEvery = 0
-	o.RetryAttempts = 5
 	o.RetryTimeout = 200 * time.Millisecond
-	o.RetryBackoff = time.Millisecond
 	return o
 }
 

@@ -14,7 +14,7 @@ import (
 func TestStorageGroupSharedSSTableRead(t *testing.T) {
 	// Two ranks in ONE storage group: a remote get whose answer lives in
 	// the owner's SSTables must be served by reading the shared NVM
-	// directly (getSearchShare), with no value transfer from the owner.
+	// directly (statusShare), with no value transfer from the owner.
 	runCluster(t, clusterSpec{ranks: 2, groupSize: 2}, func(rt *Runtime, c *mpi.Comm) error {
 		opt := smallOpt()
 		opt.Hash = func(key []byte, n int) int { return 0 }

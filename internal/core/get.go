@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"strings"
 
 	"papyruskv/internal/memtable"
-	"papyruskv/internal/mpi"
 )
 
 // Get retrieves the value for key (papyruskv_get), following the search
@@ -189,123 +187,59 @@ func (db *DB) getRemote(ctx context.Context, owner int, key []byte) ([]byte, err
 		return v, nil
 	}
 
-	if err := db.peerErr(owner); err != nil {
-		// Fail fast behind the open circuit instead of burning a retry
-		// ladder; the wrap keeps errors.Is on the root cause working. The
-		// prober will close the circuit when the owner answers again.
-		return nil, fmt.Errorf("papyruskv: rank %d unreachable (circuit open): %w", owner, err)
-	}
-	// Each attempt sends a fresh request (fresh seq), registered in the
-	// response router's pending-call table before the send, and waits up
-	// to the retry timeout for its routed response; responses to earlier
-	// timed-out attempts find no registration and are dropped centrally
-	// by the router. A shared-SSTable search that races compaction also
-	// re-asks, consuming an attempt.
-	backoff := db.opt.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt < db.opt.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			db.metrics.GetRetries.Add(1)
-			if err := db.sleepBackoff(ctx, &backoff); err != nil {
+	// A shared-SSTable search that races compaction re-asks the owner for a
+	// fresh table list, as searchOwnSSTables does for its own tables.
+	var raced error
+	for ask := 0; ask < 3; ask++ {
+		seq := db.sendSeq.Add(1)
+		req := encodeGetRequest(getRequest{Seq: seq, Key: key, Group: db.rt.group})
+		status, val, err := db.request(ctx, owner, tagGet, tagGetResp, seq, req, &db.metrics.GetRetries)
+		if err != nil {
+			return nil, err
+		}
+		if status == statusShare {
+			// The pair is not in the owner's memory, but its SSTables live on
+			// NVM this rank shares: read them directly, no value transfer.
+			ids, err := decodeSSIDs(val)
+			if err != nil {
 				return nil, err
 			}
-		}
-		seq := db.sendSeq.Add(1)
-		ch, err := db.calls.register(tagGetResp, seq)
-		if err != nil {
-			return nil, err
-		}
-		req := encodeGetRequest(getRequest{Seq: seq, Key: key, Group: db.rt.group})
-		if err := db.reqComm.Send(owner, tagGet, req); err != nil {
-			db.calls.deregister(tagGetResp, seq)
-			return nil, err
-		}
-		m, err := db.awaitReply(ctx, ch)
-		db.calls.deregister(tagGetResp, seq)
-		if errors.Is(err, mpi.ErrTimeout) {
-			lastErr = err
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		resp, err := decodeGetResponse(m.Data)
-		if err != nil {
-			return nil, err
-		}
-		switch resp.Status {
-		case getFound:
-			db.remoteCache.Put(key, resp.Value, true)
-			return resp.Value, nil
-		case getTombstone, getNotFound:
-			db.remoteCache.Put(key, nil, false)
-			return nil, ErrNotFound
-		case getSearchShare:
-			// The pair is not in the owner's memory, but its SSTables
-			// live on NVM this rank shares: read them directly, no value
-			// transfer (§2.7).
-			val, tomb, found, err := db.searchSSTableList(db.dir(owner), resp.SSIDs, key)
+			var tomb, found bool
+			val, tomb, found, err = db.searchSSTableList(db.dir(owner), ids, key)
+			if errors.Is(err, fs.ErrNotExist) {
+				raced = err
+				continue // compaction deleted a table under us; re-ask
+			}
 			if err != nil {
-				if errors.Is(err, fs.ErrNotExist) {
-					lastErr = err
-					continue // compaction deleted a table under us; re-ask
-				}
 				return nil, err
 			}
 			db.metrics.SharedSSTReads.Add(1)
+			status = statusOK
 			if !found || tomb {
-				db.remoteCache.Put(key, nil, false)
-				return nil, ErrNotFound
+				status = statusAbsent
 			}
-			// The key is remote-owned, so the result belongs in the remote
-			// cache, exactly like a value shipped by the owner: only remote
-			// caching is invalidated when the owner's updates become
-			// visible (applyProtection). Storing it in localCache — whose
-			// entries only local puts invalidate — would serve the owner's
-			// later overwrites stale forever.
-			db.remoteCache.Put(key, val, true)
-			return val, nil
-		case getError, getErrorCorrupt, getErrorFailed:
-			return nil, remoteGetError(owner, resp.Status, resp.Err)
-		default:
-			return nil, fmt.Errorf("papyruskv: bad get response status %d", resp.Status)
 		}
+		// A value read from the shared tables belongs in the remote cache
+		// exactly like one shipped by the owner: the key is remote-owned,
+		// and only remote caching is invalidated when the owner's updates
+		// become visible (applyProtection). The local cache, whose entries
+		// only local puts invalidate, would serve the owner's later
+		// overwrites stale forever.
+		if status == statusAbsent {
+			db.remoteCache.Put(key, nil, false)
+			return nil, ErrNotFound
+		}
+		db.remoteCache.Put(key, val, true)
+		return val, nil
 	}
-	if errors.Is(lastErr, mpi.ErrTimeout) {
-		err := fmt.Errorf("papyruskv: rank %d did not answer after %d attempts: %w",
-			owner, db.opt.RetryAttempts, lastErr)
-		db.peerFail(owner, err)
-		return nil, err
-	}
-	return nil, fmt.Errorf("papyruskv: shared SSTable search kept racing compaction: %w", lastErr)
-}
-
-// remoteGetError rebuilds a typed error from a remote get error status. The
-// owner's error crossed the wire as text, so its sentinel identity was lost;
-// the typed statuses let the caller re-wrap the matching sentinel so
-// errors.Is(err, ErrCorrupt) and errors.Is(err, ErrRankFailed) hold on both
-// sides of the wire.
-func remoteGetError(owner, status int, msg string) error {
-	var sentinel error
-	switch status {
-	case getErrorCorrupt:
-		sentinel = ErrCorrupt
-	case getErrorFailed:
-		sentinel = ErrRankFailed
-	default:
-		return fmt.Errorf("papyruskv: get from rank %d: %s", owner, msg)
-	}
-	// The transported text already begins with the sentinel's own message;
-	// trim it so re-wrapping does not print the prefix twice.
-	msg = strings.TrimPrefix(msg, sentinel.Error()+": ")
-	return fmt.Errorf("papyruskv: get from rank %d: %w: %s", owner, sentinel, msg)
+	return nil, fmt.Errorf("papyruskv: shared SSTable search kept racing compaction: %w", raced)
 }
 
 // remoteEntryResult resolves a hit in the remote-side staging MemTables.
 // The returned slice still aliases the MemTable entry: ownership transfers
 // at exactly one boundary, Get's copyValue at the API return edge (the same
-// discipline handleGet relies on, where encodeGetResponse copies at the
-// wire edge).
+// discipline handleGet relies on, where encodeReply copies at the wire
+// edge).
 func remoteEntryResult(e memtable.Entry) ([]byte, error) {
 	if e.Tombstone {
 		return nil, ErrNotFound

@@ -27,7 +27,7 @@ import (
 //     place on immLocal, readable and still WAL-backed. The proberThread's
 //     reclaim probe — or an explicit Reclaim call — transitions back to
 //     Healthy once the device accepts writes again; peers' circuit probes
-//     then see ackOK and redeliver what they parked, exactly as after
+//     then see statusOK and redeliver what they parked, exactly as after
 //     Recover.
 //   - Failed: everything else. The rank's Put/Get/Barrier return
 //     ErrRankFailed wrapping the root cause, its background threads leave
@@ -213,13 +213,14 @@ func (db *DB) readHealth() error {
 	return nil
 }
 
-// peerCircuit is this rank's circuit breaker for one peer. Tripped open by
-// a request that exhausted its retry budget or was rejected, it makes later
-// requests to the peer fail fast instead of burning their own budgets — but
-// unlike the old sticky peerFailed map it is not a death certificate: the
-// prober (recover.go) half-opens it with periodic pings and closes it the
-// moment the peer answers healthy, redelivering the parked batches queued
-// behind it. All fields are guarded by db.failMu.
+// peerCircuit is this rank's circuit breaker for one peer. A request the
+// peer could not serve (reliable.go's trip rule) or a migration batch it did
+// not take trips it open, and later requests to the peer fail fast instead
+// of burning their own budgets — but unlike the old sticky peerFailed map it
+// is not a death certificate: the prober (recover.go) half-opens it with
+// periodic pings and closes it the moment the peer answers healthy,
+// redelivering the parked batches queued behind it. All fields are guarded
+// by db.failMu.
 type peerCircuit struct {
 	open  bool
 	cause error // what tripped it; nil while closed
@@ -437,9 +438,10 @@ type sourceWindow struct {
 	acks map[uint64]ackRecord
 }
 
+// ackRecord is the ack an applied request produced, replayed to its
+// duplicates.
 type ackRecord struct {
 	status byte
-	msg    string
 }
 
 // seen reports whether (source, seq) was already applied by the same

@@ -134,26 +134,16 @@ type Options struct {
 	// opened on that device. 0 selects the default (32MB); a negative
 	// value disables the cache.
 	ReaderCacheBytes int64
-	// RetryAttempts bounds how many times a remote request (migration
-	// batch, synchronous put, remote get) is resent when no matching
-	// acknowledgement arrives within RetryTimeout. Retries reuse the
-	// request's sequence number, and receivers deduplicate, so a retried
-	// request is applied at most once. 0 selects the default (5).
-	RetryAttempts int
-	// RetryTimeout is the per-attempt acknowledgement deadline. It must
-	// comfortably exceed the modelled round-trip plus handler service time
-	// or slow-but-healthy peers will be retried spuriously; the default
-	// (10s) is generous for that reason. Tests injecting message loss
-	// shrink it to keep retries fast. 0 selects the default.
+	// RetryTimeout is the per-attempt reply deadline of every remote
+	// request (migration batch, synchronous put, remote get, scan page).
+	// A request that times out is resent under the same sequence number —
+	// receivers deduplicate writes, so a retried request is applied at most
+	// once — up to five attempts with capped, jittered backoff between
+	// them. It must comfortably exceed the modelled round-trip plus handler
+	// service time or slow-but-healthy peers will be retried spuriously;
+	// the default (10s) is generous for that reason. Tests injecting
+	// message loss shrink it to keep retries fast. 0 selects the default.
 	RetryTimeout time.Duration
-	// RetryBackoff is the first inter-attempt delay; it doubles per retry
-	// (with full jitter) up to RetryBackoffCap. 0 selects the default (2ms).
-	RetryBackoff time.Duration
-	// RetryBackoffCap bounds the exponential inter-attempt delay; without
-	// it a deep retry ladder against a slow-but-healthy peer slept for
-	// whole minutes. 0 selects the default (500ms, matching the dial
-	// backoff of the distributed message layer).
-	RetryBackoffCap time.Duration
 	// HandlerThreads is the number of message-handler workers serving
 	// remote requests. Requests that mutate state (migration batches,
 	// synchronous puts) are sharded by source rank so each source's
@@ -252,10 +242,7 @@ func DefaultOptions() Options {
 		LevelBytesBase:      8 << 20,
 		LevelBytesGrowth:    10,
 		ReaderCacheBytes:    32 << 20,
-		RetryAttempts:       5,
 		RetryTimeout:        10 * time.Second,
-		RetryBackoff:        2 * time.Millisecond,
-		RetryBackoffCap:     500 * time.Millisecond,
 		HandlerThreads:      4,
 		HandlerQueueDepth:   16,
 		WAL:                 WALAsync,
@@ -284,20 +271,8 @@ func (o Options) withDefaults() Options {
 	if o.Hash == nil {
 		o.Hash = hashfn.Default
 	}
-	if o.RetryAttempts <= 0 {
-		o.RetryAttempts = d.RetryAttempts
-	}
 	if o.RetryTimeout <= 0 {
 		o.RetryTimeout = d.RetryTimeout
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = d.RetryBackoff
-	}
-	if o.RetryBackoffCap <= 0 {
-		o.RetryBackoffCap = d.RetryBackoffCap
-	}
-	if o.RetryBackoffCap < o.RetryBackoff {
-		o.RetryBackoffCap = o.RetryBackoff
 	}
 	if o.CompactionWorkers <= 0 {
 		o.CompactionWorkers = d.CompactionWorkers

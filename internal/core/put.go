@@ -171,30 +171,18 @@ func (db *DB) rollRemoteLocked() {
 
 // putSync sends a single put/delete directly and synchronously to the owner
 // rank (sequential consistency, Figure 2): the caller halts until the
-// owner's message handler acknowledges the migration. The request rides the
-// reliable path — retried on ack timeout, deduplicated at the owner — so a
-// lost or duplicated message still applies the put exactly once. Errors are
-// returned to the caller; they do not fail this rank's domain. An owner that
-// refused the write because it is Degraded answers ackReadOnly, which
-// surfaces here as a typed ErrReadOnly — and does not trip the circuit,
-// since a read-only owner is still alive and answering.
+// owner's message handler acknowledges the migration. The request is
+// deduplicated at the owner, so a retried or duplicated message still applies
+// the put exactly once. Errors are returned to the caller; they do not fail
+// this rank's domain. An owner that refused the write because it is Degraded
+// surfaces as a typed ErrReadOnly — and does not trip the circuit, since a
+// read-only owner is still alive and answering.
 func (db *DB) putSync(ctx context.Context, owner int, e memtable.Entry) error {
-	if err := db.peerErr(owner); err != nil {
-		// Fail fast behind the open circuit instead of burning a retry
-		// ladder; the wrap keeps errors.Is on the root cause working.
-		return fmt.Errorf("papyruskv: rank %d unreachable (circuit open): %w", owner, err)
-	}
 	seq := db.sendSeq.Add(1)
 	msg := prependSeq(seq, db.incarnation.Load(), encodePutOne(putOne{Key: e.Key, Value: e.Value, Tombstone: e.Tombstone}))
 	// Retries are charged to PutSyncRetries: sequential puts are an
 	// application-visible latency path and must not pollute the migration
 	// counter the relaxed-mode experiments assert on.
-	err := db.sendReliable(ctx, owner, tagPutOne, tagPutAck, seq, msg, &db.metrics.PutSyncRetries)
-	if err != nil {
-		if !isRefusal(err) {
-			db.peerFail(owner, err)
-		}
-		return err
-	}
-	return nil
+	_, _, err := db.request(ctx, owner, tagPutOne, tagPutAck, seq, msg, &db.metrics.PutSyncRetries)
+	return err
 }

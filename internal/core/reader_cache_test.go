@@ -10,7 +10,7 @@ import (
 )
 
 // TestSharedReadStoresInRemoteCache is the regression test for the shared-
-// read cache-poisoning bug: a getSearchShare hit used to store the remote-
+// read cache-poisoning bug: a statusShare hit used to store the remote-
 // owned value in localCache — whose entries only local puts invalidate — so
 // the owner's later overwrite was never seen by that rank again. The value
 // belongs in remoteCache, like every other remotely-fetched result.

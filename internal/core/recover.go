@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -187,8 +188,8 @@ func (db *DB) proberThread() {
 
 // tryReclaim tests whether this rank's degradation cause has cleared and,
 // if so, heals it back to Healthy: waiting flushes resume, stalled puts
-// admit again, and the next peer ping answered ackOK triggers redelivery of
-// everything parked for this rank. The test matches the cause: a
+// admit again, and the next peer ping answered statusOK triggers redelivery
+// of everything parked for this rank. The test matches the cause: a
 // parked-budget overflow heals once the backlog has drained below half the
 // budget (hysteresis — healing at exactly the rim would flap), while a
 // device exhaustion heals when a probe write round-trips, proving space was
@@ -264,27 +265,15 @@ func (db *DB) circuitRanks() (open, backlogged []int) {
 // probe sends one ping to rank r and closes its circuit if r answers
 // healthy within the retry timeout. A silent or unhealthy r leaves the
 // circuit open for the next tick — probing is the only traffic a tripped
-// peer costs.
+// peer costs, and the tick is the ping's retry.
 func (db *DB) probe(r int) {
 	seq := db.sendSeq.Add(1)
-	ch, err := db.calls.register(tagPingAck, seq)
-	if err != nil {
-		return
-	}
-	defer db.calls.deregister(tagPingAck, seq)
 	db.metrics.ProbesSent.Add(1)
-	if err := db.reqComm.Send(r, tagPing, encodePing(seq, db.incarnation.Load())); err != nil {
+	_, inc, err := db.call(context.Background(), r, tagPing, tagPingAck, seq, encodePing(seq, db.incarnation.Load()), nil)
+	if err != nil || len(inc) != 4 {
 		return
 	}
-	m, err := db.awaitReply(context.Background(), ch)
-	if err != nil {
-		return
-	}
-	_, status, inc, err := decodePingAck(m.Data)
-	if err != nil || status != ackOK {
-		return
-	}
-	db.closeCircuit(r, inc)
+	db.closeCircuit(r, binary.LittleEndian.Uint32(inc))
 }
 
 // closeCircuit closes rank r's circuit on proof of life, records the
@@ -329,7 +318,7 @@ func (db *DB) redeliver(r int) {
 		b := st.parked[0]
 		db.failMu.Unlock()
 
-		if err := db.sendReliable(context.Background(), r, tagMigBatch, tagMigAck, b.seq, b.msg, &db.metrics.MigrationRetries); err != nil {
+		if _, _, err := db.call(context.Background(), r, tagMigBatch, tagMigAck, b.seq, b.msg, &db.metrics.MigrationRetries); err != nil {
 			db.peerFail(r, err)
 			return
 		}

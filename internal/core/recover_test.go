@@ -205,7 +205,7 @@ func TestRecoverKillHealsFromWAL(t *testing.T) {
 func TestRecoverRedeliveryDedupSurvivesOwnerRecovery(t *testing.T) {
 	const owner, sender = 0, 1
 	opt := recoverOpt()
-	drops := uint64(opt.RetryAttempts) // exhaust one full ladder, then let acks through
+	drops := uint64(retryAttempts) // exhaust one full ladder, then let acks through
 	inj := faults.New(0xdedb).
 		Enable(faults.Rule{Point: faults.NetDrop, Rank: owner, Tag: tagMigAck, Count: 1, Fires: drops})
 	phaseKeys := func(db *DB, phase, n int) []string {
@@ -381,11 +381,11 @@ func TestRecoverParkedBudgetOverflow(t *testing.T) {
 	})
 }
 
-// TestRecoverRejectedAckFailsFast covers sendReliable's reply-error path that
-// is not a timeout: a failed owner answers a synchronous put with a rejection
-// ack, which surfaces immediately (no retry ladder) and trips the circuit so
-// the next put fails fast — until the owner recovers and a probe closes the
-// circuit again.
+// TestRecoverRejectedAckFailsFast covers the call path's reply-error branch
+// that is not a timeout: a failed owner answers a synchronous put with a
+// typed rejection, which surfaces immediately (no retry ladder) as
+// ErrRankFailed and trips the circuit so the next put fails fast — until the
+// owner recovers and a probe closes the circuit again.
 func TestRecoverRejectedAckFailsFast(t *testing.T) {
 	const victim, sender = 0, 1
 	inj := faults.New(0xac4e)
@@ -407,6 +407,9 @@ func TestRecoverRejectedAckFailsFast(t *testing.T) {
 			err := db.Put([]byte(key), []byte("v1"))
 			if err == nil || !strings.Contains(err.Error(), "rejected request") {
 				t.Errorf("sync put to a failed owner = %v, want a rejection", err)
+			}
+			if !errors.Is(err, ErrRankFailed) {
+				t.Errorf("sync put to a failed owner = %v, want errors.Is ErrRankFailed", err)
 			}
 			if n := db.Metrics().PutSyncRetries.Load(); n != 0 {
 				t.Errorf("PutSyncRetries = %d, want 0 — a rejection must not burn the retry ladder", n)
@@ -501,7 +504,7 @@ func TestDedupWindowRing(t *testing.T) {
 	var w dedupWindow
 	const extra = 10
 	for seq := uint64(1); seq <= dedupDepth+extra; seq++ {
-		w.record(3, 1, seq, ackRecord{status: ackOK})
+		w.record(3, 1, seq, ackRecord{status: statusOK})
 	}
 	sw := w.bySource[3]
 	if len(sw.acks) != dedupDepth {
@@ -518,8 +521,8 @@ func TestDedupWindowRing(t *testing.T) {
 		}
 	}
 	// Re-recording a live seq neither duplicates nor evicts.
-	w.record(3, 1, dedupDepth+extra, ackRecord{status: ackFailed})
-	if rec, ok := w.seen(3, 1, dedupDepth+extra); !ok || rec.status != ackOK {
+	w.record(3, 1, dedupDepth+extra, ackRecord{status: statusFailed})
+	if rec, ok := w.seen(3, 1, dedupDepth+extra); !ok || rec.status != statusOK {
 		t.Fatal("re-record of a live seq replaced the original ack")
 	}
 	if _, ok := w.seen(3, 1, extra+1); !ok {
@@ -531,7 +534,7 @@ func TestDedupWindowRing(t *testing.T) {
 // sender must not replay against seqs its next life allocates afresh.
 func TestDedupWindowIncarnationScoping(t *testing.T) {
 	var w dedupWindow
-	w.record(5, 1, 10, ackRecord{status: ackOK})
+	w.record(5, 1, 10, ackRecord{status: statusOK})
 	if _, ok := w.seen(5, 1, 10); !ok {
 		t.Fatal("recorded seq not seen under its own incarnation")
 	}
@@ -540,7 +543,7 @@ func TestDedupWindowIncarnationScoping(t *testing.T) {
 		t.Fatal("a previous life's ack replayed against the reborn sender")
 	}
 	// Recording under the new incarnation discards the old window outright.
-	w.record(5, 2, 99, ackRecord{status: ackOK})
+	w.record(5, 2, 99, ackRecord{status: statusOK})
 	if _, ok := w.seen(5, 1, 10); ok {
 		t.Fatal("old-incarnation window survived a new-incarnation record")
 	}
@@ -549,7 +552,7 @@ func TestDedupWindowIncarnationScoping(t *testing.T) {
 	}
 	// reset (driven by an incarnation change observed out-of-band) forgets
 	// the source entirely; other sources are untouched.
-	w.record(6, 1, 7, ackRecord{status: ackOK})
+	w.record(6, 1, 7, ackRecord{status: statusOK})
 	w.reset(5)
 	if _, ok := w.seen(5, 2, 99); ok {
 		t.Fatal("reset source still remembered")

@@ -133,8 +133,8 @@ func (db *DB) routerThread() {
 	}
 }
 
-// awaitReply waits for the reply registered under ch, one retry attempt's
-// worth: it resolves to the routed reply, mpi.ErrTimeout after the
+// awaitReply waits for the reply registered under ch, one attempt of call's
+// ladder: it resolves to the routed reply, mpi.ErrTimeout after the
 // per-attempt deadline, a context error when the caller's deadline expires
 // or it cancels, or a shutdown error the moment the database begins closing
 // or the router dies — the reply path's half of "retry loops must never
@@ -169,14 +169,14 @@ func (db *DB) shutdownErr() error {
 	}
 }
 
-// sleepBackoff sleeps the jittered current backoff and advances the ladder
-// (doubled, capped at RetryBackoffCap — the dialRetry discipline), unless
-// the database starts shutting down first, in which case it returns the
-// shutdown error immediately. This replaces the bare time.Sleep ladders
-// that used to stall Close for the whole remaining retry budget.
+// sleepBackoff sleeps the jittered current backoff and advances call's
+// ladder (doubled, capped at retryBackoffCap — the dialRetry discipline),
+// unless the caller's context ends or the database starts shutting down
+// first, in which case it returns that error immediately: a retry ladder
+// must never stall Close for its whole remaining budget.
 func (db *DB) sleepBackoff(ctx context.Context, backoff *time.Duration) error {
 	d := jitterBackoff(*backoff)
-	*backoff = nextBackoff(*backoff, db.opt.RetryBackoffCap)
+	*backoff = nextBackoff(*backoff, retryBackoffCap)
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

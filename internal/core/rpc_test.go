@@ -1,25 +1,27 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"papyruskv/internal/faults"
 	"papyruskv/internal/mpi"
 	"papyruskv/internal/nvm"
 )
 
 // rpcOpt is smallOpt tuned for the RPC-layer tests: compaction off (no
-// background reads competing with the scenario's traffic) and a retry budget
-// short enough that a stolen reply surfaces as a counted retry within the
-// test's runtime instead of hiding behind the generous defaults.
+// background reads competing with the scenario's traffic) and a retry
+// deadline short enough that a stolen reply surfaces as a counted retry
+// within the test's runtime instead of hiding behind the generous default.
 func rpcOpt() Options {
 	o := smallOpt()
 	o.CompactionEvery = 0
-	o.RetryAttempts = 4
 	o.RetryTimeout = 400 * time.Millisecond
-	o.RetryBackoff = time.Millisecond
 	return o
 }
 
@@ -260,7 +262,7 @@ func TestRPCUnclaimedRepliesDropped(t *testing.T) {
 			return err
 		}
 		if rt.Rank() == 1 {
-			stale := encodeGetResponse(getResponse{Seq: 0xdeadbeef, Status: getNotFound})
+			stale := encodeReply(0xdeadbeef, statusAbsent, nil)
 			if err := db.replyComm.Send(0, tagGetResp, stale); err != nil {
 				return err
 			}
@@ -282,6 +284,210 @@ func TestRPCUnclaimedRepliesDropped(t *testing.T) {
 			}
 			if err := db.Health(); err != nil {
 				t.Errorf("unclaimed replies failed the receiving rank: %v", err)
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		return db.Close()
+	})
+}
+
+// TestRPCGetRetryKeepsItsSeq drops the owner's first get reply: the caller's
+// ladder resends the identical request under the same seq, and the owner's
+// answer to the retry completes the get — one seq, one counted retry.
+func TestRPCGetRetryKeepsItsSeq(t *testing.T) {
+	const owner, caller = 0, 1
+	inj := faults.New(0x6e75)
+	runCluster(t, clusterSpec{ranks: 2, faults: inj}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("rpcgetretry", rpcOpt())
+		if err != nil {
+			return err
+		}
+		k := remoteKey(db, owner, 0, 0)
+		if rt.Rank() == owner {
+			mustPut(t, db, k, "v")
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if rt.Rank() == caller {
+			inj.Enable(faults.Rule{Point: faults.NetDrop, Rank: owner, Tag: tagGetResp, Count: 1, Fires: 1})
+			before := db.sendSeq.Load()
+			if err := wantGet(db, k, "v"); err != nil {
+				t.Error(err)
+			}
+			if n := db.sendSeq.Load() - before; n != 1 {
+				t.Errorf("the get drew %d seqs, want 1: a retry must resend under the same seq", n)
+			}
+			if n := db.Metrics().GetRetries.Load(); n != 1 {
+				t.Errorf("GetRetries = %d, want 1", n)
+			}
+			if n := inj.Fired(faults.NetDrop); n != 1 {
+				t.Errorf("NetDrop fired %d times, want 1", n)
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		return db.Close()
+	})
+}
+
+// TestRPCScanReplaysDroppedPage drops one scan page reply mid-stream: the
+// caller's ladder re-asks for the same page, the owner replays its retained
+// copy instead of advancing, and the scan yields exactly the pairs an
+// unfaulted scan does. The replay is not a new page, so the owner's
+// ScanPages counts the faulted scan's pages once.
+func TestRPCScanReplaysDroppedPage(t *testing.T) {
+	const owner, caller = 0, 1
+	inj := faults.New(0x5ca9)
+	runCluster(t, clusterSpec{ranks: 2, faults: inj}, func(rt *Runtime, c *mpi.Comm) error {
+		opt := rpcOpt()
+		opt.ScanPageBytes = 256 // several pages per stream
+		db, err := rt.Open("rpcscanreplay", opt)
+		if err != nil {
+			return err
+		}
+		for _, k := range ownKeys(db, rt.Rank(), 60) {
+			mustPut(t, db, string(k), string(val(k)))
+		}
+		var want []string
+		var pages []uint64
+		for round := 0; round < 2; round++ {
+			pages = append(pages, db.Metrics().ScanPages.Load())
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if rt.Rank() == caller {
+				if round == 1 {
+					// The second page reply: the stream is open and mid-way.
+					inj.Enable(faults.Rule{Point: faults.NetDrop, Rank: owner, Tag: tagScanResp, Count: 2, Fires: 1})
+				}
+				var got []string
+				err := db.Scan(context.Background(), nil, nil, func(k, v []byte) error {
+					got = append(got, string(k)+"="+string(v))
+					return nil
+				})
+				if err != nil {
+					t.Errorf("round %d Scan: %v", round, err)
+				}
+				if round == 0 {
+					want = got
+				} else if strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Errorf("faulted scan yielded %d pairs that differ from the clean scan's %d", len(got), len(want))
+				}
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+		}
+		pages = append(pages, db.Metrics().ScanPages.Load())
+		switch rt.Rank() {
+		case caller:
+			if n := inj.Fired(faults.NetDrop); n != 1 {
+				t.Errorf("NetDrop fired %d times, want 1", n)
+			}
+			if n := db.Metrics().ScanRetries.Load(); n != 1 {
+				t.Errorf("ScanRetries = %d, want 1", n)
+			}
+		case owner:
+			if clean, faulted := pages[1]-pages[0], pages[2]-pages[1]; clean < 3 || faulted != clean {
+				t.Errorf("owner produced %d pages for the clean scan and %d for the faulted one: the replay must not count", clean, faulted)
+			}
+		}
+		return db.Close()
+	})
+}
+
+// TestRPCStatusTableRoundTrip: an owner-side error, answered under
+// statusFor's status and rebuilt by replyError, still satisfies errors.Is
+// for its sentinel on the caller's side of the wire and keeps the owner's
+// text. A Failed rank's error answers rankFailed whatever its cause wraps.
+func TestRPCStatusTableRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		err, want error
+		text      string
+	}{
+		{fmt.Errorf("%w: device full", ErrReadOnly), ErrReadOnly, "device full"},
+		{fmt.Errorf("%w: 40 immutable tables", ErrWriteStalled), ErrWriteStalled, "40 immutable tables"},
+		{fmt.Errorf("read sst-7: %w", ErrCorrupt), ErrCorrupt, "read sst-7"},
+		{fmt.Errorf("%w: %w", ErrRankFailed, ErrCorrupt), ErrRankFailed, ErrCorrupt.Error()},
+		{fmt.Errorf("wal append: %w", nvm.ErrNoSpace), ErrReadOnly, "wal append"},
+	} {
+		_, status, body, err := splitReply(errorReply(7, tc.err))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := replyError(3, status, body)
+		if !errors.Is(got, tc.want) {
+			t.Errorf("%v crossed the wire as %v, want errors.Is %v", tc.err, got, tc.want)
+		}
+		if !strings.Contains(got.Error(), "rank 3") || !strings.Contains(got.Error(), tc.text) {
+			t.Errorf("%v crossed the wire as %q: the rank or the owner's text was lost", tc.err, got)
+		}
+	}
+	got := replyError(3, statusFor(errors.New("boom")), []byte("boom"))
+	if !strings.Contains(got.Error(), "boom") || errors.Is(got, ErrRankFailed) || errors.Is(got, ErrReadOnly) {
+		t.Errorf("an untyped error crossed the wire as %v", got)
+	}
+}
+
+// TestRPCGetTripsCircuitOnFailedOwner pins the one trip rule for gets: an
+// owner answering that its domain is down trips the caller's circuit just as
+// an exhausted ladder does, so the next get fails fast with no round trip —
+// still typed ErrRankFailed — until the owner recovers and a probe closes
+// the circuit.
+func TestRPCGetTripsCircuitOnFailedOwner(t *testing.T) {
+	const victim, caller = 0, 1
+	inj := faults.New(0x7219)
+	runCluster(t, clusterSpec{ranks: 2, faults: inj}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("rpctrip", recoverOpt())
+		if err != nil {
+			return err
+		}
+		k := string(ownKeys(db, victim, 1)[0])
+		if rt.Rank() == victim {
+			mustPut(t, db, k, "v")
+			killRank(t, db, inj, victim)
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if rt.Rank() == caller {
+			_, err := db.Get([]byte(k))
+			if !errors.Is(err, ErrRankFailed) || strings.Contains(err.Error(), "circuit open") {
+				t.Errorf("get from a failed owner = %v, want its typed answer", err)
+			}
+			_, err = db.Get([]byte(k))
+			if !errors.Is(err, ErrRankFailed) || !strings.Contains(err.Error(), "circuit open") {
+				t.Errorf("get behind the tripped circuit = %v, want a typed fail-fast", err)
+			}
+			if n := db.Metrics().GetRetries.Load(); n != 0 {
+				t.Errorf("GetRetries = %d, want 0: a typed answer must not burn the ladder", n)
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if rt.Rank() == victim {
+			if err := db.Recover(); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if rt.Rank() == caller {
+			deadline := time.Now().Add(20 * time.Second)
+			for err := wantGet(db, k, "v"); err != nil; err = wantGet(db, k, "v") {
+				if time.Now().After(deadline) {
+					t.Fatalf("gets never flowed again after the owner recovered: %v", err)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if n := db.Metrics().CircuitsClosed.Load(); n < 1 {
+				t.Errorf("CircuitsClosed = %d, want >= 1", n)
 			}
 		}
 		if err := c.Barrier(); err != nil {

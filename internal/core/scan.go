@@ -15,13 +15,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/mpi"
-	"papyruskv/internal/sstable"
 )
 
 // scanKey names one remote scan at its owner: the caller's rank plus the
@@ -130,6 +128,10 @@ func (db *DB) expireScans() {
 	}
 }
 
+// errScanLost answers a page request for a scan the owner no longer holds —
+// expired, desynced, or never opened. The caller cannot resume it.
+var errScanLost = errors.New("lost its continuation (expired or desynced); rerun the scan")
+
 // handleScan serves one scan control message on a handler worker. Open and
 // next produce (or replay) one page and reply; close is fire-and-forget.
 // The worker is occupied only while producing the page — between pages the
@@ -151,12 +153,10 @@ func (db *DB) handleScan(m mpi.Message) {
 		}
 		return
 	}
-	resp := scanResponse{Seq: req.Seq, Page: req.Page}
 	// readHealth, not Health: a Degraded (read-only) rank's MemTables and
 	// SSTables are intact, so it keeps serving scans.
-	if healthErr := db.readHealth(); healthErr != nil {
-		resp.Status, resp.Err = scanErrorFailed, healthErr.Error()
-		db.sendResp(m.Source, tagScanResp, encodeScanResponse(resp))
+	if err := db.readHealth(); err != nil {
+		db.sendResp(m.Source, tagScanResp, errorReply(req.Seq, err))
 		return
 	}
 	var s *openScan
@@ -172,25 +172,27 @@ func (db *DB) handleScan(m mpi.Message) {
 		return
 	}
 	if s == nil {
-		resp.Status = scanUnknown
-		db.sendResp(m.Source, tagScanResp, encodeScanResponse(resp))
+		db.sendResp(m.Source, tagScanResp, errorReply(req.Seq, errScanLost))
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// drop ends the scan at the owner and answers err: the caller must rerun
+	// it.
+	drop := func(err error) {
+		s.closeLocked()
+		db.scans.remove(key)
+		db.sendResp(m.Source, tagScanResp, errorReply(req.Seq, err))
+	}
 	if s.closed {
-		resp.Status = scanUnknown
-		db.sendResp(m.Source, tagScanResp, encodeScanResponse(resp))
+		drop(errScanLost)
 		return
 	}
 	s.lastUsed = time.Now()
 	if !s.started {
 		it, err := db.newIterator(req.Lo, req.Hi, false)
 		if err != nil {
-			s.closeLocked()
-			db.scans.remove(key)
-			resp.Status, resp.Err = scanStatusFor(err), err.Error()
-			db.sendResp(m.Source, tagScanResp, encodeScanResponse(resp))
+			drop(err)
 			return
 		}
 		s.it, s.started = it, true
@@ -199,20 +201,16 @@ func (db *DB) handleScan(m mpi.Message) {
 	case s.nextPage > 0 && req.Page == s.nextPage-1:
 		// Duplicate of the last answered request (its reply was lost):
 		// replay the retained page, byte-identical.
-		resp.Status, resp.Done, resp.Payload = scanOK, s.lastDone, s.lastPage
+		db.sendResp(m.Source, tagScanResp, encodeReply(req.Seq, statusOK, s.lastPage))
 	case req.Page != s.nextPage || s.lastDone:
 		// Out of protocol — a page neither current nor previous, or paging
 		// past the end. Unrecoverable desync: drop the scan.
-		s.closeLocked()
-		db.scans.remove(key)
-		resp.Status = scanUnknown
+		drop(errScanLost)
 	default:
 		frame, done, err := db.producePage(s, int(req.MaxBytes))
 		if err != nil {
-			s.closeLocked()
-			db.scans.remove(key)
-			resp.Status, resp.Err = scanStatusFor(err), err.Error()
-			break
+			drop(err)
+			return
 		}
 		if done {
 			// The stream is exhausted: release the pins and cache refs now,
@@ -222,26 +220,22 @@ func (db *DB) handleScan(m mpi.Message) {
 			s.it.Close()
 			s.it = nil
 		}
-		// Retain the payload for replay; the frame carries this request's
-		// seq, so a retried request re-encodes around it.
-		payload := frame[scanRespHeader:len(frame):len(frame)]
-		s.lastPage = payload
+		// Retain the body for replay; the frame was built around it by
+		// producePage, so seal the header in place and hand it over without
+		// another copy.
+		s.lastPage = frame[replyHeader:len(frame):len(frame)]
 		s.lastDone = done
 		s.nextPage++
 		db.metrics.ScanPages.Add(1)
-		// The frame was built around the payload by producePage: seal the
-		// header in place and hand it over without another copy.
-		db.sendRespOwned(m.Source, tagScanResp, sealScanPageFrame(frame, resp.Seq, done, req.Page))
-		return
+		db.sendRespOwned(m.Source, tagScanResp, sealReply(frame, req.Seq, statusOK))
 	}
-	db.sendResp(m.Source, tagScanResp, encodeScanResponse(resp))
 }
 
 // producePage pulls entries from the scan's iterator until the encoded page
 // reaches maxBytes (at least one entry always fits), encoding each entry
-// straight into a response frame — DecodeEntries' payload format after a
-// reserved scanRespHeader, so the page's bytes are copied exactly once on
-// the owner (handleScan patches the header and hands the frame to SendOwned
+// straight into a reply frame — the done flag and DecodeEntries' payload
+// format after the reply header, so the page's bytes are copied exactly once
+// on the owner (handleScan seals the header and hands the frame to SendOwned
 // without another copy). The frame starts small and grows by append, so a
 // page costs what the range holds, not what a full page could. Tombstones
 // ride along: the caller's merge filters them at its own edge, keeping the
@@ -250,7 +244,7 @@ func (db *DB) producePage(s *openScan, maxBytes int) ([]byte, bool, error) {
 	if maxBytes <= 0 {
 		maxBytes = db.opt.ScanPageBytes
 	}
-	frame := make([]byte, scanRespHeader+4, scanRespHeader+4+min(maxBytes, 4<<10))
+	frame := make([]byte, scanPageHeader+4, scanPageHeader+4+min(maxBytes, 4<<10))
 	var count uint32
 	var u32 [4]byte
 	done := false
@@ -275,42 +269,15 @@ func (db *DB) producePage(s *openScan, maxBytes int) ([]byte, bool, error) {
 		frame = append(frame, e.Key...)
 		frame = append(frame, e.Value...)
 		count++
-		if len(frame)-scanRespHeader >= maxBytes {
+		if len(frame)-scanPageHeader >= maxBytes {
 			break
 		}
 	}
-	binary.LittleEndian.PutUint32(frame[scanRespHeader:], count)
+	if done {
+		frame[replyHeader] = 1
+	}
+	binary.LittleEndian.PutUint32(frame[scanPageHeader:], count)
 	return frame, done, nil
-}
-
-// scanStatusFor triages an owner-side scan failure into its typed status, so
-// the caller can rebuild the matching sentinel across the wire.
-func scanStatusFor(err error) byte {
-	switch {
-	case errors.Is(err, sstable.ErrCorrupt):
-		return scanErrorCorrupt
-	case errors.Is(err, ErrRankFailed):
-		return scanErrorFailed
-	default:
-		return scanError
-	}
-}
-
-// remoteScanError rebuilds a typed error from a remote scan error status
-// (remoteGetError's discipline: sentinel identity is lost on the wire, the
-// status restores it).
-func remoteScanError(owner int, status byte, msg string) error {
-	var sentinel error
-	switch status {
-	case scanErrorCorrupt:
-		sentinel = ErrCorrupt
-	case scanErrorFailed:
-		sentinel = ErrRankFailed
-	default:
-		return fmt.Errorf("papyruskv: scan of rank %d: %s", owner, msg)
-	}
-	msg = strings.TrimPrefix(msg, sentinel.Error()+": ")
-	return fmt.Errorf("papyruskv: scan of rank %d: %w: %s", owner, sentinel, msg)
 }
 
 // scanStream is the caller's handle on one owner rank's sorted stream: a
@@ -320,7 +287,7 @@ type scanStream struct {
 	owner  int
 	id     uint64
 	lo, hi []byte
-	sent   bool // a request reached the wire: the owner may hold state
+	sent   bool // a request may have reached the wire: the owner may hold state
 	opened bool // the first page arrived: later requests are nexts
 	done   bool
 	page   uint32
@@ -352,77 +319,37 @@ func (s *scanStream) pull(ctx context.Context) (memtable.Entry, bool, error) {
 	}
 }
 
-// fetch requests the stream's next page through getRemote's retry ladder:
-// fresh seq per attempt, registered with the response router before the
-// send, per-attempt timeout, exponential jittered backoff. Retries are safe
-// because the request names its page — a duplicate is replayed, never
-// advanced past.
+// fetch requests the stream's next page through the one remote call path.
+// Retries are safe because the request names its page — a duplicate is
+// replayed, never advanced past.
 func (s *scanStream) fetch(ctx context.Context) error {
 	db := s.db
-	if err := db.peerErr(s.owner); err != nil {
-		return fmt.Errorf("papyruskv: scan: rank %d unreachable (circuit open): %w", s.owner, err)
+	op := byte(scanOpNext)
+	if !s.opened {
+		op = scanOpOpen
 	}
-	backoff := db.opt.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt < db.opt.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			db.metrics.ScanRetries.Add(1)
-			if err := db.sleepBackoff(ctx, &backoff); err != nil {
-				return err
-			}
-		}
-		seq := db.sendSeq.Add(1)
-		ch, err := db.calls.register(tagScanResp, seq)
-		if err != nil {
-			return err
-		}
-		op := byte(scanOpNext)
-		if !s.opened {
-			op = scanOpOpen
-		}
-		req := encodeScanRequest(scanRequest{
-			Seq: seq, ScanID: s.id, Op: op, Page: s.page,
-			MaxBytes: uint32(db.opt.ScanPageBytes), Lo: s.lo, Hi: s.hi,
-		})
-		if err := db.reqComm.Send(s.owner, tagScan, req); err != nil {
-			db.calls.deregister(tagScanResp, seq)
-			return err
-		}
-		s.sent = true
-		m, err := db.awaitReply(ctx, ch)
-		db.calls.deregister(tagScanResp, seq)
-		if errors.Is(err, mpi.ErrTimeout) {
-			lastErr = err
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		resp, err := decodeScanResponse(m.Data)
-		if err != nil {
-			return err
-		}
-		switch resp.Status {
-		case scanOK:
-			entries, err := memtable.DecodeEntries(resp.Payload)
-			if err != nil {
-				return err
-			}
-			s.buf, s.i = entries, 0
-			s.opened = true
-			s.page++
-			s.done = resp.Done
-			return nil
-		case scanUnknown:
-			return fmt.Errorf("papyruskv: scan of rank %d lost its continuation (expired or desynced); rerun the scan", s.owner)
-		default:
-			return remoteScanError(s.owner, resp.Status, resp.Err)
-		}
+	seq := db.sendSeq.Add(1)
+	req := encodeScanRequest(scanRequest{
+		Seq: seq, ScanID: s.id, Op: op, Page: s.page,
+		MaxBytes: uint32(db.opt.ScanPageBytes), Lo: s.lo, Hi: s.hi,
+	})
+	s.sent = true
+	status, body, err := db.request(ctx, s.owner, tagScan, tagScanResp, seq, req, &db.metrics.ScanRetries)
+	if err != nil {
+		return err
 	}
-	err := fmt.Errorf("papyruskv: rank %d did not answer scan after %d attempts: %w",
-		s.owner, db.opt.RetryAttempts, lastErr)
-	db.peerFail(s.owner, err)
-	return err
+	if status != statusOK || len(body) == 0 {
+		return fmt.Errorf("papyruskv: rank %d sent a malformed scan page (status %d)", s.owner, status)
+	}
+	entries, err := memtable.DecodeEntries(body[1:])
+	if err != nil {
+		return err
+	}
+	s.buf, s.i = entries, 0
+	s.opened = true
+	s.page++
+	s.done = body[0] != 0
+	return nil
 }
 
 // abort releases the owner side of a stream with a fire-and-forget close: no

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,7 +11,6 @@ import (
 	"papyruskv/internal/manifest"
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/mpi"
-	"papyruskv/internal/nvm"
 	"papyruskv/internal/sstable"
 )
 
@@ -173,13 +173,13 @@ func (db *DB) migrateOne(table *memtable.Table) {
 		if db.tryPark(owner, b) {
 			continue // queued behind the circuit; the prober redelivers
 		}
-		// An owner that answers ackReadOnly lands here too: the batch parks
-		// behind the circuit, the prober's pings keep answering ackReadOnly
-		// (circuit stays open, cheaply), and the first ackOK ping after the
-		// owner heals triggers redelivery — which applies fresh, because the
-		// owner never dedup-recorded the refused seq.
-		err := db.sendReliable(context.Background(), owner, tagMigBatch, tagMigAck, seq, msg, &db.metrics.MigrationRetries)
-		if err != nil {
+		// An owner that answers statusReadOnly lands here too: the batch
+		// parks behind the circuit, the prober's pings keep answering
+		// statusReadOnly (circuit stays open, cheaply), and the first
+		// statusOK ping after the owner heals triggers redelivery — which
+		// applies fresh, because the owner never dedup-recorded the refused
+		// seq.
+		if _, _, err := db.call(context.Background(), owner, tagMigBatch, tagMigAck, seq, msg, &db.metrics.MigrationRetries); err != nil {
 			db.parkFailed(owner, err, b)
 			continue
 		}
@@ -306,75 +306,63 @@ func (db *DB) handleBatch(m mpi.Message, migration bool) {
 	db.observeIncarnation(m.Source, inc)
 	if rec, dup := db.dedup.seen(m.Source, inc, seq); dup {
 		db.metrics.DupsDropped.Add(1)
-		db.sendResp(m.Source, ackTag, encodeAck(seq, rec))
+		db.sendResp(m.Source, ackTag, encodeReply(seq, rec.status, nil))
 		return
 	}
-	rec := ackRecord{status: ackOK}
-	if healthErr := db.readHealth(); healthErr != nil {
-		rec = ackRecord{status: ackFailed, msg: healthErr.Error()}
-	} else if healthErr := db.Health(); healthErr != nil {
-		// Degraded: refuse the incoming write with the typed read-only
-		// status. The refusal is deliberately NOT entered into the dedup
-		// window — the sender parks the batch and redelivers it verbatim
-		// after this rank heals, and it must then apply fresh.
-		rec = ackRecord{status: ackReadOnly, msg: healthErr.Error()}
-	} else if db.writeBacklogged() {
-		// Healthy but the flush backlog is past the hard admission
-		// threshold: this rank is already shedding its OWN puts, so
-		// buffering remote writes would grow immLocal without bound.
-		// Senders park the batch and redeliver once a ping reports the
-		// backlog drained; like ackReadOnly the refusal is never
-		// dedup-recorded.
+	// A Failed rank answers statusRankFailed, a Degraded one
+	// statusReadOnly, and a backlogged one statusStalled: a migrating
+	// sender parks the batch and redelivers it verbatim once a ping reports
+	// this rank healthy again.
+	err = db.writeRefusal()
+	if errors.Is(err, ErrWriteStalled) {
 		db.metrics.PutsShed.Add(1)
-		rec = ackRecord{status: ackStalled,
-			msg: fmt.Sprintf("%d immutable tables at hard threshold %d", db.immDepth(false), db.opt.StallHardDepth)}
-	} else if entries, err := memtable.DecodeEntries(body); err != nil {
-		// An undecodable body is likewise the sender's defect: answer with
-		// a typed nack so the sender's sendReliable surfaces the error
-		// instead of burning retries, and keep this rank healthy.
-		db.metrics.BadRequests.Add(1)
-		rec = ackRecord{status: ackFailed, msg: err.Error()}
-	} else {
+	}
+	if err == nil {
+		var entries []memtable.Entry
+		if entries, err = memtable.DecodeEntries(body); err != nil {
+			// An undecodable body is likewise the sender's defect: nack it
+			// so the sender surfaces the error instead of burning retries,
+			// and keep this rank healthy.
+			db.metrics.BadRequests.Add(1)
+		}
 		for _, e := range entries {
 			e.Owner = db.rt.rank
 			// putLocalBuffered triages its own failure (failOrDegrade): a
 			// full WAL device mid-batch degrades this rank and the typed
 			// status tells the sender to park, not give up.
-			if err := db.putLocalBuffered(e); err != nil {
-				rec = ackRecord{status: ackStatusFor(err), msg: err.Error()}
+			if err = db.putLocalBuffered(e); err != nil {
 				break
 			}
 		}
 		// One WAL commit per batch (WALSync's fsync-per-batch): the
 		// sender's retry discipline means the ack is the durability
 		// promise, so it is issued only after the commit.
-		if rec.status == ackOK {
-			if err := db.walCommit(db.walStream(false)); err != nil {
-				rec = ackRecord{status: ackStatusFor(err), msg: err.Error()}
-			}
+		if err == nil {
+			err = db.walCommit(db.walStream(false))
 		}
 	}
-	// Only applied outcomes enter the dedup window. A failed request was
-	// never applied, so a retry is safe to attempt fresh — and must be:
-	// the window is keyed by the sender's incarnation, which does not
-	// change when *this* rank recovers, so a recorded failure would
+	// Only applied outcomes enter the dedup window. A refused or failed
+	// request was never applied, so a retry is safe to attempt fresh — and
+	// must be: the window is keyed by the sender's incarnation, which does
+	// not change when *this* rank recovers, so a recorded failure would
 	// replay forever and hold the sender's parked batches hostage after
 	// this rank healed.
-	if rec.status == ackOK {
-		db.dedup.record(m.Source, inc, seq, rec)
+	if err != nil {
+		db.sendResp(m.Source, ackTag, errorReply(seq, err))
+		return
 	}
-	db.sendResp(m.Source, ackTag, encodeAck(seq, rec))
+	db.dedup.record(m.Source, inc, seq, ackRecord{status: statusOK})
+	db.sendResp(m.Source, ackTag, encodeReply(seq, statusOK, nil))
 }
 
 // handlePing answers a circuit breaker's half-open probe with this rank's
-// position on the degradation ladder and its current incarnation. A failed
-// rank answers ackFailed, a degraded one ackReadOnly, and a healthy rank
-// whose flush backlog is past the hard admission threshold ackStalled — all
-// keep the prober's circuit open without costing it a full retry-timeout,
-// and only ackOK (truly Healthy and accepting writes) closes the circuit
-// and triggers redelivery of parked batches. The incarnations exchanged in both
-// directions let each side notice the other was reborn since they last
-// spoke.
+// incarnation while it accepts writes, and otherwise with the reason it
+// refuses them: statusRankFailed, statusReadOnly or statusStalled keep the
+// prober's circuit open without costing it a full retry-timeout — closing
+// it would trigger a redelivery the batch handler would immediately refuse.
+// Only a statusOK answer closes the circuit and triggers redelivery of parked
+// batches. The incarnations exchanged in both directions let each side
+// notice the other was reborn since they last spoke.
 func (db *DB) handlePing(m mpi.Message) {
 	seq, inc, err := decodePing(m.Data)
 	if err != nil {
@@ -382,45 +370,24 @@ func (db *DB) handlePing(m mpi.Message) {
 		return
 	}
 	db.observeIncarnation(m.Source, inc)
-	status := byte(ackOK)
-	switch db.State() {
-	case StateDegraded:
-		status = ackReadOnly
-	case StateFailed:
-		status = ackFailed
-	default:
-		if db.writeBacklogged() {
-			// Healthy but shedding writes: answer the typed stall status so
-			// an open circuit stays open — closing it would trigger a
-			// redelivery the batch handler would immediately refuse.
-			status = ackStalled
-		}
+	reply := encodeReply(seq, statusOK, binary.LittleEndian.AppendUint32(nil, db.incarnation.Load()))
+	if err := db.writeRefusal(); err != nil {
+		reply = errorReply(seq, err)
 	}
-	db.sendResp(m.Source, tagPingAck, encodePingAck(seq, status, db.incarnation.Load()))
-}
-
-// ackStatusFor triages a handler-side write error into its ack status: a
-// resource-exhaustion refusal (this rank degraded mid-request) answers the
-// typed ackReadOnly so the sender parks and redelivers; anything else is a
-// hard ackFailed.
-func ackStatusFor(err error) byte {
-	if errors.Is(err, ErrReadOnly) || errors.Is(err, nvm.ErrNoSpace) {
-		return ackReadOnly
-	}
-	return ackFailed
+	db.sendResp(m.Source, tagPingAck, reply)
 }
 
 // handleGet answers a remote get. If the requester shares this rank's
 // storage group, only the in-memory structures and local cache are
-// consulted; a miss returns the live SSID list so the requester reads the
+// consulted; a miss returns the candidate SSIDs so the requester reads the
 // shared SSTables directly, eliminating the value transfer (§2.7). A failed
-// rank, or a local read error (e.g. a corrupt SSTable), answers getError
-// with the cause instead of data.
+// rank, or a local read error (e.g. a corrupt SSTable), answers with the
+// typed cause instead of data.
 //
-// Value ownership: resp.Value may alias live MemTable or cache storage
-// right up to encodeGetResponse, which copies it into the wire buffer —
-// the one copy on this side of the request. The handler must not retain or
-// mutate resp.Value after that point.
+// Value ownership: val may alias live MemTable or cache storage right up to
+// encodeReply, which copies it into the wire buffer — the one copy on this
+// side of the request. The handler must not retain or mutate val after that
+// point.
 func (db *DB) handleGet(m mpi.Message) {
 	req, err := decodeGetRequest(m.Data)
 	if err != nil {
@@ -431,45 +398,32 @@ func (db *DB) handleGet(m mpi.Message) {
 		db.metrics.BadRequests.Add(1)
 		return
 	}
-	resp := getResponse{Seq: req.Seq}
+	var val []byte
+	var tomb, found bool
 	// readHealth, not Health: a Degraded rank's MemTables and SSTables are
 	// intact, so remote gets keep being served — read availability is the
 	// point of the read-only state.
-	if healthErr := db.readHealth(); healthErr != nil {
-		resp.Status, resp.Err = getErrorFailed, healthErr.Error()
-	} else if req.Group == db.rt.group {
-		if val, tomb, hit := db.getMemory(req.Key); hit {
-			if tomb {
-				resp.Status = getTombstone
-			} else {
-				resp.Status, resp.Value = getFound, val
-			}
-		} else {
+	if err = db.readHealth(); err == nil {
+		if req.Group != db.rt.group {
+			val, tomb, found, err = db.getLocalFull(req.Key)
+		} else if val, tomb, found = db.getMemory(req.Key); !found {
 			// Owner-side candidate selection: only the tables whose key
 			// bounds cover the key, in probe (recency) order — the requester
 			// probes O(levels) tables instead of every live SSID.
-			resp.Status, resp.SSIDs = getSearchShare, db.candidateSSIDs(req.Key)
-		}
-	} else {
-		val, tomb, found, err := db.getLocalFull(req.Key)
-		switch {
-		case errors.Is(err, sstable.ErrCorrupt):
-			// A read error is per-operation, not a domain failure: a
-			// corrupt table poisons reads that touch it, while writes
-			// and other reads continue. The typed status lets the caller
-			// rebuild ErrCorrupt on its side of the wire.
-			resp.Status, resp.Err = getErrorCorrupt, err.Error()
-		case err != nil:
-			resp.Status, resp.Err = getError, err.Error()
-		case !found:
-			resp.Status = getNotFound
-		case tomb:
-			resp.Status = getTombstone
-		default:
-			resp.Status, resp.Value = getFound, val
+			db.sendResp(m.Source, tagGetResp, encodeReply(req.Seq, statusShare, encodeSSIDs(db.candidateSSIDs(req.Key))))
+			return
 		}
 	}
-	db.sendResp(m.Source, tagGetResp, encodeGetResponse(resp))
+	// A read error is per-operation, not a domain failure: a corrupt table
+	// poisons reads that touch it, while writes and other reads continue.
+	switch {
+	case err != nil:
+		db.sendResp(m.Source, tagGetResp, errorReply(req.Seq, err))
+	case !found || tomb:
+		db.sendResp(m.Source, tagGetResp, encodeReply(req.Seq, statusAbsent, nil))
+	default:
+		db.sendResp(m.Source, tagGetResp, encodeReply(req.Seq, statusOK, val))
+	}
 }
 
 // sendResp sends a handler reply on the reply communicator (routed by the

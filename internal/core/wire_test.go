@@ -9,14 +9,13 @@ import (
 )
 
 func TestGetRequestRoundTrip(t *testing.T) {
-	f := func(key []byte, group int16, seqMode bool, seq uint64) bool {
-		in := getRequest{Seq: seq, Key: key, Group: int(group), SeqMode: seqMode}
+	f := func(key []byte, group int16, seq uint64) bool {
+		in := getRequest{Seq: seq, Key: key, Group: int(group)}
 		out, err := decodeGetRequest(encodeGetRequest(in))
 		if err != nil {
 			return false
 		}
-		return out.Seq == in.Seq && bytes.Equal(out.Key, in.Key) &&
-			out.Group == in.Group && out.SeqMode == in.SeqMode
+		return out.Seq == in.Seq && bytes.Equal(out.Key, in.Key) && out.Group == in.Group
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -31,29 +30,36 @@ func TestGetRequestDecodeErrors(t *testing.T) {
 		t.Fatal("short decoded")
 	}
 	// klen says 100 but no key bytes follow (klen sits after the 8-byte seq).
-	bad := make([]byte, 21)
+	bad := make([]byte, 20)
 	bad[8] = 100
 	if _, err := decodeGetRequest(bad); err == nil {
 		t.Fatal("truncated key decoded")
 	}
+	// A key followed by stray bytes is not a frame the encoder writes.
+	long := append(encodeGetRequest(getRequest{Seq: 1, Key: []byte("k")}), 0)
+	if _, err := decodeGetRequest(long); err == nil {
+		t.Fatal("trailing bytes decoded")
+	}
 }
 
+// TestGetResponseRoundTrip: a get reply is the one reply frame, whose body
+// is the value (statusOK) or the candidate SSIDs (statusShare).
 func TestGetResponseRoundTrip(t *testing.T) {
-	f := func(status uint8, value []byte, ssids []uint64, seq uint64, errMsg string) bool {
-		in := getResponse{Seq: seq, Status: int(status % 7), Value: value, SSIDs: ssids, Err: errMsg}
-		out, err := decodeGetResponse(encodeGetResponse(in))
-		if err != nil {
+	f := func(seq uint64, value []byte, ssids []uint64) bool {
+		gotSeq, status, body, err := splitReply(encodeReply(seq, statusOK, value))
+		if err != nil || gotSeq != seq || status != statusOK || !bytes.Equal(body, value) {
 			return false
 		}
-		if out.Seq != in.Seq || out.Status != in.Status ||
-			!bytes.Equal(out.Value, in.Value) || out.Err != in.Err {
+		gotSeq, status, body, err = splitReply(encodeReply(seq, statusShare, encodeSSIDs(ssids)))
+		if err != nil || gotSeq != seq || status != statusShare {
 			return false
 		}
-		if len(out.SSIDs) != len(in.SSIDs) {
+		ids, err := decodeSSIDs(body)
+		if err != nil || len(ids) != len(ssids) {
 			return false
 		}
-		for i := range in.SSIDs {
-			if out.SSIDs[i] != in.SSIDs[i] {
+		for i := range ssids {
+			if ids[i] != ssids[i] {
 				return false
 			}
 		}
@@ -64,26 +70,25 @@ func TestGetResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAckRoundTrip: an ack is the same frame — an empty body on success, the
+// owner's error text under an error status.
 func TestAckRoundTrip(t *testing.T) {
 	f := func(seq uint64, failed bool, msg string) bool {
-		in := ackRecord{status: ackOK}
+		status, body := statusOK, []byte(nil)
 		if failed {
-			in = ackRecord{status: ackFailed, msg: msg}
+			status, body = statusFailed, []byte(msg)
 		}
-		gotSeq, out, err := decodeAck(encodeAck(seq, in))
-		if err != nil {
-			return false
-		}
-		return gotSeq == seq && out.status == in.status && out.msg == in.msg
+		gotSeq, gotStatus, gotBody, err := splitReply(encodeReply(seq, status, body))
+		return err == nil && gotSeq == seq && gotStatus == status && bytes.Equal(gotBody, body)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := decodeAck(nil); err == nil {
-		t.Fatal("nil ack decoded")
+	if _, _, _, err := splitReply(nil); err == nil {
+		t.Fatal("nil reply split")
 	}
-	if _, _, err := decodeAck(make([]byte, 8)); err == nil {
-		t.Fatal("statusless ack decoded")
+	if _, _, _, err := splitReply(make([]byte, 8)); err == nil {
+		t.Fatal("statusless reply split")
 	}
 }
 
@@ -113,34 +118,27 @@ func TestPingRoundTrip(t *testing.T) {
 	if _, _, err := decodePing(make([]byte, 13)); err == nil {
 		t.Fatal("oversized ping decoded")
 	}
-	aseq, status, ainc, err := decodePingAck(encodePingAck(7, ackFailed, 12))
-	if err != nil || aseq != 7 || status != ackFailed || ainc != 12 {
-		t.Fatalf("decodePingAck = %d %d %d %v", aseq, status, ainc, err)
+	// The ping's reply is the one reply frame, led by the seq so the
+	// response router can demultiplex it without decoding the body.
+	reply := encodeReply(1234, statusOK, []byte{12, 0, 0, 0})
+	if got, ok := peekReplySeq(reply); !ok || got != 1234 {
+		t.Fatalf("peekReplySeq on ping reply = %d %v", got, ok)
 	}
-	if _, _, _, err := decodePingAck(make([]byte, 12)); err == nil {
-		t.Fatal("short ping ack decoded")
-	}
-	// The ack must lead with the seq so the response router can
-	// demultiplex it without decoding the body.
-	if got, ok := peekReplySeq(encodePingAck(1234, ackOK, 1)); !ok || got != 1234 {
-		t.Fatalf("peekReplySeq on ping ack = %d %v", got, ok)
+	if _, status, body, err := splitReply(reply); err != nil || status != statusOK || len(body) != 4 || body[0] != 12 {
+		t.Fatalf("splitReply on ping reply = %d %v %v", status, body, err)
 	}
 }
 
 func TestGetResponseDecodeErrors(t *testing.T) {
-	if _, err := decodeGetResponse(nil); err == nil {
-		t.Fatal("nil decoded")
+	if _, _, _, err := splitReply([]byte{0, 50, 0, 0, 0}); err == nil {
+		t.Fatal("headerless reply split")
 	}
-	if _, err := decodeGetResponse([]byte{0, 50, 0, 0, 0}); err == nil {
-		t.Fatal("truncated value decoded")
-	}
-	// valid status+empty value, then truncated ssid table
-	ok := encodeGetResponse(getResponse{Status: getSearchShare, SSIDs: []uint64{1, 2, 3}})
-	if _, err := decodeGetResponse(ok[:len(ok)-8]); err == nil {
+	share := encodeSSIDs([]uint64{1, 2, 3})
+	if _, err := decodeSSIDs(share[:len(share)-1]); err == nil {
 		t.Fatal("truncated ssids decoded")
 	}
-	if _, err := decodeGetResponse(ok[:6]); err == nil {
-		t.Fatal("missing ssid count decoded")
+	if ids, err := decodeSSIDs(nil); err != nil || len(ids) != 0 {
+		t.Fatalf("empty SSID list = %v %v", ids, err)
 	}
 }
 

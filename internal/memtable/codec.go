@@ -41,13 +41,19 @@ func EncodeEntries(entries []Entry) []byte {
 	return out
 }
 
-// DecodeEntries parses a batch serialised by EncodeEntries.
+// DecodeEntries parses a batch serialised by EncodeEntries. It accepts
+// exactly what EncodeEntries produces: a count no entry header can back, an
+// unknown flag bit, or bytes after the last entry are errors — the batch
+// arrives from a peer, and its count must not size an allocation unchecked.
 func DecodeEntries(data []byte) ([]Entry, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("memtable: short batch (%d bytes)", len(data))
 	}
 	count := binary.LittleEndian.Uint32(data)
 	data = data[4:]
+	if uint64(count)*9 > uint64(len(data)) {
+		return nil, fmt.Errorf("memtable: batch of %d entries in %d bytes", count, len(data))
+	}
 	out := make([]Entry, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(data) < 9 {
@@ -56,6 +62,9 @@ func DecodeEntries(data []byte) ([]Entry, error) {
 		klen := binary.LittleEndian.Uint32(data)
 		vlen := binary.LittleEndian.Uint32(data[4:])
 		flags := data[8]
+		if flags > 1 {
+			return nil, fmt.Errorf("memtable: unknown entry flags %#x at %d", flags, i)
+		}
 		data = data[9:]
 		if uint64(len(data)) < uint64(klen)+uint64(vlen) {
 			return nil, fmt.Errorf("memtable: truncated entry body at %d", i)
@@ -66,6 +75,9 @@ func DecodeEntries(data []byte) ([]Entry, error) {
 			Tombstone: flags&1 != 0,
 		})
 		data = data[klen+vlen:]
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("memtable: %d bytes after the last entry", len(data))
 	}
 	return out, nil
 }

@@ -166,6 +166,18 @@ func TestCodecErrors(t *testing.T) {
 	if _, err := DecodeEntries(bad); err == nil {
 		t.Fatal("truncated body decoded")
 	}
+	// A count no entry header backs must fail before it sizes anything.
+	if _, err := DecodeEntries([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
+		t.Fatal("4G-entry count decoded")
+	}
+	one := EncodeEntries([]Entry{{Key: []byte("k"), Value: []byte("v")}})
+	if _, err := DecodeEntries(append(bytes.Clone(one), 0)); err == nil {
+		t.Fatal("trailing byte decoded")
+	}
+	one[12] = 2 // flags of the only entry
+	if _, err := DecodeEntries(one); err == nil {
+		t.Fatal("unknown flag bit decoded")
+	}
 }
 
 func TestQuickCodec(t *testing.T) {
