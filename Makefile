@@ -42,8 +42,9 @@ scrub:
 	$(SOAK) 'TestSoakScrub'
 
 # Short coverage-guided runs of the WAL and manifest replay decoders, the
-# SSIndex decoder and the cross-rank wire decoders on top of their committed
-# seed corpora (internal/{wal,manifest,sstable,core}/testdata/fuzz). The
+# SSIndex decoder, the cross-rank wire decoders and the entry-batch decoder
+# on top of their committed seed corpora
+# (internal/{wal,manifest,sstable,core,memtable}/testdata/fuzz). The
 # index and wire targets bound minimisation: the index target repairs each
 # input's checksum, so nearly every byte of an input matters, and the wire
 # target runs every decoder on each input — minimising one that adds
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s ./internal/manifest
 	$(GO) test -run '^$$' -fuzz FuzzIndexDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/sstable
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEntries -fuzztime 10s ./internal/memtable
 
 # One-iteration benchmark runs: catches benchmarks that no longer compile
 # or error out, without paying for real measurements.

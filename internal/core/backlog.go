@@ -24,9 +24,10 @@ import (
 //
 // Backpressure is admission control at the top of the put path: above
 // Options.StallSoftDepth immutable tables, puts stall in short jittered
-// sleeps bounded by Options.StallTimeout; at StallHardDepth, or when the
-// stall budget expires, they fail fast with typed ErrWriteStalled. No put
-// ever blocks longer than StallTimeout plus one stall period.
+// sleeps bounded by Options.StallTimeout; at the hard threshold, four times
+// the soft one, or when the stall budget expires, they fail fast with typed
+// ErrWriteStalled. No put ever blocks longer than StallTimeout plus one
+// stall period.
 
 // await blocks until try reports true. try runs once up front and again
 // after every wakeAll — every seal, retire, thread going idle, health
@@ -134,7 +135,7 @@ func (db *DB) admitWrite(ctx context.Context, remote bool) error {
 	if soft < 0 {
 		return nil // admission control disabled
 	}
-	hard := db.opt.StallHardDepth
+	hard := db.stallHardDepth()
 	depth := db.immDepth(remote)
 	if depth < soft {
 		return nil
@@ -191,8 +192,13 @@ func (db *DB) writeRefusal() error {
 	if db.opt.StallSoftDepth < 0 {
 		return nil // admission control disabled
 	}
-	if depth := db.immDepth(false); depth >= db.opt.StallHardDepth {
-		return fmt.Errorf("%w: %d immutable tables at hard threshold %d", ErrWriteStalled, depth, db.opt.StallHardDepth)
+	if depth, hard := db.immDepth(false), db.stallHardDepth(); depth >= hard {
+		return fmt.Errorf("%w: %d immutable tables at hard threshold %d", ErrWriteStalled, depth, hard)
 	}
 	return nil
 }
+
+// stallHardDepth is the fail-fast admission threshold: a put finding the
+// backlog this deep is shed at once, spending no stall budget — waiting one
+// StallTimeout cannot plausibly drain it.
+func (db *DB) stallHardDepth() int { return 4 * db.opt.StallSoftDepth }

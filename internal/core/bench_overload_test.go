@@ -74,7 +74,6 @@ func benchOverloadDB(b *testing.B, fn func(db *DB, c *mpi.Comm) error, softDepth
 		o := DefaultOptions()
 		o.MemTableCapacity = 4 << 10
 		o.StallSoftDepth = softDepth
-		o.StallHardDepth = 4 * softDepth
 		o.StallTimeout = stallTimeout
 		o.WAL = WALDisabled
 		o.CompactionEvery = 0

@@ -33,6 +33,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -91,64 +92,64 @@ func sortLevel(run []manifest.TableMeta, n int) {
 	}
 }
 
-// candidateSSIDs returns the SSIDs that may hold key, in probe (recency)
-// order: every L0 table whose bounds cover key, newest first, then at most
-// one table per deeper level, found by binary search on the MinKey-sorted
-// disjoint run. This is what makes own-rank gets and statusShare
-// O(levels) instead of O(tables).
-func (db *DB) candidateSSIDs(key []byte) []uint64 {
-	db.sstMu.RLock()
-	defer db.sstMu.RUnlock()
-	var ids []uint64
-	if len(db.levels) > 0 {
-		l0 := db.levels[0]
-		for i := len(l0) - 1; i >= 0; i-- {
-			t := l0[i]
-			if bytes.Compare(t.MinKey, key) <= 0 && bytes.Compare(key, t.MaxKey) <= 0 {
-				ids = append(ids, t.SSID)
-			}
-		}
+// newerTable is the one recency order over live tables, a comparator for
+// slices.SortFunc: a shallower level is newer than a deeper one, and within
+// L0 a higher SSID is newer (deeper levels are disjoint, so their internal
+// order never decides a key). Raw SSIDs alone lie across levels — an L1
+// output outnumbers L0 tables flushed during its merge.
+func newerTable(a, b manifest.TableMeta) int {
+	if a.Level != b.Level {
+		return cmp.Compare(a.Level, b.Level)
 	}
-	for n := 1; n < len(db.levels); n++ {
-		run := db.levels[n]
-		i := sort.Search(len(run), func(i int) bool { return bytes.Compare(run[i].MinKey, key) > 0 }) - 1
-		if i >= 0 && bytes.Compare(key, run[i].MaxKey) <= 0 {
+	return cmp.Compare(b.SSID, a.SSID)
+}
+
+// appendTablesLocked is the one recency walk over the live levels: it
+// appends to ids every table that may hold a key in [lo, hi) — [lo, hi]
+// when inclusive — in newerTable order: each covering L0 table newest
+// first, then each deeper level's overlapping run, found with one binary
+// search per level. Empty bounds are unbounded. Caller holds sstMu.
+func (db *DB) appendTablesLocked(ids []uint64, lo, hi []byte, inclusive bool) []uint64 {
+	// past reports that a table starting at minKey lies wholly above the range.
+	past := func(minKey []byte) bool {
+		c := bytes.Compare(minKey, hi)
+		return len(hi) > 0 && (c > 0 || c == 0 && !inclusive)
+	}
+	for n, run := range db.levels {
+		if n == 0 {
+			for i := len(run) - 1; i >= 0; i-- {
+				if !past(run[i].MinKey) && bytes.Compare(run[i].MaxKey, lo) >= 0 {
+					ids = append(ids, run[i].SSID)
+				}
+			}
+			continue
+		}
+		i := sort.Search(len(run), func(i int) bool { return bytes.Compare(run[i].MaxKey, lo) >= 0 })
+		for ; i < len(run) && !past(run[i].MinKey); i++ {
 			ids = append(ids, run[i].SSID)
 		}
 	}
 	return ids
 }
 
-// pinSnapshotRange captures the live tables intersecting [lo, hi) in probe
-// (recency) order — L0 newest-first, then each deeper level's overlapping
-// run ascending — and registers one pin per table. Taking snapMu inside
+// candidateSSIDs returns the SSIDs that may hold key, newest first: at most
+// one table per level beyond L0. This is what makes own-rank gets and
+// statusShare O(levels) instead of O(tables).
+func (db *DB) candidateSSIDs(key []byte) []uint64 {
+	db.sstMu.RLock()
+	defer db.sstMu.RUnlock()
+	return db.appendTablesLocked(nil, key, key, true)
+}
+
+// pinSnapshotRange captures the live tables intersecting [lo, hi) in
+// recency order and registers one pin per table. Taking snapMu inside
 // sstMu.RLock closes the race with compaction installs: a table a job is
 // about to supersede cannot be pinned after the install swapped it out, and
 // a pin taken before the swap is visible to removeInputOrDefer's registry
 // check. nil bounds are unbounded; hi is exclusive, matching NewIterator.
 func (db *DB) pinSnapshotRange(lo, hi []byte) []uint64 {
 	db.sstMu.RLock()
-	var ids []uint64
-	if len(db.levels) > 0 {
-		l0 := db.levels[0]
-		for i := len(l0) - 1; i >= 0; i-- {
-			t := l0[i]
-			if (len(hi) == 0 || bytes.Compare(t.MinKey, hi) < 0) &&
-				(len(lo) == 0 || bytes.Compare(t.MaxKey, lo) >= 0) {
-				ids = append(ids, t.SSID)
-			}
-		}
-	}
-	for n := 1; n < len(db.levels); n++ {
-		run := db.levels[n]
-		i := sort.Search(len(run), func(i int) bool { return bytes.Compare(run[i].MaxKey, lo) >= 0 })
-		for ; i < len(run); i++ {
-			if len(hi) > 0 && bytes.Compare(run[i].MinKey, hi) >= 0 {
-				break
-			}
-			ids = append(ids, run[i].SSID)
-		}
-	}
+	ids := db.appendTablesLocked(nil, lo, hi, false)
 	db.snapMu.Lock()
 	for _, id := range ids {
 		db.pinnedSSIDs[id]++
@@ -300,19 +301,11 @@ func (db *DB) pickCompaction(force bool) *compactionJob {
 		// deleting the table. Widening cannot pull in new L1 overlaps — the
 		// widened span is inside the claimed tables' own ranges, and L1 is
 		// disjoint.
-		for _, t := range ov {
-			if bytes.Compare(t.MinKey, lo) < 0 {
-				lo = t.MinKey
-			}
-			if bytes.Compare(t.MaxKey, hi) > 0 {
-				hi = t.MaxKey
-			}
-		}
+		lo, hi = hullOf(l0, ov)
 		eligible := score >= 1 || (force && len(l0)+len(ov) >= 2)
 		if eligible && !db.anyClaimedLocked(ov) {
-			inputs := append([]manifest.TableMeta(nil), l0...)
-			// Recency order for the merge: newest SSID first.
-			sort.Slice(inputs, func(i, j int) bool { return inputs[i].SSID > inputs[j].SSID })
+			inputs := slices.Clone(l0)
+			slices.SortFunc(inputs, newerTable) // the merge takes recency order
 			best = &compactionJob{level: 0, inputs: inputs, overlap: ov, lo: lo, hi: hi}
 			bestScore = score
 			if force && bestScore < 1 {
@@ -393,29 +386,24 @@ func (db *DB) victimJobLocked(n int) *compactionJob {
 		if db.anyClaimedLocked(ov) {
 			continue
 		}
-		lo, hi := v.MinKey, v.MaxKey
-		for _, t := range ov {
+		lo, hi := hullOf([]manifest.TableMeta{v}, ov)
+		return &compactionJob{level: n, inputs: []manifest.TableMeta{v}, overlap: ov, lo: lo, hi: hi}
+	}
+	return nil
+}
+
+// hullOf returns the smallest key interval covering every table in runs;
+// the first run must be non-empty.
+func hullOf(runs ...[]manifest.TableMeta) (lo, hi []byte) {
+	lo, hi = runs[0][0].MinKey, runs[0][0].MaxKey
+	for _, run := range runs {
+		for _, t := range run {
 			if bytes.Compare(t.MinKey, lo) < 0 {
 				lo = t.MinKey
 			}
 			if bytes.Compare(t.MaxKey, hi) > 0 {
 				hi = t.MaxKey
 			}
-		}
-		return &compactionJob{level: n, inputs: []manifest.TableMeta{v}, overlap: ov, lo: lo, hi: hi}
-	}
-	return nil
-}
-
-// hullOf returns the smallest key interval covering every table in run.
-func hullOf(run []manifest.TableMeta) (lo, hi []byte) {
-	lo, hi = run[0].MinKey, run[0].MaxKey
-	for _, t := range run[1:] {
-		if bytes.Compare(t.MinKey, lo) < 0 {
-			lo = t.MinKey
-		}
-		if bytes.Compare(t.MaxKey, hi) > 0 {
-			hi = t.MaxKey
 		}
 	}
 	return lo, hi

@@ -190,8 +190,7 @@ func TestDegradeStallTimeout(t *testing.T) {
 	runCluster(t, clusterSpec{ranks: 1, nvmModel: slow}, func(rt *Runtime, c *mpi.Comm) error {
 		o := faultOpt()
 		o.MemTableCapacity = 256
-		o.StallSoftDepth = 1
-		o.StallHardDepth = 8
+		o.StallSoftDepth = 2 // hard threshold 8
 		o.StallTimeout = stallTimeout
 		o.WAL = WALDisabled // keep the flush path the only device writer
 		o.ProbeInterval = -1
@@ -447,8 +446,7 @@ func TestHandlerBackpressureShedsRemoteWrites(t *testing.T) {
 	opt.Consistency = Sequential
 	opt.WAL = WALDisabled
 	opt.MemTableCapacity = 256 // every put below seals a table
-	opt.StallSoftDepth = 2
-	opt.StallHardDepth = 4
+	opt.StallSoftDepth = 1     // hard threshold 4
 	slow := nvm.PerfModel{Name: "slow", WriteLatency: 20 * time.Millisecond, TimeScale: 1}
 	runCluster(t, clusterSpec{ranks: 2, nvmModel: slow}, func(rt *Runtime, c *mpi.Comm) error {
 		db, err := rt.Open("backpressure", opt)
@@ -472,8 +470,8 @@ func TestHandlerBackpressureShedsRemoteWrites(t *testing.T) {
 			if !errors.Is(shed, ErrWriteStalled) {
 				t.Fatalf("putSync to backlogged owner err = %v after %d acked puts, want ErrWriteStalled", shed, acked)
 			}
-			if acked < opt.StallHardDepth {
-				t.Errorf("owner shed after %d acked puts, below its hard threshold %d", acked, opt.StallHardDepth)
+			if hard := 4 * opt.StallSoftDepth; acked < hard {
+				t.Errorf("owner shed after %d acked puts, below its hard threshold %d", acked, hard)
 			}
 			// ...the refusal does not trip the circuit...
 			if err := db.peerErr(0); err != nil {

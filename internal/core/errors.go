@@ -52,8 +52,8 @@ var (
 	ErrReadOnly = errors.New("papyruskv: rank degraded to read-only")
 	// ErrWriteStalled reports that a put was shed by write admission
 	// control: the flush/migration backlog sat above the soft threshold
-	// past StallTimeout, or above the hard threshold outright. The pair
-	// was not applied; the caller may retry after backing off.
+	// past StallTimeout, or reached four times that threshold outright. The
+	// pair was not applied; the caller may retry after backing off.
 	ErrWriteStalled = errors.New("papyruskv: write stalled by backlog")
 	// ErrScrubLoss reports that the background scrubber found a corrupt
 	// SSTable and no valid checkpoint copy existed to repair it from: the

@@ -65,26 +65,32 @@ func copyValue(v []byte) []byte {
 	return out
 }
 
-// getMemoryLocked searches this rank's in-memory local structures: the
-// local MemTable, then the immutable local MemTables newest-first (tail to
-// head of the flushing queue), then the local cache. hit=true means the
-// search is decided (found may still be a tombstone); hit=false means fall
-// through to the SSTables.
+// memGet searches one side's MemTables newest first: the mutable table,
+// then the immutable list tail to head. Caller holds db.mu.
+func memGet(mt *memtable.Table, imm []*memtable.Table, key []byte) (memtable.Entry, bool) {
+	if e, ok := mt.Get(key); ok {
+		return e, true
+	}
+	for i := len(imm) - 1; i >= 0; i-- {
+		if e, ok := imm[i].Get(key); ok {
+			return e, true
+		}
+	}
+	return memtable.Entry{}, false
+}
+
+// getMemory searches this rank's in-memory local structures: its MemTables
+// newest first, then the local cache. hit=true means the search is decided
+// (found may still be a tombstone); hit=false means fall through to the
+// SSTables.
 func (db *DB) getMemory(key []byte) (val []byte, tomb, hit bool) {
 	db.mu.Lock()
-	if e, ok := db.localMT.Get(key); ok {
-		db.mu.Unlock()
+	e, ok := memGet(db.localMT, db.immLocal, key)
+	db.mu.Unlock()
+	if ok {
 		db.metrics.MemTableHits.Add(1)
 		return e.Value, e.Tombstone, true
 	}
-	for i := len(db.immLocal) - 1; i >= 0; i-- {
-		if e, ok := db.immLocal[i].Get(key); ok {
-			db.mu.Unlock()
-			db.metrics.MemTableHits.Add(1)
-			return e.Value, e.Tombstone, true
-		}
-	}
-	db.mu.Unlock()
 
 	if v, found, ok := db.localCache.Get(key); ok {
 		db.metrics.LocalCacheHits.Add(1)
@@ -167,17 +173,11 @@ func (db *DB) getRemote(ctx context.Context, owner int, key []byte) ([]byte, err
 	// Remote-side staging only exists in relaxed mode, but checking is
 	// harmless (empty tables) in sequential mode.
 	db.mu.Lock()
-	if e, ok := db.remoteMT.Get(key); ok {
-		db.mu.Unlock()
+	e, ok := memGet(db.remoteMT, db.immRemote, key)
+	db.mu.Unlock()
+	if ok {
 		return remoteEntryResult(e)
 	}
-	for i := len(db.immRemote) - 1; i >= 0; i-- {
-		if e, ok := db.immRemote[i].Get(key); ok {
-			db.mu.Unlock()
-			return remoteEntryResult(e)
-		}
-	}
-	db.mu.Unlock()
 
 	if v, found, ok := db.remoteCache.Get(key); ok {
 		db.metrics.RemoteCacheHits.Add(1)

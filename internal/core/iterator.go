@@ -29,8 +29,6 @@ package core
 // remove one, because the capture happens first.
 
 import (
-	"bytes"
-	"container/heap"
 	"fmt"
 
 	"papyruskv/internal/memtable"
@@ -105,71 +103,31 @@ func (db *DB) pinCount(id uint64) int {
 	return db.pinnedSSIDs[id]
 }
 
-// iterSource is one sorted input of the merge: pri encodes recency (lower =
-// newer source), pull produces the next in-range entry. Entries may alias
-// runtime-owned memory; the iterator copies at its public edge.
-type iterSource struct {
-	pri  int
-	cur  memtable.Entry
-	pull func() (memtable.Entry, bool, error)
-}
-
-// iterHeap orders sources by (current key asc, pri asc), so the top run of
-// equal keys starts with the newest source.
-type iterHeap []*iterSource
-
-func (h iterHeap) Len() int { return len(h) }
-func (h iterHeap) Less(i, j int) bool {
-	if c := bytes.Compare(h[i].cur.Key, h[j].cur.Key); c != 0 {
-		return c < 0
-	}
-	return h[i].pri < h[j].pri
-}
-func (h iterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *iterHeap) Push(x any)   { *h = append(*h, x.(*iterSource)) }
-func (h *iterHeap) Pop() any     { old := *h; n := len(old); s := old[n-1]; *h = old[:n-1]; return s }
-
-// sliceSource merges a pre-captured []Entry (a mutable table's SnapshotRange).
-func sliceSource(entries []memtable.Entry) func() (memtable.Entry, bool, error) {
-	i := 0
-	return func() (memtable.Entry, bool, error) {
-		if i >= len(entries) {
+// memSources appends one side's MemTables to a merge's source list in
+// memGet's newest-first order: the mutable table as a SnapshotRange copy,
+// then each sealed table through its lock-free cursor. Caller holds db.mu.
+func memSources(sources []memtable.Source, mt *memtable.Table, imm []*memtable.Table, lo, hi []byte) []memtable.Source {
+	snap := mt.SnapshotRange(lo, hi)
+	sources = append(sources, func() (memtable.Entry, bool, error) {
+		if len(snap) == 0 {
 			return memtable.Entry{}, false, nil
 		}
-		e := entries[i]
-		i++
+		e := snap[0]
+		snap = snap[1:]
 		return e, true, nil
+	})
+	for i := len(imm) - 1; i >= 0; i-- {
+		c := imm[i].CursorFrom(lo)
+		sources = append(sources, func() (memtable.Entry, bool, error) {
+			if !c.Valid() {
+				return memtable.Entry{}, false, nil
+			}
+			e := c.Entry()
+			c.Next()
+			return e, true, nil
+		})
 	}
-}
-
-// cursorSource merges a sealed table through its lock-free cursor, stopping
-// at hi (empty hi: unbounded).
-func cursorSource(c *memtable.Cursor, hi []byte) func() (memtable.Entry, bool, error) {
-	return func() (memtable.Entry, bool, error) {
-		if !c.Valid() {
-			return memtable.Entry{}, false, nil
-		}
-		e := c.Entry()
-		if len(hi) > 0 && bytes.Compare(e.Key, hi) >= 0 {
-			return memtable.Entry{}, false, nil
-		}
-		c.Next()
-		return e, true, nil
-	}
-}
-
-// scannerSource merges one pinned SSTable through its seeked Scanner.
-func scannerSource(sc *sstable.Scanner, hi []byte) func() (memtable.Entry, bool, error) {
-	return func() (memtable.Entry, bool, error) {
-		e, ok, err := sc.Next()
-		if err != nil || !ok {
-			return memtable.Entry{}, ok, err
-		}
-		if len(hi) > 0 && bytes.Compare(e.Key, hi) >= 0 {
-			return memtable.Entry{}, false, nil
-		}
-		return e, true, nil
-	}
+	return sources
 }
 
 // Iterator walks this rank's owned pairs in ascending key order over a
@@ -178,8 +136,7 @@ func scannerSource(sc *sstable.Scanner, hi []byte) func() (memtable.Entry, bool,
 // next Next call; callers keeping a pair must copy it.
 type Iterator struct {
 	db       *DB
-	hi       []byte
-	h        iterHeap
+	m        *memtable.Merger
 	pinned   []uint64
 	scanners []*sstable.Scanner
 	key, val []byte
@@ -210,41 +167,27 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 	if err := db.readHealth(); err != nil {
 		return nil, err
 	}
-	it := &Iterator{
-		db: db,
-		hi: append([]byte(nil), hi...),
-	}
+	it := &Iterator{db: db}
 	lo = append([]byte(nil), lo...)
+	hi = append([]byte(nil), hi...)
 
 	// MemTables first, SSTables second — see the package comment: this
 	// order makes a concurrent flush a benign duplicate instead of a gap.
-	// Priorities: every MemTable source outranks every SSTable source (a
-	// flushed table leaves the list only after its SSTable is published, so
-	// in-memory versions are never older), newest list entries first.
-	var sources []*iterSource
-	pri := 0
-	add := func(pull func() (memtable.Entry, bool, error)) {
-		sources = append(sources, &iterSource{pri: pri, pull: pull})
-		pri++
-	}
+	// Sources go newest first: every MemTable source outranks every SSTable
+	// source (a flushed table leaves the list only after its SSTable is
+	// published, so in-memory versions are never older), newest list
+	// entries first.
 	db.mu.Lock()
-	add(sliceSource(db.localMT.SnapshotRange(lo, it.hi)))
-	for i := len(db.immLocal) - 1; i >= 0; i-- {
-		add(cursorSource(db.immLocal[i].CursorFrom(lo), it.hi))
-	}
+	sources := memSources(nil, db.localMT, db.immLocal, lo, hi)
 	if withStaging {
-		add(sliceSource(db.remoteMT.SnapshotRange(lo, it.hi)))
-		for i := len(db.immRemote) - 1; i >= 0; i-- {
-			add(cursorSource(db.immRemote[i].CursorFrom(lo), it.hi))
-		}
+		sources = memSources(sources, db.remoteMT, db.immRemote, lo, hi)
 	}
 	db.mu.Unlock()
 
-	// pinSnapshotRange returns the tables in probe (recency) order — L0
-	// newest-first, then each deeper level's overlapping run — already
+	// pinSnapshotRange returns the tables in recency order, already
 	// filtered to tables intersecting [lo, hi), so the merge opens one
 	// scanner per level beyond L0 instead of one per live table.
-	it.pinned = db.pinSnapshotRange(lo, it.hi)
+	it.pinned = db.pinSnapshotRange(lo, hi)
 	dir := db.dir(db.rt.rank)
 	for _, id := range it.pinned {
 		sc, err := db.readers.NewScanner(dir, id)
@@ -259,72 +202,33 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 			return nil, fmt.Errorf("papyruskv: open iterator on SSTable %d: %w", id, err)
 		}
 		it.scanners = append(it.scanners, sc)
-		add(scannerSource(sc, it.hi))
+		sources = append(sources, sc.Next)
 	}
 
-	// Prime the heap: pull each source's first entry, dropping empty ones.
-	for _, s := range sources {
-		e, ok, err := s.pull()
-		if err != nil {
-			it.release()
-			return nil, err
-		}
-		if ok {
-			s.cur = e
-			it.h = append(it.h, s)
-		}
+	m, err := memtable.NewMerger(sources, hi)
+	if err != nil {
+		it.release()
+		return nil, err
 	}
-	heap.Init(&it.h)
+	it.m = m
 	db.metrics.IteratorsOpen.Add(1)
 	return it, nil
 }
 
-// step emits the winning version of the next key — tombstones included, so
-// internal consumers (the cross-rank merge, the page producer) can let a
-// newer source's tombstone shadow an older rank-remote stream. Entries alias
-// runtime memory; they are valid until the next step call.
-func (it *Iterator) step() (memtable.Entry, bool, error) {
-	if it.err != nil {
-		return memtable.Entry{}, false, it.err
-	}
-	for len(it.h) > 0 {
-		key := it.h[0].cur.Key
-		var winner memtable.Entry
-		winnerPri := int(^uint(0) >> 1)
-		// Consume the whole run of sources positioned on key: the lowest
-		// pri (newest) supplies the surviving version, every older one is
-		// advanced past its shadowed entry.
-		for len(it.h) > 0 && bytes.Equal(it.h[0].cur.Key, key) {
-			s := it.h[0]
-			if s.pri < winnerPri {
-				winner, winnerPri = s.cur, s.pri
-			}
-			e, ok, err := s.pull()
-			if err != nil {
-				it.err = err
-				return memtable.Entry{}, false, err
-			}
-			if ok {
-				s.cur = e
-				heap.Fix(&it.h, 0)
-			} else {
-				heap.Pop(&it.h)
-			}
-		}
-		return winner, true, nil
-	}
-	return memtable.Entry{}, false, nil
-}
-
 // Next advances to the next live pair, reporting whether one exists.
 // Tombstones are filtered here, at the public edge: a deleted key simply
-// does not appear.
+// does not appear. The internal consumers — the cross-rank merge and the
+// page producer — pull it.m directly and see tombstones, so a newer
+// source's tombstone can shadow an older rank's stream.
 func (it *Iterator) Next() bool {
 	if it.closed || it.err != nil {
 		return false
 	}
 	for {
-		e, ok, err := it.step()
+		e, ok, err := it.m.Next()
+		if err != nil {
+			it.err = err
+		}
 		if err != nil || !ok {
 			return false
 		}
@@ -370,5 +274,5 @@ func (it *Iterator) release() {
 		it.db.releaseSnapshot(it.pinned)
 		it.pinned = nil
 	}
-	it.h = nil
+	it.m = nil
 }

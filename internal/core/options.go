@@ -189,13 +189,6 @@ type Options struct {
 	// default (8); a negative value disables admission control entirely,
 	// restoring unbounded backlog growth.
 	StallSoftDepth int
-	// StallHardDepth is the fail-fast threshold: a put finding the backlog
-	// at or above it returns ErrWriteStalled immediately, spending no
-	// stall budget — the backlog is so deep that waiting one StallTimeout
-	// cannot plausibly drain it. 0 selects the default (4x the effective
-	// StallSoftDepth); values <= StallSoftDepth are raised to
-	// StallSoftDepth+1.
-	StallHardDepth int
 	// StallTimeout bounds the total time one put may spend stalled above
 	// StallSoftDepth before giving up with ErrWriteStalled. No put ever
 	// blocks longer than StallTimeout plus one stall period (StallTimeout/8,
@@ -250,7 +243,6 @@ func DefaultOptions() Options {
 		ParkedBytes:         8 << 20,
 		ProbeInterval:       250 * time.Millisecond,
 		StallSoftDepth:      8,
-		StallHardDepth:      32,
 		StallTimeout:        time.Second,
 		ScanPageBytes:       256 << 10,
 		ScanIdleTimeout:     30 * time.Second,
@@ -300,14 +292,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StallSoftDepth == 0 {
 		o.StallSoftDepth = d.StallSoftDepth
-	}
-	if o.StallSoftDepth > 0 {
-		if o.StallHardDepth <= 0 {
-			o.StallHardDepth = 4 * o.StallSoftDepth
-		}
-		if o.StallHardDepth <= o.StallSoftDepth {
-			o.StallHardDepth = o.StallSoftDepth + 1
-		}
 	}
 	if o.StallTimeout <= 0 {
 		o.StallTimeout = d.StallTimeout

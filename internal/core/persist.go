@@ -3,13 +3,12 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"papyruskv/internal/manifest"
-	"papyruskv/internal/memtable"
 	"papyruskv/internal/nvm"
 	"papyruskv/internal/sstable"
 )
@@ -430,20 +429,8 @@ func (rt *Runtime) restartRedistribute(path, name string, opt Options, m ckptMan
 	}
 	ev := newEvent()
 	go func() {
-		pfs := rt.cfg.PFS
 		for src := rt.rank; src < m.Ranks; src += rt.size {
-			dir := snapshotDir(path, m.Gen, src)
-			ids := snapshotRecency(m.Files[src])
-			err := sstable.MergeScanOrdered(pfs, dir, ids, func(e memtable.Entry) error {
-				if e.Tombstone {
-					// A tombstone in the snapshot only shadowed older
-					// SSTables of the same snapshot; the merge scan has
-					// already suppressed those, so it can be dropped.
-					return nil
-				}
-				return db.Put(e.Key, e.Value)
-			})
-			if err != nil {
+			if err := db.redistribute(rt.cfg.PFS, snapshotDir(path, m.Gen, src), snapshotRecency(m.Files[src])); err != nil {
 				ev.complete(err)
 				return
 			}
@@ -480,23 +467,43 @@ func snapshotLevels(files []manifestFile) map[uint64]uint32 {
 	return levels
 }
 
-// snapshotRecency orders one rank's snapshot tables for a redistributing
-// merge scan: L0 newest-first (SSID descending), then each deeper level —
-// internally disjoint, so its order is immaterial — in ascending level
-// order.
-func snapshotRecency(files []manifestFile) []uint64 {
-	levels := snapshotLevels(files)
-	ids := make([]uint64, 0, len(levels))
-	for id := range levels {
-		ids = append(ids, id)
+// redistribute re-puts each key's newest version from the snapshot tables
+// ids — recency order — in dir. A tombstone in the snapshot only shadowed
+// older tables of the same snapshot; the merge has already suppressed
+// those, so it is dropped.
+func (db *DB) redistribute(pfs *nvm.Device, dir string, ids []uint64) error {
+	m, err := sstable.OpenMerge(pfs, dir, ids, nil, nil)
+	if err != nil {
+		return err
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		li, lj := levels[ids[i]], levels[ids[j]]
-		if li != lj {
-			return li < lj
+	defer m.Close()
+	for {
+		e, ok, err := m.Next()
+		if err != nil || !ok {
+			return err
 		}
-		return ids[i] > ids[j]
-	})
+		if e.Tombstone {
+			continue
+		}
+		if err := db.Put(e.Key, e.Value); err != nil {
+			return err
+		}
+	}
+}
+
+// snapshotRecency orders one rank's snapshot tables for a redistributing
+// merge: the live-version recency order (newerTable) over the levels the
+// snapshot recorded.
+func snapshotRecency(files []manifestFile) []uint64 {
+	var tables []manifest.TableMeta
+	for id, level := range snapshotLevels(files) {
+		tables = append(tables, manifest.TableMeta{SSID: id, Level: level})
+	}
+	slices.SortFunc(tables, newerTable)
+	ids := make([]uint64, len(tables))
+	for i, t := range tables {
+		ids[i] = t.SSID
+	}
 	return ids
 }
 

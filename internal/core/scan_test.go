@@ -544,3 +544,78 @@ func TestScanDegradedRank(t *testing.T) {
 		return cerr
 	})
 }
+
+// TestScanStagingWins: in relaxed mode a caller's staged — not yet migrated
+// — overwrite and delete of keys a peer owns shadow the owner's stream in
+// the caller's own scan, exactly as they do for its Get, while the owner
+// still scans the old versions. After Fence migrates them, both scans agree
+// on the new state.
+func TestScanStagingWins(t *testing.T) {
+	runCluster(t, clusterSpec{ranks: 2}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("scanstage", smallOpt()) // Relaxed
+		if err != nil {
+			return err
+		}
+		peerKeys := ownKeys(db, 1, 6)
+		if rt.Rank() == 1 {
+			for _, k := range peerKeys {
+				mustPut(t, db, string(k), "old")
+			}
+		}
+		if err := db.Barrier(LevelSSTable); err != nil { // the owner's SSTables hold the old versions
+			return err
+		}
+		overwritten, deleted := string(peerKeys[1]), string(peerKeys[4])
+		if rt.Rank() == 0 {
+			mustPut(t, db, overwritten, "new")
+			if err := db.Delete([]byte(deleted)); err != nil {
+				t.Fatalf("Delete: %v", err)
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+
+		// check scans every pair and compares it with the old versions,
+		// optionally with the staged overwrite and delete applied.
+		check := func(when string, staged bool) {
+			t.Helper()
+			want := map[string]string{}
+			for _, k := range peerKeys {
+				want[string(k)] = "old"
+			}
+			if staged {
+				want[overwritten] = "new"
+				delete(want, deleted)
+			}
+			got := map[string]string{}
+			err := db.Scan(context.Background(), nil, nil, func(k, v []byte) error {
+				got[string(k)] = string(v)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("rank %d %s Scan: %v", rt.Rank(), when, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("rank %d %s scan = %v, want %v", rt.Rank(), when, got, want)
+			}
+		}
+		check("before Fence", rt.Rank() == 0)
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if rt.Rank() == 0 {
+			if err := db.Fence(); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		check("after Fence", true)
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		return db.Close()
+	})
+}

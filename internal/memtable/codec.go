@@ -20,25 +20,26 @@ func EncodeEntries(entries []Entry) []byte {
 	for i := range entries {
 		size += 9 + len(entries[i].Key) + len(entries[i].Value)
 	}
-	out := make([]byte, 0, size)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(entries)))
-	out = append(out, u32[:]...)
-	for i := range entries {
-		e := &entries[i]
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(e.Key)))
-		out = append(out, u32[:]...)
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(e.Value)))
-		out = append(out, u32[:]...)
-		var flags byte
-		if e.Tombstone {
-			flags |= 1
-		}
-		out = append(out, flags)
-		out = append(out, e.Key...)
-		out = append(out, e.Value...)
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(entries)))
+	for _, e := range entries {
+		out = AppendEntry(out, e)
 	}
 	return out
+}
+
+// AppendEntry appends one entry in the batch format to dst. A batch is a
+// uint32 count followed by that many appended entries; a scan page is
+// encoded straight into its reply frame this way.
+func AppendEntry(dst []byte, e Entry) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Key)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Value)))
+	var flags byte
+	if e.Tombstone {
+		flags = 1
+	}
+	dst = append(dst, flags)
+	dst = append(dst, e.Key...)
+	return append(dst, e.Value...)
 }
 
 // DecodeEntries parses a batch serialised by EncodeEntries. It accepts

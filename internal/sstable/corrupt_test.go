@@ -174,6 +174,24 @@ func TestBitFlipBloomDetected(t *testing.T) {
 	}
 }
 
+// drainMerge collects every entry OpenMerge yields over inputs.
+func drainMerge(t *testing.T, dev *nvm.Device, inputs []uint64) ([]string, error) {
+	t.Helper()
+	m, err := OpenMerge(dev, "d", inputs, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	var got []string
+	for {
+		e, ok, err := m.Next()
+		if err != nil || !ok {
+			return got, err
+		}
+		got = append(got, fmt.Sprintf("%s=%s/%v", e.Key, e.Value, e.Tombstone))
+	}
+}
+
 func TestMergeScanNewestWins(t *testing.T) {
 	dev := corruptDev(t)
 	WriteTable(dev, "d", 1, []memtable.Entry{
@@ -184,64 +202,67 @@ func TestMergeScanNewestWins(t *testing.T) {
 		{Key: []byte("a"), Value: []byte("new")},
 		{Key: []byte("c"), Tombstone: true},
 	})
-	var got []string
-	err := MergeScanOrdered(dev, "d", []uint64{2, 1}, func(e memtable.Entry) error {
-		got = append(got, fmt.Sprintf("%s=%s/%v", e.Key, e.Value, e.Tombstone))
-		return nil
-	})
+	got, err := drainMerge(t, dev, []uint64{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a=new/false", "b=keep/false", "c=/true"}
-	if len(got) != len(want) {
-		t.Fatalf("MergeScanOrdered yielded %v", got)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("OpenMerge yielded %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MergeScanOrdered[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	// Inputs must survive (MergeScanOrdered never deletes).
+	// Inputs must survive (a merge never deletes).
 	ids, _ := ListSSIDs(dev, "d")
 	if len(ids) != 2 {
-		t.Fatalf("MergeScanOrdered deleted inputs: %v", ids)
+		t.Fatalf("OpenMerge deleted inputs: %v", ids)
 	}
 }
 
+// TestMergeScanCallbackError: an input that fails mid-stream aborts the
+// merge — the error surfaces, and nothing after it is yielded.
 func TestMergeScanCallbackError(t *testing.T) {
 	dev := corruptDev(t)
-	WriteTable(dev, "d", 1, sortedEntries(10, 4))
-	wantErr := fmt.Errorf("stop here")
-	calls := 0
-	err := MergeScanOrdered(dev, "d", []uint64{1}, func(memtable.Entry) error {
-		calls++
-		if calls == 3 {
-			return wantErr
-		}
-		return nil
-	})
-	if err != wantErr {
-		t.Fatalf("err = %v", err)
+	entries := sortedEntries(20, 4)
+	WriteTable(dev, "d", 1, entries)
+	raw, _ := dev.ReadFile(DataName("d", 1))
+	dev.WriteFile(DataName("d", 1), raw[:len(raw)/2+3]) // cut mid-record
+	m, err := OpenMerge(dev, "d", []uint64{1}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if calls != 3 {
-		t.Fatalf("callback ran %d times after error", calls)
+	defer m.Close()
+	yielded := 0
+	for {
+		_, ok, err := m.Next()
+		if err != nil {
+			break
+		}
+		if !ok {
+			t.Fatal("truncated input merged cleanly")
+		}
+		yielded++
+	}
+	if yielded == 0 || yielded >= len(entries) {
+		t.Fatalf("yielded %d of %d records before the cut", yielded, len(entries))
+	}
+	if _, ok, err := m.Next(); ok || err == nil {
+		t.Fatalf("merge resumed after its error: ok=%v err=%v", ok, err)
 	}
 }
 
 func TestMergeScanMissingInput(t *testing.T) {
 	dev := corruptDev(t)
-	if err := MergeScanOrdered(dev, "d", []uint64{42}, func(memtable.Entry) error { return nil }); err == nil {
+	if _, err := drainMerge(t, dev, []uint64{42}); err == nil {
 		t.Fatal("missing input scanned")
 	}
 }
 
 func TestMergeScanEmptyInputs(t *testing.T) {
 	dev := corruptDev(t)
-	called := false
-	if err := MergeScanOrdered(dev, "d", nil, func(memtable.Entry) error { called = true; return nil }); err != nil {
+	got, err := drainMerge(t, dev, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if called {
-		t.Fatal("callback ran with no inputs")
+	if len(got) != 0 {
+		t.Fatalf("no inputs yielded %v", got)
 	}
 }

@@ -1,9 +1,6 @@
 package sstable
 
 import (
-	"bytes"
-	"container/heap"
-
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/nvm"
 )
@@ -28,11 +25,17 @@ import (
 // orphan, quarantined on reopen) or the new one (edit committed: leftover
 // inputs are orphans), never a mix that resurrects overwritten values.
 func MergeOrdered(dev *nvm.Device, dir string, inputs []uint64, newSSID uint64, lo, hi []byte, dropTombstones bool) (Meta, error) {
-	m, err := openMerger(dev, dir, inputs, lo)
+	if len(hi) > 0 {
+		// hi is inclusive here and exclusive in the merge: the smallest key
+		// above hi is hi+0x00. The full slice expression keeps the append
+		// off the caller's array.
+		hi = append(hi[:len(hi):len(hi)], 0)
+	}
+	m, err := OpenMerge(dev, dir, inputs, lo, hi)
 	if err != nil {
 		return Meta{}, err
 	}
-	defer m.close()
+	defer m.Close()
 	// Size the output bloom filter from the inputs' true entry counts, so
 	// merging large tables keeps the configured false-positive rate and
 	// merging tiny ones does not over-allocate. The count is free when the
@@ -55,13 +58,12 @@ func MergeOrdered(dev *nvm.Device, dir string, inputs []uint64, newSSID uint64, 
 		return Meta{}, err
 	}
 	for {
-		e, ok, err := m.next()
+		e, ok, err := m.Next()
 		if err != nil {
 			w.Abort()
 			return Meta{}, err
 		}
-		if !ok || (len(hi) > 0 && bytes.Compare(e.Key, hi) > 0) {
-			// Inputs exhausted, or every remaining record is past the range.
+		if !ok {
 			return w.Close()
 		}
 		if dropTombstones && e.Tombstone {
@@ -90,45 +92,24 @@ func EntryCount(dev *nvm.Device, dir string, ssid uint64) (int, error) {
 	return idx.count, nil
 }
 
-// MergeScanOrdered streams the logical merge of the given SSTables — inputs
-// newest FIRST, each key's newest version only, in ascending key order — to
-// fn without writing a new table. Restart-with-redistribution uses it to
-// re-put each snapshot pair exactly once (§4.2). A non-nil error from fn
-// aborts the scan.
-func MergeScanOrdered(dev *nvm.Device, dir string, inputs []uint64, fn func(memtable.Entry) error) error {
-	m, err := openMerger(dev, dir, inputs, nil)
-	if err != nil {
-		return err
-	}
-	defer m.close()
-	for {
-		e, ok, err := m.next()
-		if err != nil || !ok {
-			return err
-		}
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
-}
-
-// merger is the one k-way merge over SSTables: a heap of sequential
-// scanners, one per input, that yields each key's newest version in
-// ascending key order. It performs the sequential file reads the paper
-// describes and never holds more than one record per input in memory.
-type merger struct {
+// TableMerge is memtable.Merger over sequential scanners of SSTables, which
+// it owns: the sequential file reads the paper describes, never more than
+// one record per input in memory. Close releases the scanners.
+type TableMerge struct {
+	*memtable.Merger
 	scanners []*Scanner
-	heap     mergeHeap
-	lastKey  []byte
-	started  bool
 }
 
-// openMerger opens a scanner on every input — newest first: an input's
+// OpenMerge opens a scanner on every input — newest first: an input's
 // position is its priority on a key tie — positions each at the first key
-// >= lo (nil: the start), and primes the heap. The caller closes the merger.
-func openMerger(dev *nvm.Device, dir string, inputs []uint64, lo []byte) (*merger, error) {
-	m := &merger{scanners: make([]*Scanner, 0, len(inputs))}
-	for pri, id := range inputs {
+// >= lo (nil: the start), and merges them up to the first key >= hi (nil:
+// the end). Restart-with-redistribution streams a snapshot through it to
+// re-put each pair exactly once (§4.2); MergeOrdered writes it to a table.
+// Inputs are never deleted.
+func OpenMerge(dev *nvm.Device, dir string, inputs []uint64, lo, hi []byte) (*TableMerge, error) {
+	m := &TableMerge{scanners: make([]*Scanner, 0, len(inputs))}
+	pulls := make([]memtable.Source, 0, len(inputs))
+	for _, id := range inputs {
 		sc, err := NewScanner(dev, dir, id)
 		if err == nil {
 			m.scanners = append(m.scanners, sc)
@@ -136,71 +117,23 @@ func openMerger(dev *nvm.Device, dir string, inputs []uint64, lo []byte) (*merge
 				err = sc.SeekGE(lo)
 			}
 		}
-		if err == nil {
-			err = m.refill(pri)
-		}
 		if err != nil {
-			m.close()
+			m.Close()
 			return nil, err
 		}
+		pulls = append(pulls, sc.Next)
+	}
+	var err error
+	if m.Merger, err = memtable.NewMerger(pulls, hi); err != nil {
+		m.Close()
+		return nil, err
 	}
 	return m, nil
 }
 
-// refill pushes input pri's next record, if it has one.
-func (m *merger) refill(pri int) error {
-	e, ok, err := m.scanners[pri].Next()
-	if ok {
-		heap.Push(&m.heap, mergeItem{entry: e, pri: pri})
-	}
-	return err
-}
-
-// next returns the next key's newest version. The heap orders equal keys by
-// input priority, so the first occurrence of a key is the newest; later
-// duplicates are stale and skipped.
-func (m *merger) next() (memtable.Entry, bool, error) {
-	for m.heap.Len() > 0 {
-		item := heap.Pop(&m.heap).(mergeItem)
-		if err := m.refill(item.pri); err != nil {
-			return memtable.Entry{}, false, err
-		}
-		if m.started && bytes.Equal(item.entry.Key, m.lastKey) {
-			continue
-		}
-		m.lastKey = append(m.lastKey[:0], item.entry.Key...)
-		m.started = true
-		return item.entry, true, nil
-	}
-	return memtable.Entry{}, false, nil
-}
-
-func (m *merger) close() {
+// Close releases every input's scanner.
+func (m *TableMerge) Close() {
 	for _, sc := range m.scanners {
 		sc.Close()
 	}
-}
-
-type mergeItem struct {
-	entry memtable.Entry
-	pri   int // input position: lower = newer, wins ties
-}
-
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if c := bytes.Compare(h[i].entry.Key, h[j].entry.Key); c != 0 {
-		return c < 0
-	}
-	return h[i].pri < h[j].pri // newest first among equal keys
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
 }

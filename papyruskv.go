@@ -144,7 +144,8 @@ var (
 	// ErrWriteStalled is returned when a put, after stalling up to
 	// Options.StallTimeout on a full immutable-table backlog, still finds
 	// the backlog above the soft threshold — or immediately once the
-	// backlog reaches Options.StallHardDepth. The put was not applied.
+	// backlog reaches four times Options.StallSoftDepth. The put was not
+	// applied.
 	ErrWriteStalled = core.ErrWriteStalled
 	// ErrScrubLoss is the cause inside Health()'s ErrReadOnly after the
 	// background scrubber found a corrupt SSTable with no valid checkpoint
