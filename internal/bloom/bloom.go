@@ -9,6 +9,7 @@
 package bloom
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -45,8 +46,8 @@ func New(n int, p float64) *Filter {
 	if k < 1 {
 		k = 1
 	}
-	if k > 30 {
-		k = 30
+	if k > maxHashes {
+		k = maxHashes
 	}
 	return &Filter{bits: make([]byte, (m+7)/8), nbits: m, hashes: k}
 }
@@ -105,23 +106,34 @@ func (f *Filter) Count() uint64 { return f.n }
 // SizeBytes returns the size of the bit vector in bytes.
 func (f *Filter) SizeBytes() int { return len(f.bits) }
 
-const magic = 0x504b5642 // "PKVB"
+const (
+	magic = 0x504b5642 // "PKVB"
+	// header is the marshalled size of magic, nbits, hashes and key count.
+	header = 4 + 8 + 4 + 8
+	// maxHashes bounds the probes per key: New never picks more, and Load
+	// refuses a file that claims more, since MayContain loops once per hash.
+	maxHashes = 30
+)
 
 // Marshal serialises the filter into the on-NVM bloom file format:
 // magic, nbits, hashes, key count, then the bit vector.
 func (f *Filter) Marshal() []byte {
-	buf := make([]byte, 4+8+4+8+len(f.bits))
+	buf := make([]byte, header+len(f.bits))
 	binary.LittleEndian.PutUint32(buf[0:], magic)
 	binary.LittleEndian.PutUint64(buf[4:], f.nbits)
 	binary.LittleEndian.PutUint32(buf[12:], f.hashes)
 	binary.LittleEndian.PutUint64(buf[16:], f.n)
-	copy(buf[24:], f.bits)
+	copy(buf[header:], f.bits)
 	return buf
 }
 
-// Load parses a filter previously produced by Marshal.
+// Load parses a filter previously produced by Marshal. It accepts exactly
+// the images Marshal can produce: the bit vector must hold nbits rounded up
+// to whole bytes with nothing after it, and the hash count must lie in
+// [1, maxHashes]. A filter it returns re-marshals byte for byte and can be
+// probed without indexing past its bits.
 func Load(data []byte) (*Filter, error) {
-	if len(data) < 24 {
+	if len(data) < header {
 		return nil, fmt.Errorf("bloom: short filter file (%d bytes)", len(data))
 	}
 	if binary.LittleEndian.Uint32(data[0:]) != magic {
@@ -130,14 +142,14 @@ func Load(data []byte) (*Filter, error) {
 	nbits := binary.LittleEndian.Uint64(data[4:])
 	hashes := binary.LittleEndian.Uint32(data[12:])
 	n := binary.LittleEndian.Uint64(data[16:])
-	want := int((nbits + 7) / 8)
-	if len(data[24:]) < want {
-		return nil, fmt.Errorf("bloom: bit vector truncated: %d < %d", len(data[24:]), want)
-	}
-	if hashes == 0 || nbits == 0 {
+	if hashes == 0 || hashes > maxHashes || nbits == 0 {
 		return nil, fmt.Errorf("bloom: invalid parameters nbits=%d hashes=%d", nbits, hashes)
 	}
-	bits := make([]byte, want)
-	copy(bits, data[24:24+want])
-	return &Filter{bits: bits, nbits: nbits, hashes: hashes, n: n}, nil
+	// Compared in bits against what is present, so a huge nbits cannot wrap
+	// the byte count to something small.
+	vec := uint64(len(data) - header)
+	if nbits > vec*8 || (nbits+7)/8 != vec {
+		return nil, fmt.Errorf("bloom: %d-byte bit vector for nbits=%d", vec, nbits)
+	}
+	return &Filter{bits: bytes.Clone(data[header:]), nbits: nbits, hashes: hashes, n: n}, nil
 }

@@ -64,8 +64,10 @@ func (db *DB) liveSSIDs() []uint64 {
 }
 
 // installVersionLocked replaces the in-memory leveled state with the
-// manifest version v (Open, Restart). Caller holds sstMu.
-func (db *DB) installVersionLocked(v manifest.Version) {
+// manifest version v (Open, Restart, Recover) and publishes it. fresh are
+// handles already open on some of v's tables (see publishLocked). Caller
+// holds sstMu.
+func (db *DB) installVersionLocked(v manifest.Version, fresh ...*tableHandle) {
 	var levels [][]manifest.TableMeta
 	for _, t := range v.Tables {
 		for int(t.Level) >= len(levels) {
@@ -80,6 +82,7 @@ func (db *DB) installVersionLocked(v manifest.Version) {
 	if v.NextSSID > db.nextSSID {
 		db.nextSSID = v.NextSSID
 	}
+	db.publishLocked(fresh...)
 }
 
 // sortLevel establishes level n's canonical order: L0 by SSID ascending
@@ -104,58 +107,22 @@ func newerTable(a, b manifest.TableMeta) int {
 	return cmp.Compare(b.SSID, a.SSID)
 }
 
-// appendTablesLocked is the one recency walk over the live levels: it
-// appends to ids every table that may hold a key in [lo, hi) — [lo, hi]
-// when inclusive — in newerTable order: each covering L0 table newest
-// first, then each deeper level's overlapping run, found with one binary
-// search per level. Empty bounds are unbounded. Caller holds sstMu.
-func (db *DB) appendTablesLocked(ids []uint64, lo, hi []byte, inclusive bool) []uint64 {
-	// past reports that a table starting at minKey lies wholly above the range.
-	past := func(minKey []byte) bool {
-		c := bytes.Compare(minKey, hi)
-		return len(hi) > 0 && (c > 0 || c == 0 && !inclusive)
-	}
-	for n, run := range db.levels {
-		if n == 0 {
-			for i := len(run) - 1; i >= 0; i-- {
-				if !past(run[i].MinKey) && bytes.Compare(run[i].MaxKey, lo) >= 0 {
-					ids = append(ids, run[i].SSID)
-				}
-			}
-			continue
-		}
-		i := sort.Search(len(run), func(i int) bool { return bytes.Compare(run[i].MaxKey, lo) >= 0 })
-		for ; i < len(run) && !past(run[i].MinKey); i++ {
-			ids = append(ids, run[i].SSID)
-		}
-	}
-	return ids
-}
-
-// candidateSSIDs returns the SSIDs that may hold key, newest first: at most
-// one table per level beyond L0. This is what makes own-rank gets and
-// statusShare O(levels) instead of O(tables).
-func (db *DB) candidateSSIDs(key []byte) []uint64 {
-	db.sstMu.RLock()
-	defer db.sstMu.RUnlock()
-	return db.appendTablesLocked(nil, key, key, true)
-}
-
 // pinSnapshotRange captures the live tables intersecting [lo, hi) in
-// recency order and registers one pin per table. Taking snapMu inside
-// sstMu.RLock closes the race with compaction installs: a table a job is
-// about to supersede cannot be pinned after the install swapped it out, and
-// a pin taken before the swap is visible to removeInputOrDefer's registry
-// check. nil bounds are unbounded; hi is exclusive, matching NewIterator.
+// recency order and registers one pin per table. The registration happens
+// while the view the tables came from is pinned, which closes the race with
+// compaction installs: an install that drops one of these tables awaits the
+// view's release before removeInputOrDefer consults the registry, so it
+// either sees these pins or the table was never in the view. nil bounds are
+// unbounded; hi is exclusive, matching NewIterator.
 func (db *DB) pinSnapshotRange(lo, hi []byte) []uint64 {
-	db.sstMu.RLock()
-	ids := db.appendTablesLocked(nil, lo, hi, false)
+	v := db.pinView()
+	defer db.unpinView(v)
+	ids := v.ids(lo, hi, false)
 	db.snapMu.Lock()
 	for _, id := range ids {
 		db.pinnedSSIDs[id]++
 	}
 	db.snapMu.Unlock()
-	db.sstMu.RUnlock()
 	return ids
 }
 
@@ -458,17 +425,22 @@ func (db *DB) releaseJob(job *compactionJob) {
 func (db *DB) runJob(job *compactionJob) {
 	defer db.releaseJob(job)
 	dev := db.rt.cfg.Device
-	dir := db.dir(db.rt.rank)
+	dir := db.ownDir
 
+	// The inputs' entry counts, from their manifest records, size the output
+	// bloom filter.
 	ordered := make([]uint64, 0, len(job.inputs)+len(job.overlap))
-	for _, t := range job.inputs {
+	expected := 0
+	for _, t := range slices.Concat(job.inputs, job.overlap) {
 		ordered = append(ordered, t.SSID)
-	}
-	for _, t := range job.overlap {
-		ordered = append(ordered, t.SSID)
+		expected += int(t.Entries)
 	}
 	outLevel := job.level + 1
-	meta, err := sstable.MergeOrdered(dev, dir, ordered, job.outID, job.lo, job.hi, job.bottom)
+	w, err := sstable.NewWriter(dev, dir, job.outID, expected)
+	var meta sstable.Meta
+	if err == nil {
+		meta, err = w.Merge(ordered, job.lo, job.hi, job.bottom)
+	}
 	if err != nil {
 		db.failOrDegrade(fmt.Errorf("compaction into SSTable %d: %w", job.outID, err))
 		return
@@ -505,6 +477,10 @@ func (db *DB) runJob(job *compactionJob) {
 		return
 	}
 
+	var fresh []*tableHandle
+	if hasOut {
+		fresh = append(fresh, db.writtenHandle(w, job.outID))
+	}
 	db.sstMu.Lock()
 	// Swap the levels before unlinking anything, so gets follow the
 	// committed version instead of racing the unlinks. L0 tables flushed
@@ -533,14 +509,17 @@ func (db *DB) runJob(job *compactionJob) {
 		db.levels[outLevel] = append(db.levels[outLevel], tm)
 		sortLevel(db.levels[outLevel], outLevel)
 	}
+	dropped := db.publishLocked(fresh...)
 	db.sstMu.Unlock()
 
-	// Unlink the inputs and drop their cached reader handles so the whole
-	// storage group (the cache is per-device) stops probing them. An input
-	// a snapshot still pins is parked on the zombie list instead
-	// (iterator.go): the version moved on above, only the file waits for
-	// its last reader. A failed unlink only leaves orphan files behind (the
-	// version is already committed); surface the device trouble anyway.
+	// Unlink the inputs once no get still probes them through an older
+	// view, and drop their cached readers so the whole storage group (the
+	// cache is per-device) stops probing them. An input a snapshot still
+	// pins is parked on the zombie list instead (iterator.go): the version
+	// moved on above, only the file waits for its last reader. A failed
+	// unlink only leaves orphan files behind (the version is already
+	// committed); surface the device trouble anyway.
+	awaitReleased(dropped)
 	var removeErr error
 	for _, id := range ordered {
 		if err := db.removeInputOrDefer(dir, id); err != nil && removeErr == nil {

@@ -58,9 +58,14 @@ type DB struct {
 	replyComm *mpi.Comm
 	ckptComm  *mpi.Comm
 
+	// ownDir is this rank's SSTable directory, db.dir(rt.rank).
+	ownDir string
+
 	// mu guards the MemTables, the immutable-table lists and the background
 	// threads' claims on them, the WAL stream pointers and walSegs, and the
-	// consistency, protection and closed flags.
+	// consistency and protection flags. closed is set under it, so a put
+	// that checked it under mu finishes before Close tears down; the read
+	// path loads it lock-free.
 	//
 	// immLocal and immRemote hold the sealed MemTables, oldest first. Gets
 	// search them newest first; the flush thread and the dispatcher consume
@@ -80,7 +85,7 @@ type DB struct {
 	migrPending int
 	consistency Consistency
 	protection  Protection
-	closed      bool
+	closed      atomic.Bool
 
 	// wake is the broadcast behind await/wakeAll (backlog.go): a channel
 	// closed and replaced on every seal, retire, idle thread, health
@@ -102,9 +107,15 @@ type DB struct {
 	// by MinKey. Recency across levels is (level asc, then SSID desc within
 	// L0): an L1 output carries a higher SSID than L0 tables flushed during
 	// its merge, so raw SSID order no longer encodes recency.
-	sstMu    sync.RWMutex
-	levels   [][]manifest.TableMeta
-	nextSSID uint64
+	//
+	// view is levels as gets read it: republished under sstMu on every
+	// change, loaded and pinned without it (view.go). openTables counts the
+	// view handles holding an open table.
+	sstMu      sync.RWMutex
+	levels     [][]manifest.TableMeta
+	nextSSID   uint64
+	view       atomic.Pointer[readView]
+	openTables atomic.Int64
 
 	// compactKick wakes the compaction workers; the cap-1 channel coalesces
 	// any number of triggers into one pending kick. pendingCompact counts
@@ -162,9 +173,10 @@ type DB struct {
 	// rank's root-cause failure, the per-peer circuit breakers (each with
 	// its parked-batch queue), the parked-bytes accounting, the MemTables
 	// pinned by parked batches, and the accumulated loss records the next
-	// Fence drains.
+	// Fence drains. failedErr is written under it and read lock-free by the
+	// read path's readHealth.
 	failMu          sync.Mutex
-	failedErr       error
+	failedErr       atomic.Pointer[error]
 	degradedErr     error // read-only degradation cause; Failed dominates
 	peers           map[int]*peerCircuit
 	parkedBytesUsed int64
@@ -253,6 +265,8 @@ func (rt *Runtime) Open(name string, opt Options) (*DB, error) {
 		zombieSSIDs:    make(map[uint64]bool),
 		scrubLim:       scrub.NewLimiter(opt.ScrubBytesPerSec),
 	}
+	db.ownDir = db.dir(rt.rank)
+	db.publishLocked() // empty until the manifest composes the version
 	wake := make(chan struct{})
 	db.wake.Store(&wake)
 	db.scans.m = make(map[scanKey]*openScan)
@@ -370,12 +384,9 @@ func (db *DB) Owner(key []byte) int {
 // on a failed one, and the failure (skipped flush included) is reported in
 // the return value.
 func (db *DB) Close() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	if db.closed.Load() {
 		return ErrInvalidDB
 	}
-	db.mu.Unlock()
 
 	// Flush everything so on-NVM state is complete, and synchronise so no
 	// rank can still be sending requests at shutdown. On a failed rank
@@ -384,7 +395,7 @@ func (db *DB) Close() error {
 	barErr := db.Barrier(LevelSSTable)
 
 	db.mu.Lock()
-	db.closed = true
+	db.closed.Store(true)
 	db.mu.Unlock()
 
 	var sendErr error
@@ -421,10 +432,12 @@ func (db *DB) Close() error {
 	lossErr := db.abandonParked()
 	db.walClose()
 	db.manifestClose()
-	// Release this rank's cached reader handles (and their fds). The
-	// per-device cache outlives the database — peers may still be reading
-	// shared tables — but this rank's own directory has no readers left.
-	db.readers.EvictDir(db.dir(db.rt.rank))
+	// Release this rank's table handles and cached readers (and their fds).
+	// The per-device cache outlives the database — peers may still be
+	// reading shared tables — but this rank's own directory has no readers
+	// left.
+	db.retireView()
+	db.readers.EvictDir(db.ownDir)
 	// Final barrier: every rank's handler is down together.
 	finalErr := db.respComm.Barrier()
 	switch {
@@ -440,9 +453,7 @@ func (db *DB) Close() error {
 }
 
 func (db *DB) checkOpen() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrInvalidDB
 	}
 	return nil

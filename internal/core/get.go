@@ -7,6 +7,7 @@ import (
 	"io/fs"
 
 	"papyruskv/internal/memtable"
+	"papyruskv/internal/sstable"
 )
 
 // Get retrieves the value for key (papyruskv_get), following the search
@@ -119,34 +120,49 @@ func (db *DB) getLocalFull(key []byte) (val []byte, tomb, found bool, err error)
 	return val, tomb, found, nil
 }
 
-// searchOwnSSTables probes this rank's candidate SSTables — every L0 table
-// covering the key newest-first, then at most one table per deeper level
-// (compact.go's candidateSSIDs). Concurrent compaction can delete a table
-// between the list read and the file open; on a file-not-found the search
-// retries with a fresh candidate list (the merged output contains
-// everything the deleted inputs held).
-func (db *DB) searchOwnSSTables(key []byte) ([]byte, bool, bool, error) {
-	dir := db.dir(db.rt.rank)
-	for attempt := 0; attempt < 3; attempt++ {
-		ids := db.candidateSSIDs(key)
-		val, tomb, found, err := db.searchSSTableList(dir, ids, key)
-		if err == nil {
-			return val, tomb, found, nil
+// searchOwnSSTables probes this rank's candidate tables for key — every L0
+// table covering it newest first, then at most one table per deeper level —
+// through the pinned view's handles (view.go). The pin keeps every candidate's
+// files in place, so the search cannot race compaction. SequentialSearch,
+// Figure 8's baseline, reads each table by name instead and keeps paying the
+// device costs the handles save.
+func (db *DB) searchOwnSSTables(key []byte) (val []byte, tomb, found bool, err error) {
+	v := db.pinView()
+	var probes, hits uint64
+	for t := range v.tables(key, key, true) {
+		probes++
+		if db.opt.SearchMode == sstable.SequentialSearch {
+			val, tomb, found, err = sstable.Get(db.rt.cfg.Device, db.ownDir, t.SSID, key, sstable.SequentialSearch, db.opt.UseBloom)
+		} else {
+			var tbl *sstable.Table
+			var hit bool
+			if tbl, hit, err = t.h.table(); err == nil {
+				if hit {
+					hits++
+				}
+				val, tomb, found, err = tbl.Get(key, db.opt.UseBloom)
+			}
 		}
-		if !errors.Is(err, fs.ErrNotExist) {
-			return nil, false, false, err
+		if err != nil || found {
+			break
 		}
 	}
-	return nil, false, false, fmt.Errorf("papyruskv: SSTable search kept racing compaction")
+	db.unpinView(v)
+	db.metrics.SSTableProbes.Add(probes)
+	if hits > 0 {
+		db.metrics.Readers.Hits.Add(hits)
+	}
+	return val, tomb, found, err
 }
 
-// searchSSTableList probes the given SSTables in list order — callers pass
-// recency order, newest first — with the configured search mode and bloom
-// usage, through the device's reader cache. A table deleted by compaction
-// after ids was snapshotted surfaces as fs.ErrNotExist; its cache entry
-// (possibly a stale positive, possibly the negative entry this very probe
-// just created) is evicted before the error propagates, so the caller's
-// retry with a fresh list starts clean.
+// searchSSTableList probes a storage-group peer's tables — ids, in the
+// recency order the owner's statusShare answer listed them — through the
+// device's reader cache, with the configured search mode and bloom usage.
+// The owner may compact a listed table away before this read reaches it:
+// that surfaces as fs.ErrNotExist, and the table's cache entry (possibly a
+// stale positive, possibly the negative entry this very probe just created)
+// is evicted before the error propagates, so the caller's re-ask starts
+// clean.
 func (db *DB) searchSSTableList(dir string, ids []uint64, key []byte) ([]byte, bool, bool, error) {
 	for _, id := range ids {
 		db.metrics.SSTableProbes.Add(1)
@@ -187,8 +203,8 @@ func (db *DB) getRemote(ctx context.Context, owner int, key []byte) ([]byte, err
 		return v, nil
 	}
 
-	// A shared-SSTable search that races compaction re-asks the owner for a
-	// fresh table list, as searchOwnSSTables does for its own tables.
+	// A shared-SSTable search that races the owner's compaction re-asks it
+	// for a fresh table list.
 	var raced error
 	for ask := 0; ask < 3; ask++ {
 		seq := db.sendSeq.Add(1)

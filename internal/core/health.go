@@ -73,7 +73,7 @@ func (db *DB) State() HealthState {
 // stateLocked computes the ladder position. Caller holds db.failMu.
 func (db *DB) stateLocked() HealthState {
 	switch {
-	case db.failedErr != nil:
+	case db.failedErr.Load() != nil:
 		return StateFailed
 	case db.degradedErr != nil:
 		return StateDegraded
@@ -93,9 +93,9 @@ func (db *DB) fail(err error) {
 		return
 	}
 	db.failMu.Lock()
-	first := db.failedErr == nil
+	first := db.failedErr.Load() == nil
 	if first {
-		db.failedErr = err
+		db.failedErr.Store(&err)
 		// Failed dominates Degraded on the ladder; the gauge tracks the
 		// Degraded state only. Stored under failMu so it cannot race a
 		// concurrent degradeLocked's Store(1) and end up stale.
@@ -106,7 +106,7 @@ func (db *DB) fail(err error) {
 		db.wakeAll()
 		// Outside failMu: eviction takes the cache lock and closes fds,
 		// and callers of Health() hold failMu-adjacent paths.
-		db.readers.EvictDir(db.dir(db.rt.rank))
+		db.readers.EvictDir(db.ownDir)
 	}
 }
 
@@ -125,7 +125,7 @@ func (db *DB) degrade(err error) {
 
 // degradeLocked is degrade for callers already holding db.failMu.
 func (db *DB) degradeLocked(err error) {
-	if err == nil || db.failedErr != nil || db.degradedErr != nil {
+	if err == nil || db.failedErr.Load() != nil || db.degradedErr != nil {
 		return
 	}
 	db.degradedErr = err
@@ -156,7 +156,7 @@ func (db *DB) failOrDegrade(err error) {
 // happened.
 func (db *DB) heal() bool {
 	db.failMu.Lock()
-	healed := db.failedErr == nil && db.degradedErr != nil
+	healed := db.failedErr.Load() == nil && db.degradedErr != nil
 	if healed {
 		db.degradedErr = nil
 		// Under failMu: a Store(0) after the unlock could race a concurrent
@@ -191,8 +191,8 @@ func (db *DB) Fail(err error) {
 func (db *DB) Health() error {
 	db.failMu.Lock()
 	defer db.failMu.Unlock()
-	if db.failedErr != nil {
-		return fmt.Errorf("%w: %w", ErrRankFailed, db.failedErr)
+	if failed := db.failedErr.Load(); failed != nil {
+		return fmt.Errorf("%w: %w", ErrRankFailed, *failed)
 	}
 	if db.degradedErr != nil {
 		return fmt.Errorf("%w: %w", ErrReadOnly, db.degradedErr)
@@ -203,12 +203,11 @@ func (db *DB) Health() error {
 // readHealth gates the read path: it fails only when the rank is Failed. A
 // Degraded rank's MemTables, SSTables, and caches are fully intact — only
 // new writes have nowhere to go — so gets, shared reads, and checkpoint
-// reads keep serving through degradation.
+// reads keep serving through degradation. It takes no lock: one atomic load
+// on the get path.
 func (db *DB) readHealth() error {
-	db.failMu.Lock()
-	defer db.failMu.Unlock()
-	if db.failedErr != nil {
-		return fmt.Errorf("%w: %w", ErrRankFailed, db.failedErr)
+	if failed := db.failedErr.Load(); failed != nil {
+		return fmt.Errorf("%w: %w", ErrRankFailed, *failed)
 	}
 	return nil
 }

@@ -53,7 +53,7 @@ func (db *DB) releaseSnapshot(ids []uint64) {
 		}
 	}
 	db.snapMu.Unlock()
-	dir := db.dir(db.rt.rank)
+	dir := db.ownDir
 	for _, id := range unlink {
 		// Best effort: the version was committed long ago; a failed unlink
 		// leaves an orphan the next open quarantines.
@@ -89,7 +89,7 @@ func (db *DB) sweepZombies() {
 	}
 	db.zombieSSIDs = make(map[uint64]bool)
 	db.snapMu.Unlock()
-	dir := db.dir(db.rt.rank)
+	dir := db.ownDir
 	for _, id := range ids {
 		_ = sstable.Remove(db.rt.cfg.Device, dir, id)
 		db.readers.Evict(dir, id)
@@ -188,7 +188,7 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 	// filtered to tables intersecting [lo, hi), so the merge opens one
 	// scanner per level beyond L0 instead of one per live table.
 	it.pinned = db.pinSnapshotRange(lo, hi)
-	dir := db.dir(db.rt.rank)
+	dir := db.ownDir
 	for _, id := range it.pinned {
 		sc, err := db.readers.NewScanner(dir, id)
 		if err == nil {

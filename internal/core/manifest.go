@@ -51,9 +51,10 @@ func (db *DB) manifestApply(e manifest.Edit) error {
 
 // manifestOpen opens (or creates) this rank's manifest log, reconciles the
 // directory against it, and installs the composed live set into db.levels /
-// db.nextSSID. validate additionally re-checks every listed table's bloom
-// filter and index CRCs through a fresh reader-cache registration — the
-// Recover path, where on-NVM damage is the suspected cause.
+// db.nextSSID with a fresh handle per table. validate additionally opens
+// every listed table up front, re-checking its bloom filter and index CRCs
+// — the Recover path, where on-NVM damage is the suspected cause — and
+// publishes the handles already loaded.
 //
 // Reconciliation:
 //   - tables the log does not list: orphans from a crash mid-transition;
@@ -63,7 +64,7 @@ func (db *DB) manifestApply(e manifest.Edit) error {
 //     is gone — fail with the typed corruption error.
 func (db *DB) manifestOpen(validate bool) error {
 	dev := db.rt.cfg.Device
-	dir := db.dir(db.rt.rank)
+	dir := db.ownDir
 
 	man, err := manifest.Open(manifest.Config{
 		Device: dev,
@@ -81,31 +82,49 @@ func (db *DB) manifestOpen(validate bool) error {
 		man.Close()
 		return err
 	}
-	for _, t := range v.Tables {
-		size, err := dev.FileSize(sstable.DataName(dir, t.SSID))
-		if err != nil {
-			man.Close()
-			return fmt.Errorf("%w: manifest lists SSTable %d but its data file is unreadable: %v",
-				manifest.ErrCorrupt, t.SSID, err)
-		}
-		if size != t.DataBytes {
-			man.Close()
-			return fmt.Errorf("%w: SSTable %d data file is %d bytes, manifest recorded %d",
-				manifest.ErrCorrupt, t.SSID, size, t.DataBytes)
-		}
-		if validate {
-			if err := db.readers.Validate(dir, t.SSID); err != nil {
-				man.Close()
-				return fmt.Errorf("SSTable %d: %w", t.SSID, err)
-			}
-		}
+	fresh, err := db.openVersion(v, validate)
+	if err != nil {
+		man.Close()
+		return err
 	}
-
 	db.sstMu.Lock()
-	db.installVersionLocked(v)
+	db.installVersionLocked(v, fresh...)
 	db.sstMu.Unlock()
 	db.man = man
 	return nil
+}
+
+// openVersion checks every table of v against the device and returns a
+// fresh handle for each; with validate each handle's table is opened, its
+// bloom filter and index CRC-checked. On error no table stays open.
+func (db *DB) openVersion(v manifest.Version, validate bool) (fresh []*tableHandle, err error) {
+	defer func() {
+		if err != nil {
+			for _, h := range fresh {
+				h.close()
+			}
+		}
+	}()
+	dev := db.rt.cfg.Device
+	for _, t := range v.Tables {
+		size, err := dev.FileSize(sstable.DataName(db.ownDir, t.SSID))
+		if err != nil {
+			return fresh, fmt.Errorf("%w: manifest lists SSTable %d but its data file is unreadable: %v",
+				manifest.ErrCorrupt, t.SSID, err)
+		}
+		if size != t.DataBytes {
+			return fresh, fmt.Errorf("%w: SSTable %d data file is %d bytes, manifest recorded %d",
+				manifest.ErrCorrupt, t.SSID, size, t.DataBytes)
+		}
+		h := db.newHandle(t.SSID, nil)
+		fresh = append(fresh, h)
+		if validate {
+			if _, err := h.load(); err != nil {
+				return fresh, fmt.Errorf("SSTable %d: %w", t.SSID, err)
+			}
+		}
+	}
+	return fresh, nil
 }
 
 // quarantineOrphans moves every sst-* file in dir whose SSID the version

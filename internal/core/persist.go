@@ -211,7 +211,7 @@ func (db *DB) copyOut(path string, tables []manifest.TableMeta, rankErr error) e
 // directory on the PFS and returns their manifest fingerprints, each
 // carrying its table's level.
 func (db *DB) transferFiles(pfs *nvm.Device, path string, gen int, tables []manifest.TableMeta) ([]manifestFile, error) {
-	src := db.dir(db.rt.rank)
+	src := db.ownDir
 	dst := snapshotDir(path, gen, db.rt.rank)
 	if err := pfs.RemoveAll(dst); err != nil {
 		return nil, err
@@ -355,7 +355,7 @@ func (rt *Runtime) restartVerbatim(path, name string, opt Options, m ckptManifes
 	}
 	go func() {
 		src := snapshotDir(path, m.Gen, rt.rank)
-		dst := db.dir(rt.rank)
+		dst := db.ownDir
 		for _, f := range m.Files[rt.rank] {
 			size, crc, err := nvm.CopySum(rt.cfg.Device, dst+"/"+f.Name, rt.cfg.PFS, src+"/"+f.Name)
 			if err != nil {

@@ -46,7 +46,7 @@ func (db *DB) put(ctx context.Context, key, value []byte, tombstone bool) error 
 		return err
 	}
 	db.mu.Lock()
-	if db.closed {
+	if db.closed.Load() {
 		db.mu.Unlock()
 		return ErrInvalidDB
 	}
@@ -100,7 +100,7 @@ func (db *DB) putLocalBuffered(e memtable.Entry) error {
 	db.localCache.Invalidate(e.Key)
 
 	db.mu.Lock()
-	if db.closed {
+	if db.closed.Load() {
 		db.mu.Unlock()
 		return ErrInvalidDB
 	}
@@ -140,7 +140,7 @@ func (db *DB) rollLocalLocked() {
 // be on this rank's NVM.
 func (db *DB) putRemote(e memtable.Entry) error {
 	db.mu.Lock()
-	if db.closed {
+	if db.closed.Load() {
 		db.mu.Unlock()
 		return ErrInvalidDB
 	}

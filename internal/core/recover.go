@@ -217,7 +217,7 @@ func (db *DB) tryReclaim() error {
 // rank's directory on the device — the same path flushes and WAL segments
 // take, so its verdict is theirs.
 func (db *DB) probeDevice() error {
-	name := db.dir(db.rt.rank) + "/reclaim.probe"
+	name := db.ownDir + "/reclaim.probe"
 	if err := db.rt.cfg.Device.WriteFile(name, []byte("probe")); err != nil {
 		return err
 	}
@@ -350,7 +350,7 @@ func (db *DB) redeliver(r int) {
 //     acknowledged put whose durability point had passed is restored —
 //     the same guarantee, through the same replay, as a process restart.
 //   - The rank's SSTables are re-listed and each one's bloom filter and
-//     index re-validated through a fresh reader-cache registration, so
+//     index re-validated by loading a fresh read-view handle on it, so
 //     damage the failure left on NVM surfaces here as a typed error, not
 //     later as a corrupt read.
 //   - The rank's incarnation number advances (the replayed WAL epoch is
@@ -434,12 +434,12 @@ func (db *DB) Recover() error {
 	// Recompose the on-NVM image from the manifest log before trusting it:
 	// a fresh Open replays the log, quarantines any orphan the failure's
 	// last transition left behind, and — validate=true, the Recover path —
-	// re-checks every listed table's bloom filter and index CRCs through a
-	// fresh reader-cache registration (the eviction dropped every handle
-	// validated before the damage). The old manifest handle is as dead as
-	// the rest of the failed rank; close it first.
-	dir := db.dir(db.rt.rank)
-	db.readers.EvictDir(dir)
+	// re-checks every listed table's bloom filter and index CRCs by opening
+	// a fresh handle on it; the handles validated before the damage leave
+	// with the old view, and the peers' cached readers are evicted. The old
+	// manifest handle is as dead as the rest of the failed rank; close it
+	// first.
+	db.readers.EvictDir(db.ownDir)
 	db.manifestClose()
 	if err := db.manifestOpen(true); err != nil {
 		return fmt.Errorf("papyruskv: recover rank %d: %w", db.rt.rank, err)
@@ -458,7 +458,7 @@ func (db *DB) Recover() error {
 	}
 
 	db.failMu.Lock()
-	db.failedErr = nil
+	db.failedErr.Store(nil)
 	// Any degradation predating the failure died with the state it described.
 	db.degradedErr = nil
 	// Gauge store under failMu, like heal: it must not race a concurrent

@@ -30,8 +30,9 @@ import (
 //  1. Repair from the latest committed checkpoint generation, when the
 //     snapshot's copy of the table carries exactly the fingerprints the
 //     manifest records (a checkpoint taken before the table was written
-//     cannot repair it). Copy back, re-verify, commit a manifest edit as
-//     the durable repair record, evict the stale ReaderCache entry.
+//     cannot repair it). Copy back, swap a fresh handle into the read view
+//     and evict the stale ReaderCache entry, re-verify, commit a manifest
+//     edit as the durable repair record.
 //  2. No valid source: commit the table's deletion, quarantine its files
 //     (stamped, never clobbering earlier evidence), record the lost key
 //     range in the ScrubReport, and degrade the rank through failOrDegrade
@@ -110,7 +111,7 @@ func (db *DB) scrubTables() error {
 	db.sstMu.RUnlock()
 
 	dev := db.rt.cfg.Device
-	dir := db.dir(db.rt.rank)
+	dir := db.ownDir
 	for _, t := range tables {
 		select {
 		case <-db.closing:
@@ -218,10 +219,11 @@ func (db *DB) scrubMaybeRot(dir string, t manifest.TableMeta) {
 	if err := dev.WriteFile(name, data); err != nil {
 		return
 	}
-	// The rewrite replaced the inode; cached reader handles hold the old
-	// (clean) one. Real rot decays the bytes a cached fd reads too, so the
-	// model must not let the cache mask it.
+	// The rewrite replaced the inode; the view's handle and cached readers
+	// hold the old (clean) one. Real rot decays the bytes an open fd reads
+	// too, so the model must not let them mask it.
 	db.readers.Evict(dir, t.SSID)
+	db.reopenTable(t.SSID)
 }
 
 // scrubRepair runs the repair ladder for a corrupt table: restore from the
@@ -315,8 +317,10 @@ func (db *DB) repairFromCheckpoint(dir string, t manifest.TableMeta) error {
 			return fmt.Errorf("%w: scrub: snapshot copy of %s decayed in flight", ErrCorrupt, name)
 		}
 	}
-	// The copies replaced the inodes; cached handles hold the corrupt ones.
+	// The copies replaced the inodes; the view's handle and cached readers
+	// hold the corrupt ones.
 	db.readers.Evict(dir, t.SSID)
+	db.reopenTable(t.SSID)
 	if _, err := scrub.VerifyTable(db.rt.cfg.Device, dir, t, nil, db.closing); err != nil {
 		return fmt.Errorf("scrub: repaired table fails re-verification: %w", err)
 	}
@@ -354,7 +358,11 @@ func (db *DB) scrubQuarantine(dir string, t manifest.TableMeta, cause error) err
 			}
 		}
 	}
+	dropped := db.publishLocked()
 	db.sstMu.Unlock()
+	// The files move only once no get still probes them through an older
+	// view.
+	awaitReleased(dropped)
 	dev := db.rt.cfg.Device
 	for _, name := range []string{
 		sstable.DataName(dir, t.SSID),
@@ -393,7 +401,7 @@ func (db *DB) scrubQuarantine(dir string, t manifest.TableMeta, cause error) err
 // instead of as silent loss later.
 func (db *DB) scrubWAL() error {
 	dev := db.rt.cfg.Device
-	dir := db.dir(db.rt.rank) + "/wal"
+	dir := db.ownDir + "/wal"
 	files, err := dev.List(dir)
 	if err != nil {
 		return nil // no WAL directory: logging is off
@@ -430,7 +438,7 @@ func (db *DB) scrubWAL() error {
 // mid-log means the table lifecycle is no longer reconstructable.
 func (db *DB) scrubManifest() error {
 	dev := db.rt.cfg.Device
-	log := manifest.LogName(db.dir(db.rt.rank))
+	log := manifest.LogName(db.ownDir)
 	if !dev.Exists(log) {
 		return nil
 	}

@@ -65,9 +65,10 @@ func liveTables(db *DB) []manifest.TableMeta {
 }
 
 // corruptAtRest flips one bit of the named component of a live table on the
-// device — bit-rot the next read of those bytes must see — and evicts the
-// cached reader so a stale clean handle cannot mask it (real decay reaches a
-// cached fd's reads too; the harness must not be kinder than the hardware).
+// device — bit-rot the next read of those bytes must see — and swaps out the
+// view's handle and the cached reader so a stale clean descriptor cannot
+// mask it (real decay reaches an open fd's reads too; the harness must not
+// be kinder than the hardware).
 func corruptAtRest(t *testing.T, db *DB, tbl manifest.TableMeta, file string) {
 	t.Helper()
 	dir := db.dir(db.rt.rank)
@@ -92,6 +93,7 @@ func corruptAtRest(t *testing.T, db *DB, tbl manifest.TableMeta, file string) {
 		t.Fatalf("rewrite %s: %v", name, err)
 	}
 	db.readers.Evict(dir, tbl.SSID)
+	db.reopenTable(tbl.SSID)
 }
 
 // TestScrubRepairsBitFlips is the tentpole's acceptance path: an at-rest bit

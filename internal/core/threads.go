@@ -59,14 +59,19 @@ func (db *DB) compactionThread() {
 // immutable list, readable and WAL-backed, awaiting reclaim — while any other
 // write error fails the domain outright.
 func (db *DB) flushOne(table *memtable.Table) {
-	dir := db.dir(db.rt.rank)
+	dir := db.ownDir
 
 	db.sstMu.Lock()
 	ssid := db.nextSSID
 	db.nextSSID++
 	db.sstMu.Unlock()
 
-	meta, err := sstable.WriteTable(db.rt.cfg.Device, dir, ssid, table.Entries())
+	entries := table.Entries()
+	w, err := sstable.NewWriter(db.rt.cfg.Device, dir, ssid, len(entries))
+	var meta sstable.Meta
+	if err == nil {
+		meta, err = w.WriteAll(entries)
+	}
 	if err != nil {
 		db.failOrDegrade(fmt.Errorf("flush of SSTable %d: %w", ssid, err))
 		return
@@ -82,11 +87,13 @@ func (db *DB) flushOne(table *memtable.Table) {
 	db.metrics.Flushes.Add(1)
 
 	tm := tableMetaOf(meta) // Level 0: a flushed MemTable always lands on L0
+	h := db.writtenHandle(w, ssid)
 	db.sstMu.Lock()
 	if len(db.levels) == 0 {
 		db.levels = append(db.levels, nil)
 	}
 	db.levels[0] = append(db.levels[0], tm)
+	db.publishLocked(h)
 	due := db.opt.CompactionEvery > 0 && uint64(len(db.levels[0])) >= db.opt.CompactionEvery
 	db.sstMu.Unlock()
 
@@ -410,7 +417,10 @@ func (db *DB) handleGet(m mpi.Message) {
 			// Owner-side candidate selection: only the tables whose key
 			// bounds cover the key, in probe (recency) order — the requester
 			// probes O(levels) tables instead of every live SSID.
-			db.sendResp(m.Source, tagGetResp, encodeReply(req.Seq, statusShare, encodeSSIDs(db.candidateSSIDs(req.Key))))
+			v := db.pinView()
+			ids := v.ids(req.Key, req.Key, true)
+			db.unpinView(v)
+			db.sendResp(m.Source, tagGetResp, encodeReply(req.Seq, statusShare, encodeSSIDs(ids)))
 			return
 		}
 	}

@@ -46,7 +46,7 @@ func (db *DB) walStream(remote bool) *wal.Log {
 func (db *DB) walOpen() error {
 	base := wal.Config{
 		Device: db.rt.cfg.Device,
-		Dir:    db.dir(db.rt.rank),
+		Dir:    db.ownDir,
 		Sync:   db.opt.WAL == WALSync,
 		Rank:   db.rt.rank,
 		Inj:    db.inj,

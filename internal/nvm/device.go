@@ -79,6 +79,17 @@ func (d *Device) site(name string) faults.Site {
 	return faults.Site{Rank: faults.AnyRank, Tag: faults.AnyTag, Where: where}
 }
 
+// eval evaluates injection point p for an access to the device-relative file
+// name. The site label is a string built per call, so it is built only while
+// an injector is armed: an unarmed device's reads and writes allocate nothing
+// for fault injection.
+func (d *Device) eval(p faults.Point, name string) faults.Decision {
+	if d.inj == nil {
+		return faults.Decision{}
+	}
+	return d.inj.Eval(p, d.site(name))
+}
+
 // Model returns the device performance model.
 func (d *Device) Model() PerfModel { return d.th.model }
 
@@ -94,7 +105,7 @@ func (d *Device) WriteFile(name string, data []byte) error {
 	}
 	// A torn write keeps only a prefix of data but still "succeeds": the
 	// damage is silent until a checksum catches it.
-	if dec := d.inj.Eval(faults.NVMTornWrite, d.site(name)); dec.Fire {
+	if dec := d.eval(faults.NVMTornWrite, name); dec.Fire {
 		data = data[:dec.TearAt(len(data))]
 	}
 	p := d.path(name)
@@ -158,7 +169,7 @@ func (d *Device) ReadFile(name string) ([]byte, error) {
 		d.reads.Add(1)
 	}
 	d.bytesRead.Add(uint64(len(data)))
-	if dec := d.inj.Eval(faults.NVMReadBitFlip, d.site(name)); dec.Fire {
+	if dec := d.eval(faults.NVMReadBitFlip, name); dec.Fire {
 		dec.FlipBit(data)
 	}
 	return data, nil
@@ -167,13 +178,10 @@ func (d *Device) ReadFile(name string) ([]byte, error) {
 // injectWriteFault evaluates the hard-failure write points for a write to
 // the device-relative file name.
 func (d *Device) injectWriteFault(name string) error {
-	if d.inj == nil {
-		return nil
-	}
-	if d.inj.Eval(faults.NVMWriteError, d.site(name)).Fire {
+	if d.eval(faults.NVMWriteError, name).Fire {
 		return fmt.Errorf("nvm: %s: %w: write error", d.dir, faults.ErrInjected)
 	}
-	if d.inj.Eval(faults.NVMWriteNoSpace, d.site(name)).Fire {
+	if d.eval(faults.NVMWriteNoSpace, name).Fire {
 		// The injected full-device error carries both identities: it is an
 		// ENOSPC (ErrNoSpace) and it was injected (faults.ErrNoSpace wraps
 		// faults.ErrInjected).
@@ -220,7 +228,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if err != nil && err != io.EOF {
 		return n, fmt.Errorf("nvm: %w", err)
 	}
-	if dec := f.dev.inj.Eval(faults.NVMReadBitFlip, f.dev.site(f.name)); dec.Fire {
+	if dec := f.dev.eval(faults.NVMReadBitFlip, f.name); dec.Fire {
 		dec.FlipBit(p[:n])
 	}
 	return n, err
@@ -279,7 +287,7 @@ func (w *Writer) Size() int64 { return w.size }
 func (w *Writer) Close() error {
 	// A torn streaming write truncates the already-written file before it
 	// is published; Close still reports success.
-	if dec := w.dev.inj.Eval(faults.NVMTornWrite, w.dev.site(w.name)); dec.Fire && w.size > 0 {
+	if dec := w.dev.eval(faults.NVMTornWrite, w.name); dec.Fire && w.size > 0 {
 		_ = w.f.Truncate(int64(dec.TearAt(int(w.size))))
 	}
 	if err := w.f.Close(); err != nil {

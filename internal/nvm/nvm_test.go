@@ -92,6 +92,29 @@ func TestRandomAccess(t *testing.T) {
 	}
 }
 
+// TestReadAtAllocatesNothingUnarmed: with no injector armed, a random read
+// builds no fault-site label. It is the per-block read of every SSTable get,
+// so an allocation here is one per probe.
+func TestReadAtAllocatesNothingUnarmed(t *testing.T) {
+	d := testDev(t)
+	if err := d.WriteFile("ra", make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := d.OpenFile("ra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 512)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.ReadAt(buf, 1024); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ReadAt allocates %v times per call with no injector, want 0", allocs)
+	}
+}
+
 func TestWriterStreamAndAtomicity(t *testing.T) {
 	d := testDev(t)
 	w, err := d.Create("streamed")

@@ -6,38 +6,43 @@ import (
 	"io/fs"
 	"sync"
 
-	"papyruskv/internal/bloom"
 	"papyruskv/internal/nvm"
 	"papyruskv/internal/stats"
 )
 
-// ReaderCache is a per-device cache of open SSTable reader handles, keyed
-// by (dir, ssid). Each entry pins the table's validated bloom filter, its
-// parsed SSIndex, and an open random-access handle on SSData, so a hot get
-// pays only its one block read instead of re-reading and re-checksumming
-// the bloom and index files from NVM on every SSTable it touches (cf.
-// Figure 3's read path, which assumes these structures are cheap to
-// consult).
+// ReaderCache is a per-device, byte-bounded cache of open Tables, keyed by
+// (dir, ssid), for the readers that hold no table of their own. A rank's own
+// gets do not come here: its read view owns one Table per live table for as
+// long as the table is live. What is left reads tables by name:
+//
+//   - storage-group peers (§2.7): a statusShare answer names the owner's
+//     candidate tables, and the peer, which has no view of the owner's
+//     version, reads them through this cache;
+//   - iterators and remote scans: each Scanner pins a cached Table for the
+//     scan's lifetime and borrows its data handle and index;
+//   - SequentialSearch, Figure 8's baseline, which bypasses the cache (Get
+//     falls through to the uncached path) so it keeps paying device costs.
 //
 // One cache is shared by every database on a device — exactly the sharing
-// unit of a storage group (§2.7), so when the owner rank compacts or
-// restores its SSTables and invalidates the cache, the group peers reading
-// those tables through the same device see the invalidation too.
+// unit of a storage group — so when the owner rank compacts or restores its
+// SSTables and invalidates the cache, the peers reading those tables through
+// the same device see the invalidation too.
 //
 // Validation happens once, at load: a bloom or index that fails its CRC32C
 // is never cached, and the typed ErrCorrupt surfaces to every caller that
 // asks for the table until the file is repaired. An open that fails with
 // fs.ErrNotExist is remembered as a small negative entry so repeated probes
-// of a table deleted by compaction do not pay a device open each; the read
-// path's retry loops evict such entries before re-listing, so a table that
+// of a table deleted by compaction do not pay a device open each; the shared
+// read path evicts such an entry before re-asking the owner, so a table that
 // legitimately reappears (a restored checkpoint) is re-read fresh.
 //
 // Entries are accounted in bytes (bloom bits + the loaded index as
 // ssIndex.memBytes counts it + a fixed per-handle overhead that also bounds
 // the number of open file descriptors) and evicted LRU-first past the
-// configured capacity. An entry evicted while a concurrent Get has it pinned
-// stays usable — the data file descriptor is closed only when the last
-// reader releases it — so an eviction can never yield a read from a dead fd.
+// configured capacity. An entry evicted while a concurrent reader has it
+// pinned stays usable — the data file descriptor is closed only when the
+// last reader releases it — so an eviction can never yield a read from a
+// dead fd.
 type ReaderCache struct {
 	dev *nvm.Device
 
@@ -63,16 +68,14 @@ const readerOverhead = 4096
 // negBytes is the accounting size of a negative (file-not-found) entry.
 const negBytes = 64
 
-// tableReader is one cached table handle. ready is closed once the load
-// settles; filter/index/data/err are immutable afterwards. bytes, refs and
-// dead are guarded by the owning cache's mutex.
+// tableReader is one cached table. ready is closed once the load settles;
+// Table and err are immutable afterwards. bytes, refs and dead are guarded
+// by the owning cache's mutex.
 type tableReader struct {
 	key   tableKey
 	ready chan struct{}
 
-	filter *bloom.Filter
-	index  *ssIndex
-	data   *nvm.File
+	*Table       // nil unless the load succeeded
 	err    error // non-nil: the load failed (fs.ErrNotExist entries are cached)
 	bytes  int64
 
@@ -125,10 +128,7 @@ func (c *ReaderCache) Get(dir string, ssid uint64, key []byte, mode SearchMode, 
 		return nil, false, false, err
 	}
 	defer c.release(r)
-	if useBloom && !r.filter.MayContain(key) {
-		return nil, false, false, nil
-	}
-	return searchRecords(r.data, r.index, key)
+	return r.Table.Get(key, useBloom)
 }
 
 // acquire returns a pinned, loaded reader for (dir, ssid), loading it on a
@@ -158,8 +158,7 @@ func (c *ReaderCache) acquire(dir string, ssid uint64) (*tableReader, error) {
 	c.mu.Unlock()
 	c.counters.Misses.Add(1)
 
-	var loaded int64
-	loaded, r.err = r.load(c.dev)
+	r.Table, r.err = OpenTable(c.dev, dir, ssid)
 	close(r.ready)
 
 	c.mu.Lock()
@@ -176,8 +175,8 @@ func (c *ReaderCache) acquire(dir string, ssid uint64) (*tableReader, error) {
 	default:
 		// r.bytes is read by evictions under c.mu, so the placeholder is
 		// swapped for the loaded size only here, under the same lock.
-		r.bytes = loaded
-		c.used += loaded - negBytes
+		r.bytes = r.memBytes() + readerOverhead
+		c.used += r.bytes - negBytes
 		c.evictOverLocked()
 	}
 	c.mu.Unlock()
@@ -189,54 +188,29 @@ func (c *ReaderCache) acquire(dir string, ssid uint64) (*tableReader, error) {
 	return r, nil
 }
 
-// load reads and validates the bloom filter, parses the SSIndex, and opens
-// the data file, returning the entry's accounting size. On any error every
-// partial resource is released.
-func (r *tableReader) load(dev *nvm.Device) (int64, error) {
-	filter, err := loadBloom(dev, r.key.dir, r.key.ssid)
-	if err != nil {
-		return 0, err
-	}
-	index, err := loadIndex(dev, r.key.dir, r.key.ssid)
-	if err != nil {
-		return 0, err
-	}
-	data, err := dev.OpenFile(DataName(r.key.dir, r.key.ssid))
-	if err != nil {
-		return 0, err
-	}
-	r.filter = filter
-	r.index = index
-	r.data = data
-	return int64(filter.SizeBytes()) + index.memBytes() + readerOverhead, nil
-}
-
 // release unpins r, closing the data file if r was evicted and this was
 // the last reader.
 func (c *ReaderCache) release(r *tableReader) {
 	c.mu.Lock()
 	r.refs--
-	closeNow := r.dead && r.refs == 0 && r.data != nil
+	closeNow := r.dead && r.refs == 0 && r.Table != nil
 	c.mu.Unlock()
 	if closeNow {
-		r.data.Close()
+		r.Close()
 	}
 }
 
 // Validate loads and CRC-checks SSTable ssid's bloom filter and SSIndex in
 // dir — exactly the validation a cached read performs at load time —
-// without looking for any key. In-run rank recovery calls it for every
-// listed SSTable after evicting the rank's directory: a table damaged by
-// the failure surfaces as a typed error before the rank is declared
-// healthy, instead of as a corrupt read later. With the cache enabled the
-// validated handle stays registered, so the pass doubles as a warm-up;
-// with the cache disabled the structures are read, checked, and dropped.
+// without looking for any key. With the cache enabled the validated entry
+// stays registered, so the check doubles as a warm-up; with the cache
+// disabled the structures are read, checked, and dropped.
 func (c *ReaderCache) Validate(dir string, ssid uint64) error {
 	if !c.enabled() {
-		if _, err := loadBloom(c.dev, dir, ssid); err != nil {
-			return err
+		t, err := OpenTable(c.dev, dir, ssid)
+		if err == nil {
+			t.Close()
 		}
-		_, err := loadIndex(c.dev, dir, ssid)
 		return err
 	}
 	r, err := c.acquire(dir, ssid)
@@ -248,8 +222,8 @@ func (c *ReaderCache) Validate(dir string, ssid uint64) error {
 }
 
 // Evict drops the entry for (dir, ssid), if cached. Compaction calls it
-// for each merged input after deleting the files, and the read path's
-// retry loops call it on fs.ErrNotExist before re-listing.
+// for each merged input after deleting the files, and the shared read path
+// calls it on fs.ErrNotExist before re-asking the owner.
 func (c *ReaderCache) Evict(dir string, ssid uint64) {
 	if !c.enabled() {
 		return
@@ -277,31 +251,6 @@ func (c *ReaderCache) EvictDir(dir string) {
 	c.mu.Unlock()
 }
 
-// cachedCount reports the record count of a loaded, valid cached index
-// without blocking or touching the device. Merge uses it to size the
-// output bloom filter for free.
-func (c *ReaderCache) cachedCount(dir string, ssid uint64) (int, bool) {
-	if !c.enabled() {
-		return 0, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[tableKey{dir: dir, ssid: ssid}]
-	if !ok {
-		return 0, false
-	}
-	r := el.Value.(*tableReader)
-	select {
-	case <-r.ready:
-	default:
-		return 0, false // still loading
-	}
-	if r.err != nil {
-		return 0, false
-	}
-	return r.index.count, true
-}
-
 // evictOverLocked evicts LRU entries until used fits the capacity.
 func (c *ReaderCache) evictOverLocked() {
 	for c.used > c.max {
@@ -320,9 +269,8 @@ func (c *ReaderCache) evictLocked(el *list.Element) {
 	c.removeLocked(el)
 	r.dead = true
 	c.counters.Evictions.Add(1)
-	if r.refs == 0 && r.data != nil {
-		r.data.Close()
-		r.data = nil
+	if r.refs == 0 && r.Table != nil {
+		r.Close()
 	}
 }
 

@@ -25,24 +25,12 @@ import (
 // orphan, quarantined on reopen) or the new one (edit committed: leftover
 // inputs are orphans), never a mix that resurrects overwritten values.
 func MergeOrdered(dev *nvm.Device, dir string, inputs []uint64, newSSID uint64, lo, hi []byte, dropTombstones bool) (Meta, error) {
-	if len(hi) > 0 {
-		// hi is inclusive here and exclusive in the merge: the smallest key
-		// above hi is hi+0x00. The full slice expression keeps the append
-		// off the caller's array.
-		hi = append(hi[:len(hi):len(hi)], 0)
-	}
-	m, err := OpenMerge(dev, dir, inputs, lo, hi)
-	if err != nil {
-		return Meta{}, err
-	}
-	defer m.Close()
 	// Size the output bloom filter from the inputs' true entry counts, so
 	// merging large tables keeps the configured false-positive rate and
-	// merging tiny ones does not over-allocate. The count is free when the
-	// input's index is in the reader cache; otherwise it is one read of the
-	// SSIndex, under 1% of the data the merge is about to stream. An
-	// unreadable index falls back to a rough estimate rather than failing
-	// the merge — the merge itself only needs the data files. A
+	// merging tiny ones does not over-allocate. Each count is one read of
+	// the input's SSIndex, under 1% of the data the merge is about to
+	// stream. An unreadable index falls back to a rough estimate rather than
+	// failing the merge — the merge itself only needs the data files. A
 	// range-bounded merge over-allocates by the out-of-range share; that
 	// costs bloom bits, never correctness.
 	expected := 0
@@ -57,6 +45,26 @@ func MergeOrdered(dev *nvm.Device, dir string, inputs []uint64, newSSID uint64, 
 	if err != nil {
 		return Meta{}, err
 	}
+	return w.Merge(inputs, lo, hi, dropTombstones)
+}
+
+// Merge streams MergeOrdered's merge of inputs, which live in the writer's
+// directory, into w and closes it: the output of a caller that already knows
+// the inputs' entry counts and sized the writer's filter from them. On error
+// the partial output is aborted.
+func (w *Writer) Merge(inputs []uint64, lo, hi []byte, dropTombstones bool) (Meta, error) {
+	if len(hi) > 0 {
+		// hi is inclusive here and exclusive in the merge: the smallest key
+		// above hi is hi+0x00. The full slice expression keeps the append
+		// off the caller's array.
+		hi = append(hi[:len(hi):len(hi)], 0)
+	}
+	m, err := OpenMerge(w.dev, w.dir, inputs, lo, hi)
+	if err != nil {
+		w.Abort()
+		return Meta{}, err
+	}
+	defer m.Close()
 	for {
 		e, ok, err := m.Next()
 		if err != nil {
@@ -76,15 +84,9 @@ func MergeOrdered(dev *nvm.Device, dir string, inputs []uint64, newSSID uint64, 
 	}
 }
 
-// EntryCount returns the number of records in SSTable ssid, from the
-// device's reader cache when the table's index is already loaded, else from
-// the SSIndex file, read whole so the count is covered by its checksum.
+// EntryCount returns the number of records in SSTable ssid from its SSIndex
+// file, read whole so the count is covered by its checksum.
 func EntryCount(dev *nvm.Device, dir string, ssid uint64) (int, error) {
-	if c := lookupCache(dev); c != nil {
-		if n, ok := c.cachedCount(dir, ssid); ok {
-			return n, nil
-		}
-	}
 	idx, err := loadIndex(dev, dir, ssid)
 	if err != nil {
 		return 0, err

@@ -125,7 +125,8 @@ type Writer struct {
 	pending  []byte // write-behind buffer: records stream to the device in
 	// large sequential chunks, as the compaction thread would, instead of
 	// paying one device operation per record
-	written int64 // logical SSData bytes emitted (pending included)
+	written int64  // logical SSData bytes emitted (pending included)
+	sealed  []byte // the SSIndex file image, once Close has written it
 }
 
 // writeChunk is the streaming granularity of SSData writes.
@@ -212,6 +213,7 @@ func (w *Writer) Close() (Meta, error) {
 	if err := w.dev.WriteFile(IndexName(w.dir, w.ssid), idx); err != nil {
 		return Meta{}, err
 	}
+	w.sealed = idx
 	// The bloom file carries a leading CRC32C over its payload.
 	payload := w.filter.Marshal()
 	blm := make([]byte, 4, 4+len(payload))
@@ -232,6 +234,21 @@ func (w *Writer) Close() (Meta, error) {
 	}, nil
 }
 
+// Table opens the table a successful Close just published for reads. Its
+// bloom filter and SSIndex are the ones the writer built in memory, so
+// nothing is read back from the device: only the data file is opened.
+func (w *Writer) Table() (*Table, error) {
+	index, err := parseIndex(w.sealed)
+	if err != nil {
+		return nil, err
+	}
+	data, err := w.dev.OpenFile(DataName(w.dir, w.ssid))
+	if err != nil {
+		return nil, err
+	}
+	return &Table{filter: w.filter, index: index, data: data}, nil
+}
+
 // Abort discards the partial SSTable.
 func (w *Writer) Abort() {
 	w.data.Abort()
@@ -244,6 +261,12 @@ func WriteTable(dev *nvm.Device, dir string, ssid uint64, entries []memtable.Ent
 	if err != nil {
 		return Meta{}, err
 	}
+	return w.WriteAll(entries)
+}
+
+// WriteAll adds entries, which must ascend strictly, and closes the writer;
+// on error the partial table is aborted.
+func (w *Writer) WriteAll(entries []memtable.Entry) (Meta, error) {
 	for _, e := range entries {
 		if err := w.Add(e); err != nil {
 			w.Abort()
@@ -428,6 +451,50 @@ func loadIndex(dev *nvm.Device, dir string, ssid uint64) (*ssIndex, error) {
 	return parseIndex(raw)
 }
 
+// Table is one SSTable open for point reads: its validated bloom filter, its
+// parsed SSIndex and an open handle on SSData. A lookup through it pays only
+// the one block read; the bloom and index were checked once, when the table
+// was opened.
+type Table struct {
+	filter *bloom.Filter
+	index  *ssIndex
+	data   *nvm.File
+}
+
+// OpenTable reads and CRC-checks SSTable ssid's bloom filter and SSIndex and
+// opens its data file. On any error nothing stays open.
+func OpenTable(dev *nvm.Device, dir string, ssid uint64) (*Table, error) {
+	filter, err := loadBloom(dev, dir, ssid)
+	if err != nil {
+		return nil, err
+	}
+	index, err := loadIndex(dev, dir, ssid)
+	if err != nil {
+		return nil, err
+	}
+	data, err := dev.OpenFile(DataName(dir, ssid))
+	if err != nil {
+		return nil, err
+	}
+	return &Table{filter: filter, index: index, data: data}, nil
+}
+
+// Get looks key up with the package-level Get's contract in BinarySearch
+// mode: the bloom filter first when useBloom, then one in-memory locate and
+// one block read.
+func (t *Table) Get(key []byte, useBloom bool) (value []byte, tombstone, found bool, err error) {
+	if useBloom && !t.filter.MayContain(key) {
+		return nil, false, false, nil
+	}
+	return searchRecords(t.data, t.index, key)
+}
+
+// Close closes the data file.
+func (t *Table) Close() error { return t.data.Close() }
+
+// memBytes is what the table holds on the heap: bloom bits and the index.
+func (t *Table) memBytes() int64 { return int64(t.filter.SizeBytes()) + t.index.memBytes() }
+
 func binSearch(dev *nvm.Device, dir string, ssid uint64, key []byte) ([]byte, bool, bool, error) {
 	idx, err := loadIndex(dev, dir, ssid)
 	if err != nil {
@@ -465,24 +532,30 @@ func searchRecords(f *nvm.File, idx *ssIndex, key []byte) ([]byte, bool, bool, e
 	}
 	n := int(end - off)
 	if n > maxPooledBlock {
-		return searchBlock(f, make([]byte, n), off, key)
+		return readBlock(f, make([]byte, n), off, key)
 	}
 	bp := blockPool.Get().(*[]byte)
 	if cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
-	val, tomb, found, err := searchBlock(f, (*bp)[:n], off, key)
+	val, tomb, found, err := readBlock(f, (*bp)[:n], off, key)
 	blockPool.Put(bp)
 	return val, tomb, found, err
 }
 
-// searchBlock fills block from f at off and walks its records for key.
-func searchBlock(f *nvm.File, block []byte, off int64, key []byte) ([]byte, bool, bool, error) {
+// readBlock fills block from f at off and searches it for key.
+func readBlock(f *nvm.File, block []byte, off int64, key []byte) ([]byte, bool, bool, error) {
 	if n, err := f.ReadAt(block, off); err != nil && err != io.EOF {
 		return nil, false, false, err
 	} else if n < len(block) {
 		return nil, false, false, fmt.Errorf("%w: data file ends %d bytes into the block at %d", ErrCorrupt, n, off)
 	}
+	return searchBlock(block, key)
+}
+
+// searchBlock walks the records of one SSData block for key. A value it
+// returns is a copy: block is a pooled read buffer.
+func searchBlock(block, key []byte) ([]byte, bool, bool, error) {
 	for len(block) > 0 {
 		e, n, err := decodeRecord(block)
 		if err != nil {

@@ -2,8 +2,10 @@ package stats
 
 import "sync/atomic"
 
-// ReaderCache holds the SSTable reader-cache counters. The sstable package
-// increments them; core flattens them into Metrics().Snapshot() under their
+// ReaderCache holds the SSTable reader-cache counters. The sstable package's
+// cache increments them, and so do the table handles of every read view on
+// the device (core's view.go), which cache the same bloom/index/fd triple
+// per live table; core flattens them into Metrics().Snapshot() under their
 // reader_cache_ keys. One ReaderCache instance lives inside each per-device
 // cache, so ranks sharing a storage group's device also share these
 // counters — they are device-wide, not per-rank.
