@@ -42,12 +42,13 @@ scrub:
 	$(SOAK) 'TestSoakScrub'
 
 # Short coverage-guided runs of the WAL and manifest replay decoders, the
-# SSIndex decoder, the SSData block walk, the bloom file parser, the
+# SSIndex decoder, the SSData block walk, the bounded table scan, the bloom
+# file parser, the
 # cross-rank wire decoders and the entry-batch decoder on top of their
 # committed seed corpora
 # (internal/{wal,manifest,sstable,bloom,core,memtable}/testdata/fuzz). The
-# index, block and wire targets bound minimisation: the index and block
-# targets repair each input's checksums, so nearly every byte of an input
+# index, block, scan and wire targets bound minimisation: the index, block
+# and scan targets repair each input's checksums, so nearly every byte of an input
 # matters, and the wire target runs every decoder on each input —
 # minimising one that adds coverage would spend the default 60 s budget,
 # the whole run, executing nothing new.
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s ./internal/manifest
 	$(GO) test -run '^$$' -fuzz FuzzIndexDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/sstable
 	$(GO) test -run '^$$' -fuzz FuzzSearchBlock -fuzztime 10s -fuzzminimizetime 1s ./internal/sstable
+	$(GO) test -run '^$$' -fuzz FuzzScanTable -fuzztime 10s -fuzzminimizetime 1s ./internal/sstable
 	$(GO) test -run '^$$' -fuzz FuzzBloomLoad -fuzztime 10s ./internal/bloom
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntries -fuzztime 10s ./internal/memtable

@@ -23,6 +23,10 @@ package core
 //     scanner pins its cached reader (open data handle + parsed SSIndex)
 //     until the iterator closes.
 //
+// Each scanner reads only the blocks [lo, hi) can touch, once, into a pooled
+// window whose entries are valid until Close: Next, producePage and the
+// DB.Scan gather copy what they keep before the iterator closes.
+//
 // Flush between the MemTable capture and the SSTable pin can only add a
 // table whose content the iterator already holds from the MemTable side —
 // a benign duplicate the merge's newest-wins tie-break collapses — never
@@ -104,28 +108,14 @@ func (db *DB) pinCount(id uint64) int {
 }
 
 // memSources appends one side's MemTables to a merge's source list in
-// memGet's newest-first order: the mutable table as a SnapshotRange copy,
-// then each sealed table through its lock-free cursor. Caller holds db.mu.
-func memSources(sources []memtable.Source, mt *memtable.Table, imm []*memtable.Table, lo, hi []byte) []memtable.Source {
-	snap := mt.SnapshotRange(lo, hi)
-	sources = append(sources, func() (memtable.Entry, bool, error) {
-		if len(snap) == 0 {
-			return memtable.Entry{}, false, nil
-		}
-		e := snap[0]
-		snap = snap[1:]
-		return e, true, nil
-	})
+// memGet's newest-first order: the mutable table as a SnapshotRange copy
+// held in run, then each sealed table through its lock-free cursor. Caller
+// holds db.mu.
+func memSources(sources []memtable.Source, run *memtable.Run, mt *memtable.Table, imm []*memtable.Table, lo, hi []byte) []memtable.Source {
+	*run = mt.SnapshotRange(lo, hi)
+	sources = append(sources, run)
 	for i := len(imm) - 1; i >= 0; i-- {
-		c := imm[i].CursorFrom(lo)
-		sources = append(sources, func() (memtable.Entry, bool, error) {
-			if !c.Valid() {
-				return memtable.Entry{}, false, nil
-			}
-			e := c.Entry()
-			c.Next()
-			return e, true, nil
-		})
+		sources = append(sources, imm[i].CursorFrom(lo).Source())
 	}
 	return sources
 }
@@ -138,10 +128,14 @@ type Iterator struct {
 	db       *DB
 	m        *memtable.Merger
 	pinned   []uint64
-	scanners []*sstable.Scanner
+	scanners []sstable.Scanner // one per pinned table, in one array
 	key, val []byte
 	err      error
 	closed   bool
+	// runs and mem hold the MemTable sources without allocating in the
+	// common case of a few sealed tables.
+	runs [2]memtable.Run
+	mem  [6]memtable.Source
 }
 
 // NewIterator opens an ordered iterator over the keys this rank owns in
@@ -168,8 +162,8 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 		return nil, err
 	}
 	it := &Iterator{db: db}
-	lo = append([]byte(nil), lo...)
-	hi = append([]byte(nil), hi...)
+	bounds := append(append(make([]byte, 0, len(lo)+len(hi)), lo...), hi...)
+	lo, hi = bounds[:len(lo):len(lo)], bounds[len(lo):]
 
 	// MemTables first, SSTables second — see the package comment: this
 	// order makes a concurrent flush a benign duplicate instead of a gap.
@@ -178,9 +172,9 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 	// published, so in-memory versions are never older), newest list
 	// entries first.
 	db.mu.Lock()
-	sources := memSources(nil, db.localMT, db.immLocal, lo, hi)
+	mem := memSources(it.mem[:0], &it.runs[0], db.localMT, db.immLocal, lo, hi)
 	if withStaging {
-		sources = memSources(sources, db.remoteMT, db.immRemote, lo, hi)
+		mem = memSources(mem, &it.runs[1], db.remoteMT, db.immRemote, lo, hi)
 	}
 	db.mu.Unlock()
 
@@ -188,21 +182,19 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 	// filtered to tables intersecting [lo, hi), so the merge opens one
 	// scanner per level beyond L0 instead of one per live table.
 	it.pinned = db.pinSnapshotRange(lo, hi)
-	dir := db.ownDir
+	it.scanners = make([]sstable.Scanner, 0, len(it.pinned))
+	sources := append(make([]memtable.Source, 0, len(mem)+len(it.pinned)), mem...)
 	for _, id := range it.pinned {
-		sc, err := db.readers.NewScanner(dir, id)
+		sc, err := db.readers.NewScanner(db.ownDir, id)
 		if err == nil {
-			err = sc.SeekGE(lo)
+			it.scanners = append(it.scanners, sc)
+			err = it.scanners[len(it.scanners)-1].SeekRange(lo, hi)
 		}
 		if err != nil {
-			if sc != nil {
-				sc.Close()
-			}
 			it.release()
 			return nil, fmt.Errorf("papyruskv: open iterator on SSTable %d: %w", id, err)
 		}
-		it.scanners = append(it.scanners, sc)
-		sources = append(sources, sc.Next)
+		sources = append(sources, &it.scanners[len(it.scanners)-1])
 	}
 
 	m, err := memtable.NewMerger(sources, hi)
@@ -266,8 +258,8 @@ func (it *Iterator) Close() error {
 // release tears down scanners and pins; shared by Close and the open-path
 // error exits (which run before the gauge increment).
 func (it *Iterator) release() {
-	for _, sc := range it.scanners {
-		sc.Close()
+	for i := range it.scanners {
+		it.scanners[i].Close()
 	}
 	it.scanners = nil
 	if it.pinned != nil {

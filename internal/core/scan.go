@@ -273,6 +273,7 @@ func (db *DB) producePage(s *openScan, maxBytes int) ([]byte, bool, error) {
 // buffered page plus the paged-fetch state machine.
 type scanStream struct {
 	db     *DB
+	ctx    context.Context // the Scan call's: bounds every fetch
 	owner  int
 	id     uint64
 	lo, hi []byte
@@ -285,10 +286,11 @@ type scanStream struct {
 	err    error
 }
 
-// pull returns the stream's next entry, fetching the next page when the
-// buffer drains. Entries alias the page's wire frame, which stays alive as
-// long as anything references its entries.
-func (s *scanStream) pull(ctx context.Context) (memtable.Entry, bool, error) {
+// Next returns the stream's next entry, fetching the next page when the
+// buffer drains: the stream is one of the gather merge's sources. Entries
+// alias the page's wire frame, which stays alive as long as anything
+// references its entries.
+func (s *scanStream) Next() (memtable.Entry, bool, error) {
 	for {
 		if s.err != nil {
 			return memtable.Entry{}, false, s.err
@@ -301,7 +303,7 @@ func (s *scanStream) pull(ctx context.Context) (memtable.Entry, bool, error) {
 		if s.done {
 			return memtable.Entry{}, false, nil
 		}
-		if err := s.fetch(ctx); err != nil {
+		if err := s.fetch(); err != nil {
 			s.err = err
 			return memtable.Entry{}, false, err
 		}
@@ -311,7 +313,7 @@ func (s *scanStream) pull(ctx context.Context) (memtable.Entry, bool, error) {
 // fetch requests the stream's next page through the one remote call path.
 // Retries are safe because the request names its page — a duplicate is
 // replayed, never advanced past.
-func (s *scanStream) fetch(ctx context.Context) error {
+func (s *scanStream) fetch() error {
 	db := s.db
 	op := byte(scanOpNext)
 	if !s.opened {
@@ -323,7 +325,7 @@ func (s *scanStream) fetch(ctx context.Context) error {
 		MaxBytes: uint32(db.opt.ScanPageBytes), Lo: s.lo, Hi: s.hi,
 	})
 	s.sent = true
-	status, body, err := db.request(ctx, s.owner, tagScan, tagScanResp, seq, req, &db.metrics.ScanRetries)
+	status, body, err := db.request(s.ctx, s.owner, tagScan, tagScanResp, seq, req, &db.metrics.ScanRetries)
 	if err != nil {
 		return err
 	}
@@ -402,35 +404,34 @@ func (db *DB) Scan(ctx context.Context, lo, hi []byte, fn func(key, value []byte
 	}
 	defer self.Close()
 
-	sources := []memtable.Source{self.m.Next}
-	var streams []*scanStream
+	streams := make([]scanStream, 0, db.rt.size-1)
+	sources := append(make([]memtable.Source, 0, db.rt.size), self.m)
 	defer func() {
-		for _, st := range streams {
-			st.abort()
+		for i := range streams {
+			streams[i].abort()
 		}
 	}()
 	for r := 0; r < db.rt.size; r++ {
-		if r == db.rt.rank {
-			continue
+		if r != db.rt.rank {
+			streams = append(streams, scanStream{db: db, ctx: ctx, owner: r, id: db.sendSeq.Add(1), lo: lo, hi: hi})
+			sources = append(sources, &streams[len(streams)-1])
 		}
-		st := &scanStream{db: db, owner: r, id: db.sendSeq.Add(1), lo: lo, hi: hi}
-		streams = append(streams, st)
-		sources = append(sources, func() (memtable.Entry, bool, error) { return st.pull(ctx) })
 	}
 
 	// Fan the opens out in parallel: the first pages arrive concurrently
 	// instead of one owner round-trip at a time. Errors park in st.err and
-	// surface from the merge's first pull below.
-	if len(streams) > 0 {
+	// surface from the merge's first pull below. A lone stream opens on that
+	// first pull.
+	if len(streams) > 1 {
 		var wg sync.WaitGroup
-		for _, st := range streams {
+		for i := range streams {
 			wg.Add(1)
 			go func(st *scanStream) {
 				defer wg.Done()
-				if err := st.fetch(ctx); err != nil {
+				if err := st.fetch(); err != nil {
 					st.err = err
 				}
-			}(st)
+			}(&streams[i])
 		}
 		wg.Wait()
 	}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -613,6 +615,263 @@ func TestScanStagingWins(t *testing.T) {
 			return err
 		}
 		check("after Fence", true)
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		return db.Close()
+	})
+}
+
+// scanOpt is quietOpt with MemTables that flush tables of a few dozen KB.
+func scanOpt() Options {
+	o := quietOpt()
+	o.MemTableCapacity = 32 << 10
+	return o
+}
+
+// scanVal is the 256-byte value loadScanTables writes under k.
+func scanVal(k []byte) []byte { return append(val(k), strings.Repeat("s", 256-len(val(k)))...) }
+
+// loadScanTables fills one rank's own key space with n keys and scanVal
+// values, written in a strided order so that every table a scanOpt
+// MemTable flushes spans the whole range, and flushes them all.
+func loadScanTables(t *testing.T, db *DB, rank, n int) [][]byte {
+	t.Helper()
+	keys := ownKeys(db, rank, n)
+	for j := range keys {
+		k := keys[(j*7)%n]
+		mustPut(t, db, string(k), string(scanVal(k)))
+	}
+	if err := db.Barrier(LevelSSTable); err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// TestIteratorAllocs pins the allocations of an iterator open, a 100-key
+// walk and its Close on a warm, quiesced rank over 10 tables, in the manner
+// of TestOwnGetAllocs. The same walk allocated 54 times when every table
+// cost a heap Scanner, a closure and a fresh read window.
+func TestIteratorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled windows at random")
+	}
+	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("iterallocs", scanOpt())
+		if err != nil {
+			return err
+		}
+		keys := loadScanTables(t, db, 0, 1000)
+		lo, hi := keys[100], keys[200]
+		walk := func() {
+			it, err := db.NewIterator(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for it.Next() {
+				n++
+			}
+			if err := it.Err(); err != nil || n != 100 {
+				t.Fatalf("walk returned %d pairs, err %v", n, err)
+			}
+			it.Close()
+		}
+		walk()
+		// The Iterator, its bounds, pinned ids, scanner array, source list,
+		// the merge's three, and the key and value buffers.
+		const bound = 10
+		if allocs := testing.AllocsPerRun(200, walk); allocs > bound {
+			t.Errorf("iterator open, 100-key walk and close allocate %v times over %d tables, want <= %d", allocs, db.SSTableCount(), bound)
+		}
+		return db.Close()
+	})
+}
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
+// tablesIn counts the tables the rank's read view yields for [lo, hi): the
+// tables a bounded scan must read, once each.
+func tablesIn(db *DB, lo, hi []byte) int {
+	v := db.pinView()
+	defer db.unpinView(v)
+	n := 0
+	for range v.tables(lo, hi, false) {
+		n++
+	}
+	return n
+}
+
+// TestScanReadsOneSpanPerTable pins "one read per table" end to end. A warm
+// iterator over a 100-key range makes exactly as many device reads as the
+// read view yields tables for the range, and a two-rank DB.Scan makes the
+// sum over both ranks: each table's span, from the block lo falls in to the
+// end of the block hi falls in, fits one pooled window and is read once.
+func TestScanReadsOneSpanPerTable(t *testing.T) {
+	t.Run("iterator", func(t *testing.T) {
+		runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+			db, err := rt.Open("onespan", scanOpt())
+			if err != nil {
+				return err
+			}
+			keys := loadScanTables(t, db, 0, 1000)
+			lo, hi := keys[150], keys[250]
+			want := tablesIn(db, lo, hi)
+			if want < 4 {
+				t.Fatalf("range overlaps %d tables, want several", want)
+			}
+			walk := func() {
+				it, err := db.NewIterator(lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer it.Close()
+				for it.Next() {
+				}
+				if err := it.Err(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			walk() // loads the tables' readers
+			dev := rt.cfg.Device
+			before := dev.Stats().Reads
+			walk()
+			if got := dev.Stats().Reads - before; got != uint64(want) {
+				t.Errorf("warm iterator made %d device reads over %d tables, want one each", got, want)
+			}
+			return db.Close()
+		})
+	})
+	t.Run("scan", func(t *testing.T) {
+		var tables [2]int
+		// One storage group: both ranks' tables on one device, whose
+		// counters see the caller's reads and the owner's.
+		runCluster(t, clusterSpec{ranks: 2, groupSize: 2}, func(rt *Runtime, c *mpi.Comm) error {
+			db, err := rt.Open("onespan2", scanOpt())
+			if err != nil {
+				return err
+			}
+			loadScanTables(t, db, rt.Rank(), 1000)
+			lo, hi := []byte("key-0500"), []byte("key-0700")
+			tables[rt.Rank()] = tablesIn(db, lo, hi)
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if rt.Rank() == 0 {
+				if tables[0] < 2 || tables[1] < 2 {
+					t.Fatalf("range overlaps %v tables per rank, want several", tables)
+				}
+				scan := func() int {
+					n := 0
+					if err := db.Scan(context.Background(), lo, hi, func(k, v []byte) error { n++; return nil }); err != nil {
+						t.Fatal(err)
+					}
+					return n
+				}
+				scan()
+				dev := rt.cfg.Device
+				before := dev.Stats().Reads
+				if n := scan(); n != 200 {
+					t.Errorf("scan returned %d pairs, want 200", n)
+				}
+				want := tables[0] + tables[1]
+				if got := dev.Stats().Reads - before; got != uint64(want) {
+					t.Errorf("warm scan made %d device reads over %d + %d tables, want one each", got, tables[0], tables[1])
+				}
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			return db.Close()
+		})
+	})
+}
+
+// TestScanConcurrentPooledWindows races scans whose scanners read into
+// pooled windows — 4 goroutines per rank on 2 ranks, over overlapping
+// ranges, checking every value — against a writer on each rank whose
+// rewrites flush tables and trigger compactions. A window handed back to
+// the pool while an entry still aliased it, or to two owners at once, shows
+// as a wrong value, and under the race detector as a race.
+func TestScanConcurrentPooledWindows(t *testing.T) {
+	const n, scanners, rounds = 300, 4, 30
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
+	runCluster(t, clusterSpec{ranks: 2}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("scanpool", smallOpt())
+		if err != nil {
+			return err
+		}
+		var own [][]byte
+		for i := 0; i < n; i++ {
+			if k := key(i); db.Owner(k) == rt.Rank() {
+				own = append(own, k)
+				mustPut(t, db, string(k), string(val(k)))
+			}
+		}
+		if err := db.Barrier(LevelSSTable); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+
+		// The writer rewrites the same values, so every scan has one right
+		// answer however it interleaves with the flushes and compactions.
+		stop := make(chan struct{})
+		var writer sync.WaitGroup
+		writer.Add(1)
+		go func() {
+			defer writer.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := own[i%len(own)]
+				if err := db.Put(k, val(k)); errors.Is(err, ErrWriteStalled) {
+					time.Sleep(time.Millisecond)
+				} else if err != nil {
+					t.Errorf("rewrite %q: %v", k, err)
+					return
+				}
+			}
+		}()
+
+		var wg sync.WaitGroup
+		for g := 0; g < scanners; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for r := 0; r < rounds; r++ {
+					i := rng.Intn(n - 100)
+					j := i + 1 + rng.Intn(100)
+					next := i
+					err := db.Scan(context.Background(), key(i), key(j), func(k, v []byte) error {
+						if string(k) != string(key(next)) || string(v) != string(val(k)) {
+							return fmt.Errorf("pair %d: %q=%q, want %q", next-i, k, v, key(next))
+						}
+						next++
+						return nil
+					})
+					if err == nil && next != j {
+						err = fmt.Errorf("%d pairs, want %d", next-i, j-i)
+					}
+					if err != nil {
+						t.Errorf("rank %d scan [%s, %s): %v", rt.Rank(), key(i), key(j), err)
+						return
+					}
+				}
+			}(int64(rt.Rank()*scanners + g))
+		}
+		wg.Wait()
+		close(stop)
+		writer.Wait()
+		if m := db.Metrics(); m.Flushes.Load() == 0 || m.Compactions.Load() == 0 {
+			t.Errorf("rank %d: %d flushes, %d compactions under the scans, want both", rt.Rank(), m.Flushes.Load(), m.Compactions.Load())
+		}
 		if err := c.Barrier(); err != nil {
 			return err
 		}

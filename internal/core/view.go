@@ -291,9 +291,13 @@ func (v *readView) tables(lo, hi []byte, inclusive bool) iter.Seq[*viewTable] {
 }
 
 // ids returns the SSIDs the walk yields for [lo, hi), or [lo, hi] when
-// inclusive.
+// inclusive, in a slice sized by a first, counting walk.
 func (v *readView) ids(lo, hi []byte, inclusive bool) []uint64 {
-	var ids []uint64
+	n := 0
+	for range v.tables(lo, hi, inclusive) {
+		n++
+	}
+	ids := make([]uint64, 0, n)
 	for t := range v.tables(lo, hi, inclusive) {
 		ids = append(ids, t.SSID)
 	}

@@ -207,6 +207,23 @@ func (c *Cursor) Entry() Entry { return *(c.c.Value().(*Entry)) }
 // Next advances to the next entry in key order.
 func (c *Cursor) Next() { c.c.Next() }
 
+// Source returns the cursor as a merge Source that yields the entry under
+// the cursor, then advances it.
+func (c *Cursor) Source() Source { return (*cursorSource)(c) }
+
+// cursorSource is a Cursor seen as a Source; the conversion allocates
+// nothing.
+type cursorSource Cursor
+
+func (c *cursorSource) Next() (Entry, bool, error) {
+	if !c.c.Valid() {
+		return Entry{}, false, nil
+	}
+	e := *(c.c.Value().(*Entry))
+	c.c.Next()
+	return e, true, nil
+}
+
 // ByOwner groups the entries of a (sealed) remote MemTable by owner rank,
 // each group in ascending key order — the message dispatcher sends one
 // accumulated chunk per owner (§2.4, Migration).

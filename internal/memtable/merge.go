@@ -21,14 +21,29 @@ type Merger struct {
 	err  error
 }
 
-// A Source is one sorted input of a Merger: each call returns the next
-// entry in ascending key order, or false once the input is exhausted.
-type Source func() (Entry, bool, error)
+// A Source is one sorted input of a Merger: each call to Next returns the
+// next entry in ascending key order, or false once the input is exhausted.
+type Source interface {
+	Next() (Entry, bool, error)
+}
+
+// Run is a Source over entries already in ascending key order.
+type Run []Entry
+
+// Next yields the run's first entry and drops it from the run.
+func (r *Run) Next() (Entry, bool, error) {
+	if len(*r) == 0 {
+		return Entry{}, false, nil
+	}
+	e := (*r)[0]
+	*r = (*r)[1:]
+	return e, true, nil
+}
 
 type mergeSource struct {
-	next Source
-	cur  Entry
-	pos  int // index in the source list: lower = newer
+	src Source
+	cur Entry
+	pos int // index in the source list: lower = newer
 }
 
 // before is the merge's one ordering rule: key ascending, then list
@@ -49,10 +64,10 @@ func NewMerger(sources []Source, hi []byte) (*Merger, error) {
 		heap: make([]*mergeSource, 0, len(sources)),
 		hi:   hi,
 	}
-	for i, next := range sources {
+	for i, src := range sources {
 		s := &m.srcs[i]
-		s.next, s.pos = next, i
-		e, ok, err := next()
+		s.src, s.pos = src, i
+		e, ok, err := src.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +99,7 @@ func (m *Merger) Next() (Entry, bool, error) {
 	}
 	for len(m.heap) > 0 && bytes.Equal(m.heap[0].cur.Key, win.Key) {
 		s := m.heap[0]
-		e, ok, err := s.next()
+		e, ok, err := s.src.Next()
 		if err != nil {
 			m.err = err
 			return Entry{}, false, err

@@ -10,15 +10,14 @@ import (
 
 // pullSlice is a merge source over a sorted slice.
 func pullSlice(entries []Entry) Source {
-	return func() (Entry, bool, error) {
-		if len(entries) == 0 {
-			return Entry{}, false, nil
-		}
-		e := entries[0]
-		entries = entries[1:]
-		return e, true, nil
-	}
+	r := Run(entries)
+	return &r
 }
+
+// sourceFunc adapts a function to Source.
+type sourceFunc func() (Entry, bool, error)
+
+func (f sourceFunc) Next() (Entry, bool, error) { return f() }
 
 // randomRun returns a sorted run of distinct keys drawn from a small key
 // space, so runs overlap; some entries are tombstones, and some runs are
@@ -106,7 +105,7 @@ func TestMergerSourceError(t *testing.T) {
 	boom := errors.New("boom")
 	good := pullSlice([]Entry{{Key: []byte("a")}, {Key: []byte("c")}, {Key: []byte("e")}, {Key: []byte("g")}})
 	pulls := 0
-	failing := func() (Entry, bool, error) {
+	failing := sourceFunc(func() (Entry, bool, error) {
 		pulls++
 		switch pulls {
 		case 1:
@@ -115,7 +114,7 @@ func TestMergerSourceError(t *testing.T) {
 			return Entry{Key: []byte("d")}, true, nil
 		}
 		return Entry{}, false, boom
-	}
+	})
 	m, err := NewMerger([]Source{good, failing}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +144,7 @@ func TestMergerSourceError(t *testing.T) {
 	}
 
 	// A source failing on its first pull fails the open.
-	first := func() (Entry, bool, error) { return Entry{}, false, boom }
+	first := sourceFunc(func() (Entry, bool, error) { return Entry{}, false, boom })
 	if _, err := NewMerger([]Source{good, first}, nil); !errors.Is(err, boom) {
 		t.Fatalf("NewMerger err = %v, want boom", err)
 	}

@@ -99,31 +99,28 @@ func EntryCount(dev *nvm.Device, dir string, ssid uint64) (int, error) {
 // one record per input in memory. Close releases the scanners.
 type TableMerge struct {
 	*memtable.Merger
-	scanners []*Scanner
+	scanners []Scanner
 }
 
 // OpenMerge opens a scanner on every input — newest first: an input's
-// position is its priority on a key tie — positions each at the first key
-// >= lo (nil: the start), and merges them up to the first key >= hi (nil:
-// the end). Restart-with-redistribution streams a snapshot through it to
-// re-put each pair exactly once (§4.2); MergeOrdered writes it to a table.
-// Inputs are never deleted.
+// position is its priority on a key tie — positions each on [lo, hi) (nil:
+// unbounded), and merges them up to the first key >= hi. Restart-with-
+// redistribution streams a snapshot through it to re-put each pair exactly
+// once (§4.2); MergeOrdered writes it to a table. Inputs are never deleted.
 func OpenMerge(dev *nvm.Device, dir string, inputs []uint64, lo, hi []byte) (*TableMerge, error) {
-	m := &TableMerge{scanners: make([]*Scanner, 0, len(inputs))}
+	m := &TableMerge{scanners: make([]Scanner, 0, len(inputs))}
 	pulls := make([]memtable.Source, 0, len(inputs))
 	for _, id := range inputs {
 		sc, err := NewScanner(dev, dir, id)
 		if err == nil {
 			m.scanners = append(m.scanners, sc)
-			if len(lo) > 0 {
-				err = sc.SeekGE(lo)
-			}
+			err = m.scanners[len(m.scanners)-1].SeekRange(lo, hi)
 		}
 		if err != nil {
 			m.Close()
 			return nil, err
 		}
-		pulls = append(pulls, sc.Next)
+		pulls = append(pulls, &m.scanners[len(m.scanners)-1])
 	}
 	var err error
 	if m.Merger, err = memtable.NewMerger(pulls, hi); err != nil {
@@ -135,7 +132,7 @@ func OpenMerge(dev *nvm.Device, dir string, inputs []uint64, lo, hi []byte) (*Ta
 
 // Close releases every input's scanner.
 func (m *TableMerge) Close() {
-	for _, sc := range m.scanners {
-		sc.Close()
+	for i := range m.scanners {
+		m.scanners[i].Close()
 	}
 }

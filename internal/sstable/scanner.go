@@ -12,15 +12,18 @@ import (
 // Scanner streams the records of one SSData file in key order. Compaction,
 // checkpoint redistribution, sequential-search gets, and range scans all use
 // it. A scanner comes from one of two places, and the only difference is who
-// owns the data handle and where SeekGE finds the SSIndex: NewScanner opens
-// the file itself and loads the index on demand; ReaderCache.NewScanner pins
-// the cached reader and borrows both.
+// owns the data handle and where SeekRange finds the SSIndex: NewScanner
+// opens the file itself and loads the index on demand; ReaderCache.NewScanner
+// pins the cached reader and borrows both. Both return it by value, so a
+// caller keeps one per table in one array; a used scanner must not be copied.
 //
-// Entries returned by Next alias the scanner's read window. A window is
-// never written again once records have been handed out of it (fill moves on
-// to a fresh one), so an entry stays valid for as long as it is referenced —
-// across later Next calls and past Close. It also keeps its whole window
-// reachable: a consumer that retains a few entries long-term copies them.
+// Entries returned by Next alias the scanner's read windows and are valid
+// until Close. A window is never rewritten once records have been handed out
+// of it, so an entry survives later Next calls (the merge holds one per
+// source); but Close hands the first window back to blockPool. So every
+// consumer copies before it closes: Iterator.Next, producePage and the
+// DB.Scan gather into their own buffers, compaction and redistribution in
+// Writer.Add and DB.Put, seqSearch with detach, and ReadAll (tests only).
 type Scanner struct {
 	f    *nvm.File
 	dev  *nvm.Device
@@ -32,33 +35,37 @@ type Scanner struct {
 	r     *tableReader
 
 	buf    []byte
-	off    int64 // file offset of buf[0]
-	pos    int   // parse position within buf
-	size   int64
-	window int // bytes the next refill reads ahead
-	// pending holds the record SeekGE decoded to find the seek point; Next
-	// returns it before touching the file.
+	off    int64  // file offset of buf[0]
+	pos    int    // parse position within buf
+	limit  int64  // file offset no read passes: the end of the table or of the span SeekRange bounds
+	window int    // bytes the next refill reads ahead
+	last   []byte // key of the record Next returned last, nil after a seek
+	// pooled is the window taken from blockPool, if any; Close returns it.
+	pooled *[]byte
+	// pending holds the record SeekRange decoded to find the seek point;
+	// Next returns it before touching the file.
 	pending    memtable.Entry
 	hasPending bool
 }
 
-// Read-ahead is geometric: the first refill after an open or a seek reads
-// scannerFirstWindow bytes and every later one twice the previous, up to
-// scannerChunk. A short range costs about what it returns, while a long
-// sequential pass — compaction "needs sequential file read" (§2.5) — reaches
-// 1MB reads, bandwidth-bound rather than latency-bound, within nine refills.
+// Read-ahead is geometric: the first refill after an open or an unbounded
+// seek reads scannerFirstWindow bytes and every later one twice the previous,
+// up to scannerChunk, so a long sequential pass — compaction "needs
+// sequential file read" (§2.5) — reaches 1MB reads, bandwidth-bound rather
+// than latency-bound, within nine refills. A bounded seek whose span fits a
+// pooled window reads the whole span at once instead.
 const (
 	scannerFirstWindow = 4 << 10
 	scannerChunk       = 1 << 20
 )
 
 // NewScanner opens SSTable ssid's data file for a sequential scan.
-func NewScanner(dev *nvm.Device, dir string, ssid uint64) (*Scanner, error) {
+func NewScanner(dev *nvm.Device, dir string, ssid uint64) (Scanner, error) {
 	f, err := dev.OpenFile(DataName(dir, ssid))
 	if err != nil {
-		return nil, err
+		return Scanner{}, err
 	}
-	return &Scanner{f: f, dev: dev, dir: dir, ssid: ssid, size: f.Size(), window: scannerFirstWindow}, nil
+	return Scanner{f: f, dev: dev, dir: dir, ssid: ssid, limit: f.Size(), window: scannerFirstWindow}, nil
 }
 
 // NewScanner opens a scanner on SSTable ssid through the cache. The scanner
@@ -70,60 +77,67 @@ func NewScanner(dev *nvm.Device, dir string, ssid uint64) (*Scanner, error) {
 // the reader cannot be loaded (a corrupt bloom or index, a stale negative
 // entry), the scanner falls back to an uncached open, which needs neither
 // structure to stream records and degrades a seek to a forward decode.
-func (c *ReaderCache) NewScanner(dir string, ssid uint64) (*Scanner, error) {
+func (c *ReaderCache) NewScanner(dir string, ssid uint64) (Scanner, error) {
 	if c.enabled() {
 		if r, err := c.acquire(dir, ssid); err == nil {
-			return &Scanner{
+			return Scanner{
 				f: r.data, dev: c.dev, dir: dir, ssid: ssid, cache: c, r: r,
-				size: r.data.Size(), window: scannerFirstWindow,
+				limit: r.data.Size(), window: scannerFirstWindow,
 			}, nil
 		}
 	}
 	return NewScanner(c.dev, dir, ssid)
 }
 
-// SeekGE positions the scanner so the next record returned is the first one
-// with key >= key: the SSIndex names the one block that can hold it, and the
-// scanner decodes forward from that block's start instead of from the start
-// of the file. An unreadable or corrupt index degrades to a forward decode
-// from offset 0 — a slower scan, never a failed one; the data records' own
-// CRCs still guard every byte actually returned. A nil or empty key rewinds
-// to the start.
+// SeekRange positions the scanner on the records with lo <= key < hi (empty:
+// unbounded). The SSIndex names the block lo falls in, where the scanner
+// decodes forward to the first record >= lo, and the block hi falls in: no
+// read passes its end, where Next reports the end of the table (at once when
+// hi sorts before the table). The first read covers that span when it fits a
+// pooled window, so a short range costs one read per table. Records >= hi in
+// the last block may still be returned; the caller's merge stops at hi.
 //
-// Seeking discards buffered read-ahead and restarts it at the smallest
-// window; interleaving SeekGE with Next is allowed.
-func (s *Scanner) SeekGE(key []byte) error {
+// An unreadable or corrupt index degrades to an unbounded forward decode
+// from offset 0 — a slower scan, never a failed one; the data records' own
+// CRCs still guard every byte actually returned. Seeking discards buffered
+// read-ahead; interleaving SeekRange with Next is allowed.
+func (s *Scanner) SeekRange(lo, hi []byte) error {
+	size := s.f.Size()
 	s.hasPending = false
-	s.rewindTo(0)
-	if len(key) == 0 {
+	s.rewind(0, size)
+	if len(lo) == 0 && len(hi) == 0 {
 		return nil
 	}
 	var idx *ssIndex
 	if s.r != nil {
 		idx = s.r.index
-	} else if loaded, err := loadIndex(s.dev, s.dir, s.ssid); err == nil {
-		idx = loaded
+	} else if idx, _ = loadIndex(s.dev, s.dir, s.ssid); idx == nil {
+		return s.skipTo(lo)
 	}
-	if idx != nil {
-		off, _, ok := idx.locate(key, s.size)
-		if !ok {
-			return nil // every record of the table is >= key
-		}
-		s.rewindTo(off)
+	var off int64
+	limit := size
+	if len(lo) > 0 {
+		off, _, _ = idx.locate(lo, size) // not found: 0, every record is >= lo
 	}
-	// Decode forward to the first record >= key and hold it for Next; with
-	// an index that is at most one block away.
-	return s.skipTo(key)
+	if len(hi) > 0 {
+		_, limit, _ = idx.locate(hi, size) // not found: 0, every record is >= hi
+	}
+	s.rewind(off, max(off, limit))
+	if span := s.limit - off; len(hi) > 0 && span <= maxPooledBlock {
+		s.window = int(span)
+	}
+	return s.skipTo(lo)
 }
 
-// rewindTo discards buffered data, repositions the scanner at off, and
-// restarts the read-ahead ramp. The old window is dropped, not truncated:
-// entries already returned may still alias it.
-func (s *Scanner) rewindTo(off int64) {
-	s.buf = nil
-	s.off = off
-	s.pos = 0
-	s.window = scannerFirstWindow
+// SeekGE is the unbounded SeekRange(key, nil); the benchmark probes call it
+// by name.
+func (s *Scanner) SeekGE(key []byte) error { return s.SeekRange(key, nil) }
+
+// rewind discards buffered data and repositions the scanner at off, reading
+// no further than limit, with the read-ahead ramp restarted. The old window
+// is dropped, not reused: entries already returned may still alias it.
+func (s *Scanner) rewind(off, limit int64) {
+	s.buf, s.off, s.pos, s.limit, s.window, s.last = nil, off, 0, limit, scannerFirstWindow, nil
 }
 
 // skipTo decodes records forward until one with key >= key appears, and
@@ -142,7 +156,8 @@ func (s *Scanner) skipTo(key []byte) error {
 }
 
 // fill ensures at least need bytes are available at s.pos, reading the next
-// window as required. Returns false at clean EOF. Each refill lands in a
+// window as required. Returns false at a clean end of the span. Each refill
+// reads min(window, bytes left before limit) — never less than need — into a
 // fresh window, with the unconsumed tail (at most one partial record)
 // carried over, so entries aliasing the previous window are undisturbed.
 func (s *Scanner) fill(need int) (bool, error) {
@@ -150,24 +165,18 @@ func (s *Scanner) fill(need int) (bool, error) {
 	if avail >= need {
 		return true, nil
 	}
-	remainingInFile := s.size - (s.off + int64(len(s.buf)))
-	if int64(avail)+remainingInFile < int64(need) {
-		if avail == 0 && remainingInFile == 0 {
+	left := s.limit - (s.off + int64(len(s.buf)))
+	if int64(avail)+left < int64(need) {
+		if avail == 0 && left == 0 {
 			return false, nil
 		}
-		return false, fmt.Errorf("%w: truncated data file (need %d, have %d)", ErrCorrupt, need, int64(avail)+remainingInFile)
+		return false, fmt.Errorf("%w: record of %d bytes runs past offset %d", ErrCorrupt, need, s.limit)
 	}
-	toRead := s.window
+	toRead := max(int(min(int64(s.window), left)), need-avail)
 	if s.window < scannerChunk {
 		s.window *= 2
 	}
-	if need-avail > toRead {
-		toRead = need - avail
-	}
-	if int64(toRead) > remainingInFile {
-		toRead = int(remainingInFile)
-	}
-	win := make([]byte, avail+toRead)
+	win := s.newWindow(avail + toRead)
 	copy(win, s.buf[s.pos:])
 	s.off += int64(s.pos)
 	s.pos = 0
@@ -182,7 +191,23 @@ func (s *Scanner) fill(need int) (bool, error) {
 	return true, nil
 }
 
-// Next returns the next record. ok=false signals the end of the table.
+// newWindow returns an n-byte read window: the first one that fits comes
+// from blockPool and is held until Close, every other one is allocated.
+func (s *Scanner) newWindow(n int) []byte {
+	if s.pooled != nil || n > maxPooledBlock {
+		return make([]byte, n)
+	}
+	s.pooled = blockPool.Get().(*[]byte)
+	if cap(*s.pooled) < n {
+		*s.pooled = make([]byte, n)
+	}
+	return (*s.pooled)[:n]
+}
+
+// Next returns the next record. ok=false signals the end of the table, or
+// of the span a bounded SeekRange reads. A record that fails its CRC, or
+// whose key does not sort after the previous one's, is ErrCorrupt: the merge
+// a scanner feeds relies on the order as much as on the bytes.
 func (s *Scanner) Next() (memtable.Entry, bool, error) {
 	if s.hasPending {
 		s.hasPending = false
@@ -196,22 +221,32 @@ func (s *Scanner) Next() (memtable.Entry, bool, error) {
 	if err != nil {
 		return memtable.Entry{}, false, err
 	}
-	if ok, err := s.fill(total); err != nil || !ok {
-		if err == nil {
-			err = fmt.Errorf("%w: record body truncated", ErrCorrupt)
-		}
+	if _, err := s.fill(total); err != nil {
 		return memtable.Entry{}, false, err
 	}
 	rec := s.buf[s.pos : s.pos+total]
 	s.pos += total
 	e, _, err := decodeRecord(rec)
-	return e, err == nil, err
+	if err == nil && s.last != nil && bytes.Compare(e.Key, s.last) <= 0 {
+		err = fmt.Errorf("%w: key %q does not sort after %q", ErrCorrupt, e.Key, s.last)
+	}
+	if err != nil {
+		return memtable.Entry{}, false, err
+	}
+	s.last = e.Key
+	return e, true, nil
 }
 
-// Close releases the data file: a cache-opened scanner drops its pin on the
-// cached reader (whose descriptor closes once it is evicted and unpinned), an
-// uncached one closes the handle it opened.
+// Close returns the pooled window and releases the data file: a cache-opened
+// scanner drops its pin on the cached reader (whose descriptor closes once it
+// is evicted and unpinned), an uncached one closes the handle it opened. A
+// repeated Close returns nothing twice.
 func (s *Scanner) Close() error {
+	s.buf, s.last, s.pending, s.hasPending = nil, nil, memtable.Entry{}, false
+	if s.pooled != nil {
+		blockPool.Put(s.pooled)
+		s.pooled = nil
+	}
 	if s.cache == nil {
 		return s.f.Close()
 	}
@@ -240,6 +275,7 @@ func ReadAll(dev *nvm.Device, dir string, ssid uint64) ([]memtable.Entry, error)
 		if !ok {
 			return out, nil
 		}
-		out = append(out, e)
+		// Copied: the entry aliases a window Close hands back to the pool.
+		out = append(out, memtable.Entry{Key: bytes.Clone(e.Key), Value: bytes.Clone(e.Value), Tombstone: e.Tombstone})
 	}
 }

@@ -11,19 +11,19 @@ import (
 	"papyruskv/internal/memtable"
 )
 
-// scanRange seeks sc to lo and drains [lo, hi) (empty hi: unbounded),
+// scanRange seeks sc to [lo, hi) (empty hi: unbounded) and drains it,
 // returning copies so two streams can be compared after both scanners are
 // closed.
 func scanRange(t *testing.T, sc *Scanner, lo, hi []byte) []memtable.Entry {
 	t.Helper()
-	if err := sc.SeekGE(lo); err != nil {
-		t.Fatalf("SeekGE(%q): %v", lo, err)
+	if err := sc.SeekRange(lo, hi); err != nil {
+		t.Fatalf("SeekRange(%q, %q): %v", lo, hi, err)
 	}
 	var out []memtable.Entry
 	for {
 		e, ok, err := sc.Next()
 		if err != nil {
-			t.Fatalf("Next after SeekGE(%q): %v", lo, err)
+			t.Fatalf("Next after SeekRange(%q, %q): %v", lo, hi, err)
 		}
 		if !ok || (len(hi) > 0 && bytes.Compare(e.Key, hi) >= 0) {
 			return out
@@ -125,8 +125,8 @@ func TestScannerCachedMatchesUncached(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := map[string][]memtable.Entry{
-			"cached":   scanRange(t, cached, lo, hi),
-			"uncached": scanRange(t, plain, lo, hi),
+			"cached":   scanRange(t, &cached, lo, hi),
+			"uncached": scanRange(t, &plain, lo, hi),
 		}
 		cached.Close()
 		plain.Close()
@@ -158,10 +158,10 @@ func TestScannerCachedMatchesUncached(t *testing.T) {
 }
 
 // TestScannerWarmRangeCost pins the point of reading scans through the
-// cache: a 100-key range over a big warm table opens no file (the cached
-// reader owns the data handle and the parsed index) and reads about what it
-// returns — a few small read-ahead windows from the block the seek names —
-// not the whole SSIndex and a 1MB chunk.
+// cache with a bounded seek: a 100-key range over a big warm table opens no
+// file (the cached reader owns the data handle and the parsed index) and
+// makes exactly one read — the blocks from lo's to hi's, which the index
+// names — not the whole SSIndex, a 1MB chunk, or a read-ahead past hi.
 func TestScannerWarmRangeCost(t *testing.T) {
 	dev := testDev(t)
 	entries := sortedEntries(12000, 23)
@@ -178,7 +178,7 @@ func TestScannerWarmRangeCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := scanRange(t, sc, entries[from].Key, entries[from+n].Key)
+	got := scanRange(t, &sc, entries[from].Key, entries[from+n].Key)
 	sc.Close()
 	after := dev.Stats()
 	if len(got) != n || !bytes.Equal(got[0].Key, entries[from].Key) || !bytes.Equal(got[n-1].Value, entries[from+n-1].Value) {
@@ -186,6 +186,9 @@ func TestScannerWarmRangeCost(t *testing.T) {
 	}
 	if opens := after.Opens - before.Opens; opens != 0 {
 		t.Errorf("warm range opened %d files, want 0", opens)
+	}
+	if reads := after.Reads - before.Reads; reads != 1 {
+		t.Errorf("warm range made %d reads to return %d entries, want 1", reads, n)
 	}
 	if read := after.BytesRead - before.BytesRead; read > 64<<10 {
 		t.Errorf("warm range read %d bytes to return %d entries, want <= 64KB", read, n)
@@ -223,7 +226,7 @@ func TestScannerSurvivesEviction(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := sc.r
-			if err := sc.SeekGE(entries[100].Key); err != nil {
+			if err := sc.SeekRange(entries[100].Key, nil); err != nil {
 				t.Fatal(err)
 			}
 			for i := 100; i < 110; i++ {
@@ -249,7 +252,7 @@ func TestScannerSurvivesEviction(t *testing.T) {
 			if _, ok, err := sc.Next(); ok || err != nil {
 				t.Fatalf("Next past the end = %v, %v", ok, err)
 			}
-			if err := sc.SeekGE(entries[2990].Key); err != nil {
+			if err := sc.SeekRange(entries[2990].Key, nil); err != nil {
 				t.Fatal(err)
 			}
 			if e, ok, err := sc.Next(); err != nil || !ok || !bytes.Equal(e.Key, entries[2990].Key) {
@@ -304,7 +307,7 @@ func TestScannerCorruptionBehindCache(t *testing.T) {
 		if pinned := sc.r != nil; pinned != wantPinned {
 			t.Fatalf("%s: scanner pinned=%v, want %v", what, pinned, wantPinned)
 		}
-		got := scanRange(t, sc, lo, hi)
+		got := scanRange(t, &sc, lo, hi)
 		if len(got) != 100 || !bytes.Equal(got[0].Key, lo) || !bytes.Equal(got[99].Value, entries[249].Value) {
 			t.Fatalf("%s: range returned %d entries, first %q", what, len(got), got[0].Key)
 		}
@@ -326,15 +329,15 @@ func TestScannerCorruptionBehindCache(t *testing.T) {
 	check("repaired", true)
 	c.Evict("d", 1)
 	flipBit(t, dev, DataName("d", 1), int(recordOffsets(entries)[200]+recHeader+2)*8)
-	for _, open := range map[string]func() (*Scanner, error){
-		"cached":   func() (*Scanner, error) { return c.NewScanner("d", 1) },
-		"uncached": func() (*Scanner, error) { return NewScanner(dev, "d", 1) },
+	for _, open := range map[string]func() (Scanner, error){
+		"cached":   func() (Scanner, error) { return c.NewScanner("d", 1) },
+		"uncached": func() (Scanner, error) { return NewScanner(dev, "d", 1) },
 	} {
 		sc, err := open()
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = sc.SeekGE(lo)
+		err = sc.SeekRange(lo, hi)
 		for err == nil {
 			var ok bool
 			if _, ok, err = sc.Next(); !ok {
@@ -346,4 +349,39 @@ func TestScannerCorruptionBehindCache(t *testing.T) {
 			t.Errorf("scan across a flipped record: err = %v, want ErrCorrupt", err)
 		}
 	}
+}
+
+// TestScannerPooledWindowReturnedOnce: a bounded scanner reads its span into
+// a window from blockPool and hands it back at Close — once. A second Close
+// must not Put it again: the pool would then give one buffer to two owners.
+func TestScannerPooledWindowReturnedOnce(t *testing.T) {
+	dev := testDev(t)
+	entries := sortedEntries(1000, 26)
+	if _, err := WriteTable(dev, "db/r0", 1, entries); err != nil {
+		t.Fatal(err)
+	}
+	c := NewReaderCache(dev, 1<<20)
+	sc, err := c.NewScanner("db/r0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scanRange(t, &sc, entries[400].Key, entries[500].Key); len(got) != 100 {
+		t.Fatalf("range returned %d entries, want 100", len(got))
+	}
+	window := sc.pooled
+	if window == nil {
+		t.Fatal("bounded scan did not read into a pooled window")
+	}
+	sc.Close()
+	sc.Close()
+	if sc.pooled != nil {
+		t.Fatal("Close kept the pooled window")
+	}
+	// Put twice, the window would come out of the pool twice in a row.
+	a, b := blockPool.Get().(*[]byte), blockPool.Get().(*[]byte)
+	if a == b {
+		t.Fatal("the pool handed out one window twice: Close returned it twice")
+	}
+	blockPool.Put(a)
+	blockPool.Put(b)
 }

@@ -8,7 +8,8 @@ import (
 	"papyruskv/internal/memtable"
 )
 
-// collectFrom drains a scanner after SeekGE(start) and returns the keys.
+// collectFrom drains a scanner after SeekRange(start, nil) and returns the
+// keys.
 func collectFrom(t *testing.T, sc *Scanner, start []byte) []string {
 	t.Helper()
 	var got []string
@@ -18,7 +19,7 @@ func collectFrom(t *testing.T, sc *Scanner, start []byte) []string {
 	return got
 }
 
-// oracle returns the sorted-suffix answer SeekGE must match.
+// seekOracle returns the sorted-suffix answer an unbounded seek must match.
 func seekOracle(entries []memtable.Entry, start []byte) []string {
 	var want []string
 	for _, e := range entries {
@@ -68,13 +69,13 @@ func TestScannerSeekGE(t *testing.T) {
 	defer sc.Close()
 	for _, start := range starts {
 		want := seekOracle(entries, start)
-		got := collectFrom(t, sc, start)
+		got := collectFrom(t, &sc, start)
 		if len(got) != len(want) {
-			t.Fatalf("SeekGE(%q): %d keys, want %d", start, len(got), len(want))
+			t.Fatalf("SeekRange(%q, nil): %d keys, want %d", start, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("SeekGE(%q)[%d] = %s, want %s", start, i, got[i], want[i])
+				t.Fatalf("SeekRange(%q, nil)[%d] = %s, want %s", start, i, got[i], want[i])
 			}
 		}
 	}
@@ -102,13 +103,13 @@ func TestScannerSeekGECorruptIndexFallback(t *testing.T) {
 			defer sc.Close()
 			for _, start := range [][]byte{nil, entries[60].Key, []byte("zzz")} {
 				want := seekOracle(entries, start)
-				got := collectFrom(t, sc, start)
+				got := collectFrom(t, &sc, start)
 				if len(got) != len(want) {
-					t.Fatalf("degraded SeekGE(%q): %d keys, want %d", start, len(got), len(want))
+					t.Fatalf("degraded SeekRange(%q, nil): %d keys, want %d", start, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("degraded SeekGE(%q)[%d] = %s, want %s", start, i, got[i], want[i])
+						t.Fatalf("degraded SeekRange(%q, nil)[%d] = %s, want %s", start, i, got[i], want[i])
 					}
 				}
 			}
