@@ -28,8 +28,8 @@ package core
 // Crash windows are unchanged from the flat compactor: the merged output
 // is written first (a crash leaves it an unlisted orphan, quarantined on
 // reopen), the Add+Delete edit commits as one manifest frame, and only
-// then are the inputs unlinked (a crash leaves them orphans). Snapshot
-// pins defer unlinks through the zombie list exactly as before.
+// then are the inputs unlinked (a crash leaves them orphans). An input a
+// pinned read view still names is unlinked when that view retires.
 
 import (
 	"bytes"
@@ -82,7 +82,7 @@ func (db *DB) installVersionLocked(v manifest.Version, fresh ...*tableHandle) {
 	if v.NextSSID > db.nextSSID {
 		db.nextSSID = v.NextSSID
 	}
-	db.publishLocked(fresh...)
+	db.publishLocked(nil, fresh...)
 }
 
 // sortLevel establishes level n's canonical order: L0 by SSID ascending
@@ -105,25 +105,6 @@ func newerTable(a, b manifest.TableMeta) int {
 		return cmp.Compare(a.Level, b.Level)
 	}
 	return cmp.Compare(b.SSID, a.SSID)
-}
-
-// pinSnapshotRange captures the live tables intersecting [lo, hi) in
-// recency order and registers one pin per table. The registration happens
-// while the view the tables came from is pinned, which closes the race with
-// compaction installs: an install that drops one of these tables awaits the
-// view's release before removeInputOrDefer consults the registry, so it
-// either sees these pins or the table was never in the view. nil bounds are
-// unbounded; hi is exclusive, matching NewIterator.
-func (db *DB) pinSnapshotRange(lo, hi []byte) []uint64 {
-	v := db.pinView()
-	defer db.unpinView(v)
-	ids := v.ids(lo, hi, false)
-	db.snapMu.Lock()
-	for _, id := range ids {
-		db.pinnedSSIDs[id]++
-	}
-	db.snapMu.Unlock()
-	return ids
 }
 
 // compactionJob is one picked unit of work: the claimed input tables from
@@ -419,9 +400,9 @@ func (db *DB) releaseJob(job *compactionJob) {
 }
 
 // runJob executes one picked job: range-bounded merge, single Add+Delete
-// manifest edit, in-memory install, input unlink. A failed merge or commit
-// fails/degrades the rank and leaves the inputs live — the transition
-// simply never happened.
+// manifest edit, in-memory install that dooms the inputs. A failed merge or
+// commit fails/degrades the rank and leaves the inputs live — the
+// transition simply never happened.
 func (db *DB) runJob(job *compactionJob) {
 	defer db.releaseJob(job)
 	dev := db.rt.cfg.Device
@@ -509,24 +490,22 @@ func (db *DB) runJob(job *compactionJob) {
 		db.levels[outLevel] = append(db.levels[outLevel], tm)
 		sortLevel(db.levels[outLevel], outLevel)
 	}
-	dropped := db.publishLocked(fresh...)
+	// Doom the inputs as the view that drops them goes up: their files go
+	// once no get or iterator still reads them through an older view.
+	db.publishLocked(db.removeTable, fresh...)
 	db.sstMu.Unlock()
+}
 
-	// Unlink the inputs once no get still probes them through an older
-	// view, and drop their cached readers so the whole storage group (the
-	// cache is per-device) stops probing them. An input a snapshot still
-	// pins is parked on the zombie list instead (iterator.go): the version
-	// moved on above, only the file waits for its last reader. A failed
-	// unlink only leaves orphan files behind (the version is already
-	// committed); surface the device trouble anyway.
-	awaitReleased(dropped)
-	var removeErr error
-	for _, id := range ordered {
-		if err := db.removeInputOrDefer(dir, id); err != nil && removeErr == nil {
-			removeErr = err
-		}
-	}
-	if removeErr != nil {
-		db.failOrDegrade(fmt.Errorf("removing compaction inputs: %w", removeErr))
+// removeTable is a compaction input's fate: unlink its files and drop the
+// device cache's reader, so the whole storage group (the cache is
+// per-device) stops probing it. It runs when the last view naming the input
+// retires — in the compaction itself, or in whichever get or iterator
+// unpins that view last. A failed unlink only leaves orphan files behind
+// (the version is already committed); surface the device trouble anyway.
+func (db *DB) removeTable(ssid uint64) {
+	err := sstable.Remove(db.rt.cfg.Device, db.ownDir, ssid)
+	db.readers.Evict(db.ownDir, ssid)
+	if err != nil {
+		db.failOrDegrade(fmt.Errorf("removing compaction input %d: %w", ssid, err))
 	}
 }

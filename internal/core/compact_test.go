@@ -241,9 +241,10 @@ func TestCompactCrashCommitWindowLeveled(t *testing.T) {
 
 // TestCompactScanPinAcrossLevelMove opens an iterator over L0 tables, moves
 // those exact tables to L1 underneath it, and asserts the snapshot view
-// survives: the pinned inputs park on the zombie list instead of unlinking,
-// the iterator reads the pre-compaction values to the end, and closing it
-// releases the files.
+// survives: the synchronous compaction returns without waiting for the
+// iterator, the inputs' files stay on the device while it reads them, the
+// iterator reads the pre-compaction values to the end, and closing it
+// removes the files.
 func TestCompactScanPinAcrossLevelMove(t *testing.T) {
 	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
 		opt := smallOpt()
@@ -259,8 +260,8 @@ func TestCompactScanPinAcrossLevelMove(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(it.pinned) == 0 {
-			t.Fatal("iterator pinned no tables")
+		if len(it.scanners) == 0 {
+			t.Fatal("iterator reads no tables")
 		}
 
 		// Overwrite half the keys, then compact: the pinned L0 inputs (and
@@ -277,8 +278,13 @@ func TestCompactScanPinAcrossLevelMove(t *testing.T) {
 			t.Fatal("forced compaction did not run")
 		}
 		if m.ScanUnlinksDeferred.Load() == 0 {
-			t.Error("pinned inputs were unlinked instead of deferred")
+			t.Error("the inputs' unlink did not wait for the iterator's view")
 		}
+		gone := supersededUnder(db, it)
+		if len(gone) == 0 {
+			t.Error("compaction took no table the iterator reads")
+		}
+		wantTableFiles(t, db, gone, 3, "iterator open")
 		db.sstMu.RLock()
 		layout := make([]int, len(db.levels))
 		for n := range db.levels {
@@ -307,6 +313,10 @@ func TestCompactScanPinAcrossLevelMove(t *testing.T) {
 		}
 		if err := it.Close(); err != nil {
 			return err
+		}
+		wantTableFiles(t, db, gone, 0, "iterator closed")
+		if _, pins, doomed := db.viewStats(); pins != 0 || doomed != 0 {
+			t.Errorf("after close: %d view pins, %d doomed tables pending; want none", pins, doomed)
 		}
 		// New reads follow the moved version: overwrites visible on L1.
 		if err := wantGet(db, "k0-000", "overwritten"); err != nil {

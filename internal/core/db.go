@@ -26,13 +26,13 @@ import (
 // concurrently with each other; that is MPI's own collective-ordering
 // contract, not a lock this layer could supply.
 //
-// Lock order for the eight mutexes declared below, outermost first. A
+// Lock order for the seven mutexes declared below, outermost first. A
 // goroutine may take a lock only while holding locks listed above it:
 //
 //	recoverMu, scrubMu   each held across one whole Recover / scrub cycle;
 //	                     never both at once
 //	mu, sstMu            never held together
-//	compactMu, snapMu    each only under sstMu or alone; never together
+//	compactMu            only under sstMu or alone
 //	scrubRepMu           leaf
 //	failMu               leaf, taken under any of the above (a WAL rotation
 //	                     degrades the rank under mu)
@@ -108,14 +108,16 @@ type DB struct {
 	// L0): an L1 output carries a higher SSID than L0 tables flushed during
 	// its merge, so raw SSID order no longer encodes recency.
 	//
-	// view is levels as gets read it: republished under sstMu on every
-	// change, loaded and pinned without it (view.go). openTables counts the
-	// view handles holding an open table.
-	sstMu      sync.RWMutex
-	levels     [][]manifest.TableMeta
-	nextSSID   uint64
-	view       atomic.Pointer[readView]
-	openTables atomic.Int64
+	// view is levels as gets and iterators read it: republished under sstMu
+	// on every change, loaded and pinned without it (view.go). openTables
+	// counts the view handles holding an open table, doomedTables the
+	// dropped tables whose files still wait for a pinned view to retire.
+	sstMu        sync.RWMutex
+	levels       [][]manifest.TableMeta
+	nextSSID     uint64
+	view         atomic.Pointer[readView]
+	openTables   atomic.Int64
+	doomedTables atomic.Int64
 
 	// compactKick wakes the compaction workers; the cap-1 channel coalesces
 	// any number of triggers into one pending kick. pendingCompact counts
@@ -130,15 +132,6 @@ type DB struct {
 	compactMu      sync.Mutex
 	compactBusy    map[uint64]bool
 	compactL0Busy  bool
-
-	// snapMu guards the snapshot pin registry (iterator.go): pinnedSSIDs
-	// counts the open iterators holding each SSTable in their pinned view,
-	// and zombieSSIDs marks tables compaction has already superseded (the
-	// manifest Delete is committed, the file is not) whose unlink waits for
-	// the last pin to drop.
-	snapMu      sync.Mutex
-	pinnedSSIDs map[uint64]int
-	zombieSSIDs map[uint64]bool
 
 	// scans is the owner-side registry of remote scans in progress: each
 	// holds a pinned iterator between page requests so a slow consumer
@@ -261,12 +254,10 @@ func (rt *Runtime) Open(name string, opt Options) (*DB, error) {
 		compactBusy:    make(map[uint64]bool),
 		readers:        sstable.CacheFor(rt.cfg.Device, opt.ReaderCacheBytes),
 		nextSSID:       1,
-		pinnedSSIDs:    make(map[uint64]int),
-		zombieSSIDs:    make(map[uint64]bool),
 		scrubLim:       scrub.NewLimiter(opt.ScrubBytesPerSec),
 	}
 	db.ownDir = db.dir(rt.rank)
-	db.publishLocked() // empty until the manifest composes the version
+	db.publishLocked(nil) // empty until the manifest composes the version
 	wake := make(chan struct{})
 	db.wake.Store(&wake)
 	db.scans.m = make(map[scanKey]*openScan)
@@ -419,13 +410,11 @@ func (db *DB) Close() error {
 	})
 	db.wg.Wait()
 	// The handler is down, so no remote scan can page again: close every
-	// registered scan, releasing its pinned snapshot, then unlink the
-	// zombie SSTables whose deletion open iterators had deferred. An
-	// application iterator still open past Close keeps its pins but loses
-	// its files here — Close's contract is that the on-NVM image is the
-	// final one, not a snapshot museum.
+	// registered scan, releasing its pinned view and the files of the
+	// tables only it still read. An application iterator left open keeps
+	// its view, and with it its tables' files, until its own Close; one
+	// never closed leaves them as orphans for the next Open to quarantine.
 	db.scans.closeAll()
-	db.sweepZombies()
 	// Batches still parked for unreachable peers have no future to wait
 	// for: convert them to counted loss so the caller hears about every
 	// pair that never reached its owner.

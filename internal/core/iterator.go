@@ -13,23 +13,20 @@ package core
 //     is the snapshot (flush removes a table from immLocal but cannot mutate
 //     it). The mutable tables are captured with SnapshotRange — a bounded
 //     point-in-time copy, immune to later Puts.
-//   - SSTables: files are immutable but compaction unlinks superseded inputs.
-//     pinSnapshotRange (compact.go) refcounts the range-overlapping live
-//     tables under sstMu, and compaction consults the registry before
-//     unlinking: a pinned input is parked on the zombie list (its manifest
-//     Delete is already committed — the *version* moves on, only the file
-//     lingers) and unlinked when the last pin drops. The tables themselves
-//     are read through db.readers, the same ReaderCache gets use: each
-//     scanner pins its cached reader (open data handle + parsed SSIndex)
-//     until the iterator closes.
+//   - SSTables: files are immutable, but compaction and scrub quarantine
+//     take superseded ones away. The iterator pins the read view (view.go)
+//     once, for its whole life, and opens one scanner per range-overlapping
+//     table from the table's handle, borrowing its open data file and
+//     index. A table the version drops meanwhile is doomed, not gone: its
+//     files stay until the last view naming it — this one — retires.
 //
 // Each scanner reads only the blocks [lo, hi) can touch, once, into a pooled
 // window whose entries are valid until Close: Next, producePage and the
 // DB.Scan gather copy what they keep before the iterator closes.
 //
-// Flush between the MemTable capture and the SSTable pin can only add a
-// table whose content the iterator already holds from the MemTable side —
-// a benign duplicate the merge's newest-wins tie-break collapses — never
+// Flush between the MemTable capture and the view pin can only add a table
+// whose content the iterator already holds from the MemTable side — a
+// benign duplicate the merge's newest-wins tie-break collapses — never
 // remove one, because the capture happens first.
 
 import (
@@ -38,74 +35,6 @@ import (
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/sstable"
 )
-
-// releaseSnapshot drops one pin from each id; a table whose last pin drops
-// while on the zombie list is unlinked and evicted here, completing the
-// deletion compaction deferred.
-func (db *DB) releaseSnapshot(ids []uint64) {
-	var unlink []uint64
-	db.snapMu.Lock()
-	for _, id := range ids {
-		if db.pinnedSSIDs[id] <= 1 {
-			delete(db.pinnedSSIDs, id)
-			if db.zombieSSIDs[id] {
-				delete(db.zombieSSIDs, id)
-				unlink = append(unlink, id)
-			}
-		} else {
-			db.pinnedSSIDs[id]--
-		}
-	}
-	db.snapMu.Unlock()
-	dir := db.ownDir
-	for _, id := range unlink {
-		// Best effort: the version was committed long ago; a failed unlink
-		// leaves an orphan the next open quarantines.
-		_ = sstable.Remove(db.rt.cfg.Device, dir, id)
-		db.readers.Evict(dir, id)
-	}
-}
-
-// removeInputOrDefer is compact's unlink step: delete input id now, or park
-// it on the zombie list if a snapshot still pins it. Once here the id has
-// left the live list, so no new pin can cover it — the pin count only falls.
-func (db *DB) removeInputOrDefer(dir string, id uint64) error {
-	db.snapMu.Lock()
-	if db.pinnedSSIDs[id] > 0 {
-		db.zombieSSIDs[id] = true
-		db.snapMu.Unlock()
-		db.metrics.ScanUnlinksDeferred.Add(1)
-		return nil
-	}
-	db.snapMu.Unlock()
-	err := sstable.Remove(db.rt.cfg.Device, dir, id)
-	db.readers.Evict(dir, id)
-	return err
-}
-
-// sweepZombies unlinks every deferred table regardless of pins; Close calls
-// it once the handler is down and the scan registry drained.
-func (db *DB) sweepZombies() {
-	db.snapMu.Lock()
-	var ids []uint64
-	for id := range db.zombieSSIDs {
-		ids = append(ids, id)
-	}
-	db.zombieSSIDs = make(map[uint64]bool)
-	db.snapMu.Unlock()
-	dir := db.ownDir
-	for _, id := range ids {
-		_ = sstable.Remove(db.rt.cfg.Device, dir, id)
-		db.readers.Evict(dir, id)
-	}
-}
-
-// pinCount reports the pins on one SSID; tests assert pin lifecycles with it.
-func (db *DB) pinCount(id uint64) int {
-	db.snapMu.Lock()
-	defer db.snapMu.Unlock()
-	return db.pinnedSSIDs[id]
-}
 
 // memSources appends one side's MemTables to a merge's source list in
 // memGet's newest-first order: the mutable table as a SnapshotRange copy
@@ -127,8 +56,8 @@ func memSources(sources []memtable.Source, run *memtable.Run, mt *memtable.Table
 type Iterator struct {
 	db       *DB
 	m        *memtable.Merger
-	pinned   []uint64
-	scanners []sstable.Scanner // one per pinned table, in one array
+	view     *readView         // pinned until release
+	scanners []sstable.Scanner // one per overlapping table, in one array
 	key, val []byte
 	err      error
 	closed   bool
@@ -141,8 +70,10 @@ type Iterator struct {
 // NewIterator opens an ordered iterator over the keys this rank owns in
 // [lo, hi) (nil lo: from the smallest key; nil hi: to the largest). The view
 // is a snapshot: puts, deletes, flushes, and compactions after the open are
-// invisible, and compaction cannot unlink an SSTable the snapshot reads.
-// Close must be called to release the snapshot. A Degraded (read-only) rank
+// invisible, and the files of every SSTable it reads stay on the device
+// until Close. Close must be called to release the snapshot: the files of a
+// table compacted away under an iterator never closed are left behind as
+// orphans, which the next Open quarantines. A Degraded (read-only) rank
 // still serves iterators; only a Failed rank refuses.
 func (db *DB) NewIterator(lo, hi []byte) (*Iterator, error) {
 	return db.newIterator(lo, hi, false)
@@ -178,21 +109,25 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 	}
 	db.mu.Unlock()
 
-	// pinSnapshotRange returns the tables in recency order, already
-	// filtered to tables intersecting [lo, hi), so the merge opens one
-	// scanner per level beyond L0 instead of one per live table.
-	it.pinned = db.pinSnapshotRange(lo, hi)
-	it.scanners = make([]sstable.Scanner, 0, len(it.pinned))
-	sources := append(make([]memtable.Source, 0, len(mem)+len(it.pinned)), mem...)
-	for _, id := range it.pinned {
-		sc, err := db.readers.NewScanner(db.ownDir, id)
+	// The view's recency walk yields only the tables intersecting [lo, hi),
+	// so the merge opens one scanner per level beyond L0 instead of one per
+	// live table.
+	it.view = db.pinView()
+	n := 0
+	for range it.view.tables(lo, hi, false) {
+		n++
+	}
+	it.scanners = make([]sstable.Scanner, 0, n)
+	sources := append(make([]memtable.Source, 0, len(mem)+n), mem...)
+	for t := range it.view.tables(lo, hi, false) {
+		sc, err := t.h.scanner()
 		if err == nil {
 			it.scanners = append(it.scanners, sc)
 			err = it.scanners[len(it.scanners)-1].SeekRange(lo, hi)
 		}
 		if err != nil {
 			it.release()
-			return nil, fmt.Errorf("papyruskv: open iterator on SSTable %d: %w", id, err)
+			return nil, fmt.Errorf("papyruskv: open iterator on SSTable %d: %w", t.SSID, err)
 		}
 		sources = append(sources, &it.scanners[len(it.scanners)-1])
 	}
@@ -242,9 +177,12 @@ func (it *Iterator) Value() []byte { return it.val }
 // Err returns the first error the iteration hit, if any.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases the snapshot: scanners close, pins drop, and any zombie
-// table this snapshot was the last reader of is unlinked. Close is
-// idempotent.
+// Close releases the snapshot: the scanners close and the view pin drops,
+// taking with it the files of every table the version dropped while this
+// iterator was its last reader. Close is idempotent, and may come after
+// DB.Close: an iterator left open does not hold DB.Close up and still walks
+// its snapshot, and its own Close then removes the superseded files. Close
+// it before the database is opened again.
 func (it *Iterator) Close() error {
 	if it.closed {
 		return nil
@@ -255,16 +193,17 @@ func (it *Iterator) Close() error {
 	return nil
 }
 
-// release tears down scanners and pins; shared by Close and the open-path
-// error exits (which run before the gauge increment).
+// release closes the scanners, then drops the view pin that keeps their
+// tables open; shared by Close and the open-path error exits (which run
+// before the gauge increment).
 func (it *Iterator) release() {
 	for i := range it.scanners {
 		it.scanners[i].Close()
 	}
 	it.scanners = nil
-	if it.pinned != nil {
-		it.db.releaseSnapshot(it.pinned)
-		it.pinned = nil
+	if it.view != nil {
+		it.db.unpinView(it.view)
+		it.view = nil
 	}
 	it.m = nil
 }

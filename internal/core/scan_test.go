@@ -18,9 +18,9 @@ import (
 // TestScanSnapshotIsolation is the tentpole acceptance scenario: an iterator
 // opened before a burst of overwrites, a delete, and a forced compaction
 // returns the pre-mutation view with zero errors — compaction committed its
-// new version but could not unlink the pinned inputs (they parked on the
-// zombie list, counted by scan_unlinks_deferred), and closing the iterator
-// released every pin and unlinked the zombies.
+// new version, but the files of the inputs the iterator's view reads stayed
+// on the device (counted by scan_unlinks_deferred), and closing the
+// iterator dropped its view pin and removed them.
 func TestScanSnapshotIsolation(t *testing.T) {
 	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
 		db, err := rt.Open("scansnap", smallOpt()) // CompactionEvery: 4
@@ -43,9 +43,8 @@ func TestScanSnapshotIsolation(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pinned := append([]uint64(nil), it.pinned...)
-		if len(pinned) == 0 {
-			t.Fatal("iterator pinned no SSTables")
+		if len(it.scanners) == 0 {
+			t.Fatal("iterator reads no SSTables")
 		}
 
 		// Mutate everything under the open iterator, then force a
@@ -78,15 +77,20 @@ func TestScanSnapshotIsolation(t *testing.T) {
 			}
 		}
 		// The compaction counter bumps at the manifest commit, but the
-		// unlink pass (where pinned inputs park as zombies) runs after the
-		// in-memory install — give the background job a moment to reach it.
+		// inputs are doomed at the in-memory install after it — give the
+		// background job a moment to reach it.
 		for deadline := time.Now().Add(5 * time.Second); m.ScanUnlinksDeferred.Load() == 0; {
 			if time.Now().After(deadline) {
-				t.Error("compaction deferred no pinned unlink")
+				t.Error("compaction deferred no input's unlink")
 				break
 			}
 			time.Sleep(time.Millisecond)
 		}
+		gone := supersededUnder(db, it)
+		if len(gone) == 0 {
+			t.Error("compaction took no table the iterator reads")
+		}
+		wantTableFiles(t, db, gone, 3, "iterator open")
 
 		// The iterator must deliver the pre-mutation view — original
 		// values, the deleted key still present, no filler keys — with
@@ -108,23 +112,16 @@ func TestScanSnapshotIsolation(t *testing.T) {
 			t.Errorf("scan saw %d keys, want %d", i, len(keys))
 		}
 
-		// Close releases the pins; the zombies are unlinked on the way out.
+		// Close drops the view pin; the doomed inputs go on the way out.
 		if err := it.Close(); err != nil {
 			return err
 		}
 		if got := m.IteratorsOpen.Load(); got != 0 {
 			t.Errorf("iterators_open = %d after close, want 0", got)
 		}
-		for _, id := range pinned {
-			if n := db.pinCount(id); n != 0 {
-				t.Errorf("ssid %d still has %d pins after close", id, n)
-			}
-		}
-		db.snapMu.Lock()
-		nz := len(db.zombieSSIDs)
-		db.snapMu.Unlock()
-		if nz != 0 {
-			t.Errorf("%d zombie tables left after release", nz)
+		wantTableFiles(t, db, gone, 0, "iterator closed")
+		if _, pins, doomed := db.viewStats(); pins != 0 || doomed != 0 {
+			t.Errorf("after close: %d view pins, %d doomed tables pending; want none", pins, doomed)
 		}
 
 		// The live view (outside any snapshot) shows the mutations.
@@ -287,25 +284,23 @@ func TestScanCrossRankOrdering(t *testing.T) {
 
 // TestScanCtxCancelReleasesPins cancels a cross-rank scan mid-stream: the
 // caller's context error surfaces, its local snapshot unpins immediately,
-// the fire-and-forget close releases the owner's parked continuation (its
-// pins included), and both the caller's request path and the owner's handler
-// workers keep serving afterwards.
+// the fire-and-forget close releases the owner's parked continuation — and
+// with its view pin the files of the tables the owner compacted away under
+// it — and both the caller's request path and the owner's handler workers
+// keep serving afterwards.
 func TestScanCtxCancelReleasesPins(t *testing.T) {
+	parked, compacted := newSignal(), newSignal()
 	runCluster(t, clusterSpec{ranks: 2}, func(rt *Runtime, c *mpi.Comm) error {
 		opt := smallOpt()
-		opt.ScanPageBytes = 64 // a few entries per page: the scan parks at the owner
+		opt.CompactionEvery = 0 // the compaction under the scan is explicit
+		opt.ScanPageBytes = 64  // a few entries per page: the scan parks at the owner
 		db, err := rt.Open("scancancel", opt)
 		if err != nil {
 			return err
 		}
-		own := ownKeys(db, rt.Rank(), 30)
-		for _, k := range own {
-			mustPut(t, db, string(k), string(val(k)))
-		}
-		if err := db.Barrier(LevelSSTable); err != nil {
-			return err
-		}
+		own := loadParkTables(t, db, 30)
 
+		var inputs []uint64
 		if rt.Rank() == 0 {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -313,10 +308,13 @@ func TestScanCtxCancelReleasesPins(t *testing.T) {
 			err := db.Scan(ctx, nil, nil, func(k, v []byte) error {
 				seen++
 				if seen == 3 {
+					parked.fire()
+					<-compacted.ch
 					cancel()
 				}
 				return nil
 			})
+			parked.fire() // a scan that never got that far must not strand rank 1
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("cancelled Scan err = %v, want context.Canceled", err)
 			}
@@ -331,17 +329,215 @@ func TestScanCtxCancelReleasesPins(t *testing.T) {
 			if err := wantGet(db, string(other), string(val(other))); err != nil {
 				t.Errorf("remote get after cancelled scan: %v", err)
 			}
+		} else {
+			func() {
+				defer compacted.fire()
+				<-parked.ch
+				inputs = compactUnderParkedScan(t, db)
+			}()
 		}
 		if err := c.Barrier(); err != nil {
 			return err
 		}
 		// Both sides drain: rank 1's registry empties when the close
-		// message lands.
+		// message lands, and its doomed inputs go with the scan's view.
 		waitScansDrained(t, db)
+		waitDoomedDrained(t, db, inputs)
 		if err := c.Barrier(); err != nil {
 			return err
 		}
 		return db.Close()
+	})
+}
+
+// TestCompactDoesNotWaitForParkedScan: a remote scan parked at its owner
+// between pages pins the owner's read view for as long as its consumer
+// dawdles, up to ScanIdleTimeout. Compacting away every table it reads must
+// not wait for it: the compaction returns at once, the consumer then drains
+// the scan's snapshot — pre-compaction values, no error — and the inputs'
+// files go when the stream ends.
+func TestCompactDoesNotWaitForParkedScan(t *testing.T) {
+	parked, compacted := newSignal(), newSignal()
+	runCluster(t, clusterSpec{ranks: 2}, func(rt *Runtime, c *mpi.Comm) error {
+		opt := smallOpt()
+		opt.CompactionEvery = 0
+		opt.ScanPageBytes = 64
+		db, err := rt.Open("scanpark", opt)
+		if err != nil {
+			return err
+		}
+		own := loadParkTables(t, db, 30)
+
+		var inputs []uint64
+		if rt.Rank() == 0 {
+			seen := 0
+			err := db.Scan(context.Background(), nil, nil, func(k, v []byte) error {
+				if seen == 0 {
+					parked.fire()
+					<-compacted.ch
+				}
+				if string(v) != string(val(k)) {
+					t.Errorf("scan %q = %q, want the pre-compaction %q", k, v, val(k))
+				}
+				seen++
+				return nil
+			})
+			parked.fire()
+			if err != nil {
+				t.Errorf("scan across the owner's compaction: %v", err)
+			}
+			if seen != 60 {
+				t.Errorf("scan saw %d keys, want 60", seen)
+			}
+		} else {
+			func() {
+				defer compacted.fire()
+				<-parked.ch
+				// Overwrites after the scan opened: invisible to its snapshot.
+				for _, k := range own {
+					mustPut(t, db, string(k), "overwritten")
+				}
+				inputs = compactUnderParkedScan(t, db)
+			}()
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		waitScansDrained(t, db)
+		waitDoomedDrained(t, db, inputs)
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		return db.Close()
+	})
+}
+
+// signal is a channel closed once, by whichever rank fires it first; a rank
+// that fails before its cue still fires it on the way out, so its peer
+// cannot wait forever.
+type signal struct {
+	ch   chan struct{}
+	once sync.Once
+}
+
+func newSignal() *signal { return &signal{ch: make(chan struct{})} }
+
+func (s *signal) fire() { s.once.Do(func() { close(s.ch) }) }
+
+// loadParkTables puts this rank's first n owned keys in two flushes, so
+// each rank holds at least two L0 tables a forced compaction merges.
+func loadParkTables(t *testing.T, db *DB, n int) [][]byte {
+	t.Helper()
+	own := ownKeys(db, db.rt.rank, n)
+	for _, half := range [][][]byte{own[:n/2], own[n/2:]} {
+		for _, k := range half {
+			mustPut(t, db, string(k), string(val(k)))
+		}
+		if err := db.Barrier(LevelSSTable); err != nil {
+			t.Errorf("Barrier: %v", err)
+		}
+	}
+	return own
+}
+
+// compactUnderParkedScan runs a forced compaction on the owner of a remote
+// scan parked in its registry and checks that it took every table the
+// scan's view reads without waiting for the scan, and that those tables'
+// files stay on the device while the scan is parked. It returns them.
+func compactUnderParkedScan(t *testing.T, db *DB) []uint64 {
+	t.Helper()
+	var it *Iterator
+	db.scans.mu.Lock()
+	for _, s := range db.scans.m {
+		s.mu.Lock()
+		if s.it != nil {
+			it = s.it
+		}
+		s.mu.Unlock()
+	}
+	db.scans.mu.Unlock()
+	if it == nil {
+		t.Error("no remote scan is parked at the owner")
+		return nil
+	}
+	reads := 0
+	for range it.view.tables(nil, nil, false) {
+		reads++
+	}
+	start := time.Now()
+	db.compact()
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("compaction took %v under a parked scan; it must not wait for the scan", took)
+	}
+	inputs := supersededUnder(db, it)
+	if reads < 2 || len(inputs) != reads {
+		t.Errorf("compaction took %d of the %d tables the parked scan reads, want all of them (at least 2)", len(inputs), reads)
+	}
+	wantTableFiles(t, db, inputs, 3, "scan parked")
+	if db.metrics.ScanUnlinksDeferred.Load() == 0 {
+		t.Error("scan_unlinks_deferred = 0 with a parked scan reading the inputs")
+	}
+	return inputs
+}
+
+// TestIteratorOpenAcrossClose pins the contract for an application iterator
+// left open past DB.Close: Close does not wait for it, the iterator still
+// walks its snapshot, and its own Close removes the files of the tables
+// compacted away under it.
+func TestIteratorOpenAcrossClose(t *testing.T) {
+	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+		opt := smallOpt()
+		opt.CompactionEvery = 0
+		db, err := rt.Open("iterclose", opt)
+		if err != nil {
+			return err
+		}
+		flushTable(t, db, "k0", 15)
+		flushTable(t, db, "k1", 15)
+		it, err := db.NewIterator(nil, nil)
+		if err != nil {
+			return err
+		}
+		db.compact()
+		gone := supersededUnder(db, it)
+		if len(gone) == 0 {
+			t.Error("compaction took no table the iterator reads")
+		}
+
+		closed := make(chan error, 1)
+		go func() { closed <- db.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				return err
+			}
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("DB.Close waited for an open iterator")
+		}
+		wantTableFiles(t, db, gone, 3, "database closed, iterator open")
+
+		seen := 0
+		for it.Next() {
+			k := string(it.Key())
+			if want := fmt.Sprintf("%s-val-%s", k[:2], k[3:]); string(it.Value()) != want {
+				t.Errorf("scan %q = %q, want %q", k, it.Value(), want)
+			}
+			seen++
+		}
+		if err := it.Err(); err != nil {
+			t.Errorf("iterator error after DB.Close: %v", err)
+		}
+		if seen != 30 {
+			t.Errorf("scan saw %d keys, want 30", seen)
+		}
+		if err := it.Close(); err != nil {
+			return err
+		}
+		wantTableFiles(t, db, gone, 0, "iterator closed")
+		if open, pins, doomed := db.viewStats(); open != 0 || pins != 0 || doomed != 0 {
+			t.Errorf("after both closes: %d open tables, %d view pins, %d doomed tables; want none", open, pins, doomed)
+		}
+		return nil
 	})
 }
 
@@ -413,15 +609,15 @@ func TestScanCompletedStreamsDrainRegistry(t *testing.T) {
 	})
 }
 
-// TestScanReadsThroughReaderCache: iterators and gets share one way to read
-// a table. Once the reader cache holds a rank's tables, opening an iterator
-// over them — seek included — opens no file and counts as cache hits, and
-// closing it returns every pin.
-func TestScanReadsThroughReaderCache(t *testing.T) {
+// TestScanReadsThroughViewHandles: iterators and gets share one way to read
+// a table — the read view's handles. Once a rank's tables are open, opening
+// an iterator over them — seek included — opens no file and counts as
+// reader hits, and closing it returns its view pin.
+func TestScanReadsThroughViewHandles(t *testing.T) {
 	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
 		opt := smallOpt()
 		opt.CompactionEvery = 0 // keep the flushed tables in place
-		db, err := rt.Open("scancache", opt)
+		db, err := rt.Open("scanhandles", opt)
 		if err != nil {
 			return err
 		}
@@ -458,10 +654,13 @@ func TestScanReadsThroughReaderCache(t *testing.T) {
 			t.Errorf("warm iterator opened %d files, want 0", got)
 		}
 		if got := db.metrics.Readers.Misses.Load() - misses; got != 0 {
-			t.Errorf("warm iterator missed the reader cache %d times", got)
+			t.Errorf("warm iterator loaded %d tables", got)
 		}
 		if db.metrics.Readers.Hits.Load() == hits {
-			t.Error("warm iterator did not read through the reader cache")
+			t.Error("warm iterator did not read through the view's open tables")
+		}
+		if _, pins, _ := db.viewStats(); pins != 0 {
+			t.Errorf("%d view pins after the iterators closed", pins)
 		}
 		return db.Close()
 	})
@@ -678,9 +877,9 @@ func TestIteratorAllocs(t *testing.T) {
 			it.Close()
 		}
 		walk()
-		// The Iterator, its bounds, pinned ids, scanner array, source list,
-		// the merge's three, and the key and value buffers.
-		const bound = 10
+		// The Iterator, its bounds, scanner array, source list, the merge's
+		// three, and the key and value buffers.
+		const bound = 9
 		if allocs := testing.AllocsPerRun(200, walk); allocs > bound {
 			t.Errorf("iterator open, 100-key walk and close allocate %v times over %d tables, want <= %d", allocs, db.SSTableCount(), bound)
 		}

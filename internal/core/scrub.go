@@ -41,8 +41,9 @@ import (
 //
 // The scrubber defers to the foreground: a cycle runs only on a Healthy
 // rank, aborts while a checkpoint holds its pin (the copy reads the same
-// tables), and skips tables claimed by a running compaction or pinned by an
-// open scan snapshot.
+// tables), and skips tables claimed by a running compaction. An open scan
+// is no reason to skip: a repair writes new inodes its open data files never
+// see, and a quarantined table's files move only once its last view retires.
 
 // scrubThread runs one scrub cycle every ScrubInterval until Close.
 func (db *DB) scrubThread() {
@@ -163,20 +164,11 @@ func (db *DB) scrubTables() error {
 }
 
 // scrubSkip reports whether table t must be left alone this cycle: claimed
-// as input by a running compaction, already superseded (zombie), or pinned
-// in an open scan's snapshot (the scan is reading those exact files; a
-// repair's rewrite would yank them out from under it).
+// as input by a running compaction, which is about to replace it anyway.
 func (db *DB) scrubSkip(t manifest.TableMeta) bool {
 	db.compactMu.Lock()
-	busy := db.compactBusy[t.SSID] || (t.Level == 0 && db.compactL0Busy)
-	db.compactMu.Unlock()
-	if busy {
-		return true
-	}
-	db.snapMu.Lock()
-	pinned := db.pinnedSSIDs[t.SSID] > 0 || db.zombieSSIDs[t.SSID]
-	db.snapMu.Unlock()
-	return pinned
+	defer db.compactMu.Unlock()
+	return db.compactBusy[t.SSID] || (t.Level == 0 && db.compactL0Busy)
 }
 
 // tableLive reports whether ssid is still in the live version.
@@ -340,8 +332,8 @@ func (db *DB) repairFromCheckpoint(dir string, t manifest.TableMeta) error {
 // newest versions this table held are gone, so writes stop until an
 // operator (or Reclaim) decides the loss is acceptable.
 func (db *DB) scrubQuarantine(dir string, t manifest.TableMeta, cause error) error {
-	// A scan or compaction may have picked the table up since the skip
-	// check; leave it for the next cycle rather than yank pinned files.
+	// A compaction may have claimed the table since the skip check; leave
+	// it for the next cycle rather than delete its input under it.
 	if db.scrubSkip(t) || !db.tableLive(t.SSID) {
 		return nil
 	}
@@ -358,23 +350,10 @@ func (db *DB) scrubQuarantine(dir string, t manifest.TableMeta, cause error) err
 			}
 		}
 	}
-	dropped := db.publishLocked()
+	// The files move once no get or iterator still reads them through an
+	// older view.
+	db.publishLocked(db.quarantineTable)
 	db.sstMu.Unlock()
-	// The files move only once no get still probes them through an older
-	// view.
-	awaitReleased(dropped)
-	dev := db.rt.cfg.Device
-	for _, name := range []string{
-		sstable.DataName(dir, t.SSID),
-		sstable.IndexName(dir, t.SSID),
-		sstable.BloomName(dir, t.SSID),
-	} {
-		base := name[strings.LastIndex(name, "/")+1:]
-		if dev.Exists(name) {
-			_ = dev.Rename(name, db.quarantineName(dir, base))
-		}
-	}
-	db.readers.Evict(dir, t.SSID)
 	db.metrics.QuarantinedTables.Add(1)
 	db.metrics.Scrub.RepairFailures.Add(1)
 	db.scrubRepMu.Lock()
@@ -392,6 +371,24 @@ func (db *DB) scrubQuarantine(dir string, t manifest.TableMeta, cause error) err
 		ErrScrubLoss, t.SSID, t.Level, t.MinKey, t.MaxKey, cause)
 	db.failOrDegrade(err)
 	return err
+}
+
+// quarantineTable is an unrepairable table's fate: its files move, stamped,
+// into <dir>/quarantine as evidence, and the device cache drops its reader.
+// Best effort: the deletion is already committed.
+func (db *DB) quarantineTable(ssid uint64) {
+	dev := db.rt.cfg.Device
+	for _, name := range []string{
+		sstable.DataName(db.ownDir, ssid),
+		sstable.IndexName(db.ownDir, ssid),
+		sstable.BloomName(db.ownDir, ssid),
+	} {
+		base := name[strings.LastIndex(name, "/")+1:]
+		if dev.Exists(name) {
+			_ = dev.Rename(name, db.quarantineName(db.ownDir, base))
+		}
+	}
+	db.readers.Evict(db.ownDir, ssid)
 }
 
 // scrubWAL re-reads every WAL segment and walks its frame chain. A torn

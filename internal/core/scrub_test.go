@@ -384,72 +384,106 @@ func TestScrubBitRotInjectionPoint(t *testing.T) {
 	})
 }
 
-// TestScrubSkipsPinnedTables: a table pinned by an open scan snapshot is left
-// alone — repairing it would rewrite the exact files the scan is reading —
-// and picked up by the first cycle after the scan closes.
-func TestScrubSkipsPinnedTables(t *testing.T) {
-	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
-		db, err := rt.Open("scrubpin", scrubOpt())
-		if err != nil {
-			return err
-		}
-		const n = 80
-		scrubLoad(t, db, n, 100)
-		ev, err := db.Checkpoint("pin-ckpt")
-		if err != nil {
-			return err
-		}
-		if err := ev.Wait(); err != nil {
-			return err
-		}
+// TestScrubRepairsUnderOpenScan: an open iterator is no reason for the
+// scrubber to look away. Bloom rot on a table the iterator reads is found
+// and dealt with in the same cycle, and the iterator still walks its whole
+// snapshot: a repair writes new files its open data handles never see, and
+// a table quarantined without a repair source leaves the version at once
+// but keeps its files in place until the iterator closes, when they move
+// into quarantine/.
+func TestScrubRepairsUnderOpenScan(t *testing.T) {
+	const n = 80
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+	}{{"repair", true}, {"quarantine", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+				db, err := rt.Open("scrubscan", scrubOpt())
+				if err != nil {
+					return err
+				}
+				scrubLoad(t, db, n, 100)
+				if tc.checkpoint {
+					ev, err := db.Checkpoint("scan-ckpt")
+					if err == nil {
+						err = ev.Wait()
+					}
+					if err != nil {
+						return err
+					}
+				}
 
-		it, err := db.NewIterator(nil, nil)
-		if err != nil {
-			return err
-		}
-		// Rot the bloom filter while the snapshot holds its pins. The
-		// iterator never reads bloom files, so it can prove the scan's view
-		// stayed intact even though its table set includes a corrupt member.
-		tables := liveTables(db)
-		corruptAtRest(t, db, tables[0], "bloom")
+				it, err := db.NewIterator(nil, nil)
+				if err != nil {
+					return err
+				}
+				// The iterator never reads bloom files, so the rot cannot
+				// reach it whichever way the scrub goes.
+				rotten := liveTables(db)[0]
+				corruptAtRest(t, db, rotten, "bloom")
+				err = db.Scrub()
+				m := db.Metrics()
+				if tc.checkpoint {
+					if err != nil {
+						t.Errorf("Scrub under an open scan: %v", err)
+					}
+					if m.Scrub.Corruptions.Load() != 1 || m.Scrub.Repairs.Load() != 1 {
+						t.Errorf("corruptions=%d repairs=%d, want 1/1 in the same cycle",
+							m.Scrub.Corruptions.Load(), m.Scrub.Repairs.Load())
+					}
+					if st := db.State(); st != StateHealthy {
+						t.Errorf("state = %v, want Healthy", st)
+					}
+				} else {
+					if !errors.Is(err, ErrScrubLoss) {
+						t.Errorf("Scrub err = %v, want ErrScrubLoss", err)
+					}
+					if db.tableLive(rotten.SSID) {
+						t.Errorf("quarantined table %d is still in the version", rotten.SSID)
+					}
+					wantTableFiles(t, db, []uint64{rotten.SSID}, 3, "iterator open")
+				}
 
-		if err := db.Scrub(); err != nil {
-			t.Fatalf("Scrub with pinned snapshot: %v", err)
-		}
-		m := db.Metrics()
-		if got := m.Scrub.Corruptions.Load(); got != 0 {
-			t.Errorf("scrub touched a pinned table: corruptions = %d", got)
-		}
-		seen := 0
-		for it.Next() {
-			if string(it.Key()) != scrubKey(seen) || string(it.Value()) != scrubVal(seen, 100) {
-				t.Errorf("scan entry %d = %q mismatched", seen, it.Key())
-			}
-			seen++
-		}
-		if err := it.Err(); err != nil {
-			t.Errorf("iterator err: %v", err)
-		}
-		if seen != n {
-			t.Errorf("scan saw %d of %d entries", seen, n)
-		}
-		if err := it.Close(); err != nil {
-			t.Errorf("iterator close: %v", err)
-		}
-
-		// Pins released: the next cycle finds and repairs the rot.
-		if err := db.Scrub(); err != nil {
-			t.Fatalf("post-scan Scrub: %v", err)
-		}
-		if m.Scrub.Corruptions.Load() != 1 || m.Scrub.Repairs.Load() != 1 {
-			t.Errorf("corruptions=%d repairs=%d after unpin, want 1/1",
-				m.Scrub.Corruptions.Load(), m.Scrub.Repairs.Load())
-		}
-		if st := db.State(); st != StateHealthy {
-			t.Errorf("state = %v, want Healthy", st)
-		}
-		return db.Close()
-	})
+				seen := 0
+				for it.Next() {
+					if string(it.Key()) != scrubKey(seen) || string(it.Value()) != scrubVal(seen, 100) {
+						t.Errorf("scan entry %d = %q mismatched", seen, it.Key())
+					}
+					seen++
+				}
+				if err := it.Err(); err != nil {
+					t.Errorf("iterator err: %v", err)
+				}
+				if seen != n {
+					t.Errorf("scan saw %d of %d entries", seen, n)
+				}
+				if err := it.Close(); err != nil {
+					t.Errorf("iterator close: %v", err)
+				}
+				if !tc.checkpoint {
+					wantTableFiles(t, db, []uint64{rotten.SSID}, 0, "iterator closed")
+					dev := db.rt.cfg.Device
+					for _, suffix := range []string{"data", "idx", "bloom"} {
+						q := fmt.Sprintf("%s/quarantine/sst-%06d.%s", db.ownDir, rotten.SSID, suffix)
+						if !dev.Exists(q) {
+							t.Errorf("quarantined file %s missing after the iterator closed", q)
+						}
+					}
+				}
+				if _, pins, doomed := db.viewStats(); pins != 0 || doomed != 0 {
+					t.Errorf("after close: %d view pins, %d doomed tables pending; want none", pins, doomed)
+				}
+				if !tc.checkpoint {
+					if err := db.Reclaim(); err != nil { // accept the loss, so Close can flush
+						t.Errorf("Reclaim: %v", err)
+					}
+					waitState(t, db, StateHealthy, 5*time.Second)
+				}
+				return db.Close()
+			})
+		})
+	}
 }
 
 // TestScrubRateLimit: a cycle over B bytes with a budget of R bytes/sec must

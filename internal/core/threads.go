@@ -93,7 +93,7 @@ func (db *DB) flushOne(table *memtable.Table) {
 		db.levels = append(db.levels, nil)
 	}
 	db.levels[0] = append(db.levels[0], tm)
-	db.publishLocked(h)
+	db.publishLocked(nil, h)
 	due := db.opt.CompactionEvery > 0 && uint64(len(db.levels[0])) >= db.opt.CompactionEvery
 	db.sstMu.Unlock()
 

@@ -98,7 +98,7 @@ type Metrics struct {
 	ScanRetries         atomic.Uint64 // scan page attempts beyond the first
 	ScansExpired        atomic.Uint64 // owner-side remote scans reaped by the idle sweep
 	IteratorsOpen       atomic.Uint64 // gauge: per-rank merge iterators currently open (snapshots pinned)
-	ScanUnlinksDeferred atomic.Uint64 // compaction input unlinks deferred because a snapshot pinned them
+	ScanUnlinksDeferred atomic.Uint64 // doomed tables (compacted away or quarantined) whose files waited for a pinned view to retire
 
 	// lostMu guards the per-owner breakdown behind PairsLost; tests use it
 	// to pin exactly whose pairs a degradation cost.

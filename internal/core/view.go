@@ -12,16 +12,19 @@ package core
 //   - A view is republished under sstMu wherever db.levels changes: flush
 //     and compaction installs, Open/Restart/Recover composing a version, and
 //     scrub quarantine or repair. The DB holds one pin on the current view;
-//     a get adds one for its duration. When a superseded view's pins drain,
-//     it retires and drops its hold on each handle.
+//     a get or an open iterator adds one for its duration. When a superseded
+//     view's pins drain, it retires and drops its hold on each handle.
 //   - A handle lives in every view from the one that added its table to the
 //     one that dropped it. The last of those views to retire closes its
-//     table and closes released.
-//   - Files outlive their handles: whoever drops a table from the view and
-//     then unlinks or renames its files (compaction, scrub quarantine) waits
-//     for the handle's release first. A get on a pinned view therefore never
-//     finds a table's files gone, whether its handle was loaded before the
-//     table left the version or loads on this very probe.
+//     table.
+//   - Files outlive their handles, and nothing waits for a reader.
+//     Compaction and scrub quarantine mark the handles they drop as doomed
+//     — the table's files are to be removed, or moved into quarantine — and
+//     the mark is set before the view that drops them is published. The
+//     last handle naming the files to retire runs that fate. A get or an
+//     iterator on a pinned view therefore never finds a table's files gone,
+//     whether its handle was loaded before the table left the version or
+//     loads on this very probe.
 //
 // A handle loads lazily, on its table's first probe, unless the table was
 // just written: flush and compaction hand over the writer's in-memory bloom
@@ -70,17 +73,29 @@ type tableHandle struct {
 	mu sync.Mutex // serialises loads
 	t  atomic.Pointer[sstable.Table]
 
-	// views counts the unretired views holding the handle; released is
-	// closed once the last of them retires and the table is closed.
-	views    atomic.Int32
-	released chan struct{}
+	// views counts the unretired views holding the handle; the last of them
+	// to retire closes the table.
+	views atomic.Int32
+	files *tableFiles
+}
+
+// tableFiles is one table's files as its handles share them. A repair or an
+// at-rest rewrite swaps a fresh handle in for a table (reopenTable) while an
+// older view may still read through the handle it replaced, so both name
+// one tableFiles, and the files' fate waits for both.
+type tableFiles struct {
+	handles atomic.Int32 // published handles not yet retired
+	// fate is what becomes of the files once the last handle retires, set
+	// when the table leaves the version for good: compaction removes them,
+	// scrub quarantine moves them aside. nil keeps them.
+	fate func(ssid uint64)
 }
 
 // newHandle returns a handle for table ssid. t, when non-nil, is the table
 // already open (a writer's, or one Recover validated); otherwise the first
 // probe loads it.
 func (db *DB) newHandle(ssid uint64, t *sstable.Table) *tableHandle {
-	h := &tableHandle{db: db, ssid: ssid, released: make(chan struct{})}
+	h := &tableHandle{db: db, ssid: ssid, files: &tableFiles{}}
 	if t != nil {
 		h.t.Store(t)
 		db.openTables.Add(1)
@@ -135,21 +150,32 @@ func (h *tableHandle) close() {
 	}
 }
 
-// unref drops one view's hold; the last one closes the table and releases
-// the files to their unlinker.
+// unref drops one view's hold. The last one closes the table, and when it
+// retires the files' last handle too, runs their fate.
 func (h *tableHandle) unref() {
-	if h.views.Add(-1) == 0 {
-		h.close()
-		close(h.released)
+	if h.views.Add(-1) != 0 {
+		return
+	}
+	h.close()
+	if f := h.files; f.handles.Add(-1) == 0 && f.fate != nil {
+		f.fate(h.ssid)
+		h.db.doomedTables.Add(-1)
 	}
 }
 
-// awaitReleased blocks until every handle in hs is released: no view that
-// names its table is pinned any more, so its files may go.
-func awaitReleased(hs []*tableHandle) {
-	for _, h := range hs {
-		<-h.released
+// scanner opens a scanner on the handle's table, borrowing its data file and
+// index. A table that fails to load (a corrupt bloom or index) is scanned
+// through a file of its own instead: the seek degrades to a forward decode,
+// and every record is still CRC-checked.
+func (h *tableHandle) scanner() (sstable.Scanner, error) {
+	t, hit, err := h.table()
+	if err != nil {
+		return sstable.NewScanner(h.db.rt.cfg.Device, h.db.ownDir, h.ssid)
 	}
+	if hit {
+		h.db.metrics.Readers.Hits.Add(1)
+	}
+	return t.Scanner(), nil
 }
 
 // pinView returns the current view, pinned until unpinView. The loop only
@@ -186,11 +212,11 @@ func (v *readView) retire() {
 
 // publishLocked rebuilds the view from db.levels and swaps it in. A table
 // keeps the handle the current view holds for it unless fresh names a
-// replacement; a table new to the view without one gets a handle that loads
-// on first probe. It returns the handles the new view dropped, which a
-// caller about to unlink or rename their files awaits first. Caller holds
-// sstMu for writing.
-func (db *DB) publishLocked(fresh ...*tableHandle) []*tableHandle {
+// replacement, which then shares the replaced handle's files; a table new to
+// the view without one gets a handle that loads on first probe. fate, when
+// non-nil, dooms the files of every table that leaves the version (see
+// tableFiles). Caller holds sstMu for writing.
+func (db *DB) publishLocked(fate func(ssid uint64), fresh ...*tableHandle) {
 	old := db.view.Load()
 	handles := make(map[uint64]*tableHandle)
 	if old != nil {
@@ -201,6 +227,9 @@ func (db *DB) publishLocked(fresh ...*tableHandle) []*tableHandle {
 		}
 	}
 	for _, h := range fresh {
+		if prev := handles[h.ssid]; prev != nil {
+			h.files = prev.files
+		}
 		handles[h.ssid] = h
 	}
 	v := &readView{levels: make([][]viewTable, len(db.levels))}
@@ -213,10 +242,24 @@ func (db *DB) publishLocked(fresh ...*tableHandle) []*tableHandle {
 			if h == nil {
 				h = db.newHandle(t.SSID, nil)
 			}
-			h.views.Add(1)
+			if h.views.Add(1) == 1 {
+				h.files.handles.Add(1)
+			}
 			used[h] = true
 			v.levels[n][i] = viewTable{TableMeta: t, h: h}
 		}
+	}
+	var doomed []*tableFiles
+	if old != nil && fate != nil {
+		for _, run := range old.levels {
+			for _, t := range run {
+				if !used[handles[t.SSID]] { // the table left the version
+					t.h.files.fate = fate
+					doomed = append(doomed, t.h.files)
+				}
+			}
+		}
+		db.doomedTables.Add(int64(len(doomed)))
 	}
 	db.view.Store(v)
 	for _, h := range fresh {
@@ -224,18 +267,16 @@ func (db *DB) publishLocked(fresh ...*tableHandle) []*tableHandle {
 			h.close() // its table left the version before it was published
 		}
 	}
-	var dropped []*tableHandle
 	if old != nil {
-		for _, run := range old.levels {
-			for _, t := range run {
-				if !used[t.h] {
-					dropped = append(dropped, t.h)
-				}
-			}
-		}
 		db.unpinView(old)
 	}
-	return dropped
+	// A doomed table whose fate did not run just now is still read through
+	// a pinned view; the fate waits for that pin instead of the caller.
+	for _, f := range doomed {
+		if f.handles.Load() > 0 {
+			db.metrics.ScanUnlinksDeferred.Add(1)
+		}
+	}
 }
 
 // reopenTable swaps a fresh, unloaded handle in for table ssid, so the next
@@ -243,7 +284,7 @@ func (db *DB) publishLocked(fresh ...*tableHandle) []*tableHandle {
 // old handle's descriptor still names the replaced file.
 func (db *DB) reopenTable(ssid uint64) {
 	db.sstMu.Lock()
-	db.publishLocked(db.newHandle(ssid, nil))
+	db.publishLocked(nil, db.newHandle(ssid, nil))
 	db.sstMu.Unlock()
 }
 

@@ -8,7 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"papyruskv/internal/manifest"
 	"papyruskv/internal/mpi"
 	"papyruskv/internal/sstable"
 )
@@ -27,10 +29,82 @@ func quietOpt() Options {
 	return o
 }
 
-// viewStats reports the handles holding an open table and the pins on the
-// current view beyond the DB's own.
-func (db *DB) viewStats() (openTables, pins int64) {
-	return db.openTables.Load(), db.view.Load().refs.Load() - 1
+// viewStats reports the handles holding an open table, the pins on the
+// current view beyond the DB's own, and the doomed tables whose files still
+// wait for a pinned view to retire.
+func (db *DB) viewStats() (openTables, pins, doomed int64) {
+	return db.openTables.Load(), db.view.Load().refs.Load() - 1, db.doomedTables.Load()
+}
+
+// tableFilesOnDevice counts how many of table ssid's three files the device
+// holds under the rank's directory.
+func tableFilesOnDevice(db *DB, ssid uint64) int {
+	n := 0
+	for _, name := range []string{
+		sstable.DataName(db.ownDir, ssid),
+		sstable.IndexName(db.ownDir, ssid),
+		sstable.BloomName(db.ownDir, ssid),
+	} {
+		if db.rt.cfg.Device.Exists(name) {
+			n++
+		}
+	}
+	return n
+}
+
+// supersededUnder returns the tables the iterator's pinned view reads that
+// the live version no longer names: what compaction or scrub took away
+// under it.
+func supersededUnder(db *DB, it *Iterator) []uint64 {
+	live := make(map[uint64]bool)
+	for _, id := range db.liveSSIDs() {
+		live[id] = true
+	}
+	var gone []uint64
+	for tb := range it.view.tables(nil, nil, false) {
+		if !live[tb.SSID] {
+			gone = append(gone, tb.SSID)
+		}
+	}
+	return gone
+}
+
+// wantTableFiles reports every table in ids whose file count on the device
+// is not want: 3 while a pinned view still reads a doomed table, 0 once its
+// fate ran.
+func wantTableFiles(t *testing.T, db *DB, ids []uint64, want int, when string) {
+	t.Helper()
+	for _, id := range ids {
+		if n := tableFilesOnDevice(db, id); n != want {
+			t.Errorf("%s: table %d has %d of its 3 files on the device, want %d", when, id, n, want)
+		}
+	}
+}
+
+// waitDoomedDrained polls until no doomed table is pending and every table
+// in ids is gone from the device. A view's last unpin can trail the
+// iterators_open gauge (and a remote scan's registry entry) by a moment.
+func waitDoomedDrained(t *testing.T, db *DB, ids []uint64) {
+	t.Helper()
+	drained := func() bool {
+		if _, _, doomed := db.viewStats(); doomed != 0 {
+			return false
+		}
+		for _, id := range ids {
+			if tableFilesOnDevice(db, id) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !drained(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			_, pins, doomed := db.viewStats()
+			t.Errorf("rank %d: %d doomed tables still pending, %d view pins", db.rt.rank, doomed, pins)
+			wantTableFiles(t, db, ids, 0, "after the last reader closed")
+			return
+		}
+	}
 }
 
 func churnKey(i int) string { return fmt.Sprintf("ck-%04d", i) }
@@ -110,15 +184,17 @@ func TestOwnGetAllocs(t *testing.T) {
 	})
 }
 
-// TestGetRacesTableChurn races value-checked gets against everything that
-// replaces a rank's tables under them: forced compactions, a scrub repair
-// of a table damaged at rest, checkpoints, and a restore of the checkpoint
-// into a second database on the same device. Every get returns its key's
-// value, or ErrNotFound for a deleted key; and once the database closes,
-// every table handle it opened is closed and no pin on its view remains.
-// Sequential search reopens every table it probes by name, so its variant
-// proves that no table's files go while a view naming it is pinned; it
-// skips the damage, which it would read.
+// TestGetRacesTableChurn races value-checked gets and iterators against
+// everything that replaces a rank's tables under them: forced compactions,
+// a scrub repair of a table damaged at rest, checkpoints, and a restore of
+// the checkpoint into a second database on the same device. Every get
+// returns its key's value, or ErrNotFound for a deleted key; every iterator
+// walks exactly the live keys of its range. Once the database closes, every
+// table handle it opened is closed, no pin on its view remains, no doomed
+// table is pending, and every SSTable file left on the device is one the
+// manifest names. Sequential search reopens every table it probes by name,
+// so its variant proves that no table's files go while a view naming it is
+// pinned; it skips the damage, which it would read.
 func TestGetRacesTableChurn(t *testing.T) {
 	for name, mode := range map[string]sstable.SearchMode{
 		"binary":     sstable.BinarySearch,
@@ -185,6 +261,22 @@ func testGetRacesTableChurn(t *testing.T, mode sstable.SearchMode) {
 			}(int64(g))
 		}
 
+		var scans atomic.Int64
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(getters)))
+			for !stop.Load() {
+				lo := rng.Intn(n)
+				hi := lo + 1 + rng.Intn(n-lo)
+				if err := walkChurnRange(db, lo, hi); err != nil {
+					t.Error(err)
+					return
+				}
+				scans.Add(1)
+			}
+		}()
+
 		for r := 0; r < rounds; r++ {
 			load(7 + 2*r) // a fresh set of L0 tables holding the same versions
 			db.compact()
@@ -227,14 +319,14 @@ func testGetRacesTableChurn(t *testing.T, mode sstable.SearchMode) {
 			if err := rdb.Close(); err != nil {
 				t.Errorf("close restored: %v", err)
 			}
-			if open, pins := rdb.viewStats(); open != 0 || pins != 0 {
-				t.Errorf("restored database closed with %d open tables, %d view pins", open, pins)
+			if open, pins, doomed := rdb.viewStats(); open != 0 || pins != 0 || doomed != 0 {
+				t.Errorf("restored database closed with %d open tables, %d view pins, %d doomed tables", open, pins, doomed)
 			}
 		}
 		stop.Store(true)
 		wg.Wait()
-		if gets.Load() == 0 {
-			return fmt.Errorf("no get ran during the churn")
+		if gets.Load() == 0 || scans.Load() == 0 {
+			return fmt.Errorf("%d gets and %d iterators ran during the churn", gets.Load(), scans.Load())
 		}
 		if db.Metrics().Compactions.Load() == 0 {
 			return fmt.Errorf("the churn ran no compaction")
@@ -242,9 +334,67 @@ func testGetRacesTableChurn(t *testing.T, mode sstable.SearchMode) {
 		if err := db.Close(); err != nil {
 			return err
 		}
-		if open, pins := db.viewStats(); open != 0 || pins != 0 {
-			t.Errorf("closed with %d open tables, %d view pins; want none", open, pins)
+		if open, pins, doomed := db.viewStats(); open != 0 || pins != 0 || doomed != 0 {
+			t.Errorf("closed with %d open tables, %d view pins, %d doomed tables; want none", open, pins, doomed)
 		}
-		return nil
+		return checkNoStrayTables(db)
 	})
+}
+
+// walkChurnRange walks the churn keys [lo, hi) through an iterator and
+// checks it yields exactly the live ones, in order, with their values.
+func walkChurnRange(db *DB, lo, hi int) error {
+	it, err := db.NewIterator([]byte(churnKey(lo)), []byte(churnKey(hi)))
+	if err != nil {
+		return fmt.Errorf("NewIterator(%d, %d): %w", lo, hi, err)
+	}
+	defer it.Close()
+	next := func(i int) int {
+		for i < hi && churnDeleted(i) {
+			i++
+		}
+		return i
+	}
+	i := next(lo)
+	for ; it.Next(); i = next(i + 1) {
+		if i >= hi || string(it.Key()) != churnKey(i) || string(it.Value()) != churnVal(i) {
+			return fmt.Errorf("iterator [%d, %d) yielded %q=%q, want key %d", lo, hi, it.Key(), it.Value(), i)
+		}
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("iterator [%d, %d): %w", lo, hi, err)
+	}
+	if i != hi {
+		return fmt.Errorf("iterator [%d, %d) stopped before key %d", lo, hi, i)
+	}
+	return nil
+}
+
+// checkNoStrayTables reports any SSTable file in the rank's directory that
+// the manifest log does not name: a table whose fate never ran.
+func checkNoStrayTables(db *DB) error {
+	dev := db.rt.cfg.Device
+	raw, err := dev.ReadFile(manifest.LogName(db.ownDir))
+	if err != nil {
+		return err
+	}
+	v, _, err := manifest.Compose(raw)
+	if err != nil {
+		return err
+	}
+	files, err := dev.List(db.ownDir)
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		base := f[strings.LastIndex(f, "/")+1:]
+		if f != db.ownDir+"/"+base || !strings.HasPrefix(base, "sst-") {
+			continue // subdirectories: wal/, manifest/, quarantine/
+		}
+		var id uint64
+		if _, err := fmt.Sscanf(base, "sst-%d.", &id); err != nil || !v.Has(id) {
+			return fmt.Errorf("%s is on the device but not in the manifest", base)
+		}
+	}
+	return nil
 }

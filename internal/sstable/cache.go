@@ -12,14 +12,13 @@ import (
 
 // ReaderCache is a per-device, byte-bounded cache of open Tables, keyed by
 // (dir, ssid), for the readers that hold no table of their own. A rank's own
-// gets do not come here: its read view owns one Table per live table for as
-// long as the table is live. What is left reads tables by name:
+// gets, iterators and scans do not come here: its read view owns one Table
+// per live table for as long as a pinned view names it, and an iterator's
+// scanners borrow those (Table.Scanner). What is left reads tables by name:
 //
 //   - storage-group peers (§2.7): a statusShare answer names the owner's
 //     candidate tables, and the peer, which has no view of the owner's
 //     version, reads them through this cache;
-//   - iterators and remote scans: each Scanner pins a cached Table for the
-//     scan's lifetime and borrows its data handle and index;
 //   - SequentialSearch, Figure 8's baseline, which bypasses the cache (Get
 //     falls through to the uncached path) so it keeps paying device costs.
 //

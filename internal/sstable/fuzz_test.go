@@ -233,12 +233,12 @@ func FuzzScanTable(f *testing.F) {
 			if err := dev.WriteFile(DataName("d", 1), d); err != nil {
 				t.Fatal(err)
 			}
-			c := NewReaderCache(dev, 1<<20)
-			sc, err := c.NewScanner("d", 1)
+			tbl, err := OpenTable(dev, "d", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, size := sc.r.index, int64(len(d))
+			sc := tbl.Scanner()
+			idx, size := sc.idx, int64(len(d))
 			var start int64
 			limit := size
 			if len(lo) > 0 {
@@ -264,7 +264,7 @@ func FuzzScanTable(f *testing.F) {
 				got = append(got, bytes.Clone(e.Key))
 			}
 			sc.Close()
-			c.EvictDir("d")
+			tbl.Close()
 			if err != nil && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("[%q, %q): error %v is not typed ErrCorrupt", lo, hi, err)
 			}

@@ -13,9 +13,11 @@ import (
 // checkpoint redistribution, sequential-search gets, and range scans all use
 // it. A scanner comes from one of two places, and the only difference is who
 // owns the data handle and where SeekRange finds the SSIndex: NewScanner
-// opens the file itself and loads the index on demand; ReaderCache.NewScanner
-// pins the cached reader and borrows both. Both return it by value, so a
-// caller keeps one per table in one array; a used scanner must not be copied.
+// opens the file itself and loads the index on demand; Table.Scanner borrows
+// an open table's handle and parsed index, which is how iterators read the
+// tables their pinned read view names — they are not ReaderCache readers.
+// Both return it by value, so a caller keeps one per table in one array; a
+// used scanner must not be copied.
 //
 // Entries returned by Next alias the scanner's read windows and are valid
 // until Close. A window is never rewritten once records have been handed out
@@ -29,10 +31,10 @@ type Scanner struct {
 	dev  *nvm.Device
 	dir  string
 	ssid uint64
-	// cache and r are set on a cache-opened scanner: r is the pinned reader
-	// that owns f, released — not closed — by Close.
-	cache *ReaderCache
-	r     *tableReader
+	// idx is set only on a table's scanner: the table's parsed SSIndex,
+	// borrowed with its data handle, which Close leaves open. An uncached
+	// scanner's seeks load the index from the device.
+	idx *ssIndex
 
 	buf    []byte
 	off    int64  // file offset of buf[0]
@@ -68,25 +70,12 @@ func NewScanner(dev *nvm.Device, dir string, ssid uint64) (Scanner, error) {
 	return Scanner{f: f, dev: dev, dir: dir, ssid: ssid, limit: f.Size(), window: scannerFirstWindow}, nil
 }
 
-// NewScanner opens a scanner on SSTable ssid through the cache. The scanner
-// pins the cached reader exactly as a Get does for its duration — an entry
-// evicted, or a table unlinked by compaction, while the scan is in flight
-// stays readable, and the descriptor closes when the last pin drops — and
-// reads through the reader's open data handle and parsed index: a warm open
-// and seek touch no file but SSData itself. With the cache disabled, or when
-// the reader cannot be loaded (a corrupt bloom or index, a stale negative
-// entry), the scanner falls back to an uncached open, which needs neither
-// structure to stream records and degrades a seek to a forward decode.
-func (c *ReaderCache) NewScanner(dir string, ssid uint64) (Scanner, error) {
-	if c.enabled() {
-		if r, err := c.acquire(dir, ssid); err == nil {
-			return Scanner{
-				f: r.data, dev: c.dev, dir: dir, ssid: ssid, cache: c, r: r,
-				limit: r.data.Size(), window: scannerFirstWindow,
-			}, nil
-		}
-	}
-	return NewScanner(c.dev, dir, ssid)
+// Scanner returns a scanner over the open table. It reads through the
+// table's data handle and seeks with its parsed index, so an open and a
+// seek touch no file but SSData itself; the handle stays the table's, and
+// the table must stay open until the scanner closes.
+func (t *Table) Scanner() Scanner {
+	return Scanner{f: t.data, idx: t.index, limit: t.data.Size(), window: scannerFirstWindow}
 }
 
 // SeekRange positions the scanner on the records with lo <= key < hi (empty:
@@ -108,11 +97,11 @@ func (s *Scanner) SeekRange(lo, hi []byte) error {
 	if len(lo) == 0 && len(hi) == 0 {
 		return nil
 	}
-	var idx *ssIndex
-	if s.r != nil {
-		idx = s.r.index
-	} else if idx, _ = loadIndex(s.dev, s.dir, s.ssid); idx == nil {
-		return s.skipTo(lo)
+	idx := s.idx
+	if idx == nil {
+		if idx, _ = loadIndex(s.dev, s.dir, s.ssid); idx == nil {
+			return s.skipTo(lo)
+		}
 	}
 	var off int64
 	limit := size
@@ -237,26 +226,19 @@ func (s *Scanner) Next() (memtable.Entry, bool, error) {
 	return e, true, nil
 }
 
-// Close returns the pooled window and releases the data file: a cache-opened
-// scanner drops its pin on the cached reader (whose descriptor closes once it
-// is evicted and unpinned), an uncached one closes the handle it opened. A
-// repeated Close returns nothing twice.
+// Close returns the pooled window and releases the data file: an uncached
+// scanner closes the handle it opened, a table's scanner leaves the table's
+// handle open. A repeated Close returns nothing twice.
 func (s *Scanner) Close() error {
 	s.buf, s.last, s.pending, s.hasPending = nil, nil, memtable.Entry{}, false
 	if s.pooled != nil {
 		blockPool.Put(s.pooled)
 		s.pooled = nil
 	}
-	if s.cache == nil {
-		return s.f.Close()
+	if s.idx != nil {
+		return nil // the table's handle
 	}
-	// The handle belongs to the cache: never close it from here, and drop
-	// the pin once only, so a repeated Close cannot steal another reader's.
-	if s.r != nil {
-		s.cache.release(s.r)
-		s.r = nil
-	}
-	return nil
+	return s.f.Close()
 }
 
 // ReadAll returns every record of SSTable ssid in key order.

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"os"
 	"sort"
 	"testing"
 
 	"papyruskv/internal/memtable"
+	"papyruskv/internal/nvm"
 )
 
 // scanRange seeks sc to [lo, hi) (empty hi: unbounded) and drains it,
@@ -32,18 +32,18 @@ func scanRange(t *testing.T, sc *Scanner, lo, hi []byte) []memtable.Entry {
 	}
 }
 
-// refsOf reports the pin count of (dir, ssid)'s cached reader, -1 if absent.
-func refsOf(c *ReaderCache, dir string, ssid uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[tableKey{dir: dir, ssid: ssid}]
-	if !ok {
-		return -1
+// mustOpenTable opens SSTable ssid in dir for reads, closing it with the test.
+func mustOpenTable(t *testing.T, dev *nvm.Device, dir string, ssid uint64) *Table {
+	t.Helper()
+	tbl, err := OpenTable(dev, dir, ssid)
+	if err != nil {
+		t.Fatalf("OpenTable(%s, %d): %v", dir, ssid, err)
 	}
-	return el.Value.(*tableReader).refs
+	t.Cleanup(func() { tbl.Close() })
+	return tbl
 }
 
-// TestScannerCachedMatchesUncached: a cache-opened scanner and an uncached
+// TestScannerCachedMatchesUncached: an open table's scanner and an uncached
 // one are the same scanner with a different index source, so every range
 // must stream identically — and match the oracle — whether the bound falls
 // before the first key, past the last, on a key, between two, on either side
@@ -55,7 +55,7 @@ func TestScannerCachedMatchesUncached(t *testing.T) {
 	if _, err := WriteTable(dev, "db/r0", 1, entries); err != nil {
 		t.Fatal(err)
 	}
-	c := NewReaderCache(dev, 1<<20)
+	tbl := mustOpenTable(t, dev, "db/r0", 1)
 
 	between := func(i int) []byte { return append(bytes.Clone(entries[i].Key), 0) }
 	bounds := [][2][]byte{
@@ -113,12 +113,9 @@ func TestScannerCachedMatchesUncached(t *testing.T) {
 				want = append(want, e)
 			}
 		}
-		cached, err := c.NewScanner("db/r0", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached.r == nil {
-			t.Fatal("cache-enabled NewScanner did not pin the cached reader")
+		cached := tbl.Scanner()
+		if cached.idx == nil {
+			t.Fatal("the table's scanner does not borrow its parsed index")
 		}
 		plain, err := NewScanner(dev, "db/r0", 1)
 		if err != nil {
@@ -141,43 +138,31 @@ func TestScannerCachedMatchesUncached(t *testing.T) {
 			}
 		}
 	}
-	// A repeated Close releases no second pin and leaves the handle — the
-	// cache's, not the scanner's — open for the next reader.
-	sc, err := c.NewScanner("db/r0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Closing a scanner, even twice, leaves the handle — the table's, not
+	// the scanner's — open for the next reader.
+	sc := tbl.Scanner()
 	sc.Close()
 	sc.Close()
-	if refs := refsOf(c, "db/r0", 1); refs != 0 {
-		t.Errorf("reader refs = %d after every scanner closed, want 0", refs)
-	}
-	if val, found := cacheGet(t, c, "db/r0", 1, entries[3].Key); !found || !bytes.Equal(val, entries[3].Value) {
-		t.Errorf("get after the scanners closed: found=%v val=%q", found, val)
+	if val, _, found, err := tbl.Get(entries[3].Key, true); err != nil || !found || !bytes.Equal(val, entries[3].Value) {
+		t.Errorf("get after the scanners closed: found=%v val=%q err=%v", found, val, err)
 	}
 }
 
-// TestScannerWarmRangeCost pins the point of reading scans through the
-// cache with a bounded seek: a 100-key range over a big warm table opens no
-// file (the cached reader owns the data handle and the parsed index) and
-// makes exactly one read — the blocks from lo's to hi's, which the index
-// names — not the whole SSIndex, a 1MB chunk, or a read-ahead past hi.
+// TestScannerWarmRangeCost pins the point of reading scans through an open
+// table with a bounded seek: a 100-key range over a big table opens no file
+// (the table owns the data handle and the parsed index) and makes exactly
+// one read — the blocks from lo's to hi's, which the index names — not the
+// whole SSIndex, a 1MB chunk, or a read-ahead past hi.
 func TestScannerWarmRangeCost(t *testing.T) {
 	dev := testDev(t)
 	entries := sortedEntries(12000, 23)
 	if _, err := WriteTable(dev, "db/r0", 1, entries); err != nil {
 		t.Fatal(err)
 	}
-	c := NewReaderCache(dev, 4<<20)
-	if err := c.Validate("db/r0", 1); err != nil { // warm the entry
-		t.Fatal(err)
-	}
+	tbl := mustOpenTable(t, dev, "db/r0", 1)
 	const from, n = 7000, 100
 	before := dev.Stats()
-	sc, err := c.NewScanner("db/r0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := tbl.Scanner()
 	got := scanRange(t, &sc, entries[from].Key, entries[from+n].Key)
 	sc.Close()
 	after := dev.Stats()
@@ -193,101 +178,15 @@ func TestScannerWarmRangeCost(t *testing.T) {
 	if read := after.BytesRead - before.BytesRead; read > 64<<10 {
 		t.Errorf("warm range read %d bytes to return %d entries, want <= 64KB", read, n)
 	}
-	if hits := c.Counters().Hits.Load(); hits == 0 {
-		t.Error("scanner open did not count as a reader-cache hit")
-	}
 }
 
-// TestScannerSurvivesEviction: a cache-opened scanner pins its reader like a
-// Get does, so evicting the entry, sweeping its directory, or unlinking the
-// table (compaction's Remove+Evict) mid-stream cannot pull the descriptor
-// out from under it. The scan finishes with the right answer, and the
-// descriptor closes when the scanner — the last pin — does.
-func TestScannerSurvivesEviction(t *testing.T) {
-	for name, invalidate := range map[string]func(t *testing.T, c *ReaderCache){
-		"Evict":    func(t *testing.T, c *ReaderCache) { c.Evict("db/r0", 1) },
-		"EvictDir": func(t *testing.T, c *ReaderCache) { c.EvictDir("db/r0") },
-		"unlink": func(t *testing.T, c *ReaderCache) {
-			if err := Remove(c.dev, "db/r0", 1); err != nil {
-				t.Fatal(err)
-			}
-			c.Evict("db/r0", 1)
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			dev := testDev(t)
-			entries := sortedEntries(3000, 24)
-			if _, err := WriteTable(dev, "db/r0", 1, entries); err != nil {
-				t.Fatal(err)
-			}
-			c := NewReaderCache(dev, 1<<20)
-			sc, err := c.NewScanner("db/r0", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := sc.r
-			if err := sc.SeekRange(entries[100].Key, nil); err != nil {
-				t.Fatal(err)
-			}
-			for i := 100; i < 110; i++ {
-				if e, ok, err := sc.Next(); err != nil || !ok || !bytes.Equal(e.Key, entries[i].Key) {
-					t.Fatalf("Next[%d] = %q, %v, %v", i, e.Key, ok, err)
-				}
-			}
-
-			invalidate(t, c)
-			if st := c.Stats(); st.Entries != 0 {
-				t.Fatalf("%d cache entries after invalidation, want 0", st.Entries)
-			}
-
-			// Mid-stream: the rest of the table arrives through the pinned
-			// descriptor, across several window refills, and a re-seek
-			// still finds the pinned index.
-			for i := 110; i < len(entries); i++ {
-				e, ok, err := sc.Next()
-				if err != nil || !ok || !bytes.Equal(e.Key, entries[i].Key) || !bytes.Equal(e.Value, entries[i].Value) {
-					t.Fatalf("Next[%d] after invalidation = %q, %v, %v", i, e.Key, ok, err)
-				}
-			}
-			if _, ok, err := sc.Next(); ok || err != nil {
-				t.Fatalf("Next past the end = %v, %v", ok, err)
-			}
-			if err := sc.SeekRange(entries[2990].Key, nil); err != nil {
-				t.Fatal(err)
-			}
-			if e, ok, err := sc.Next(); err != nil || !ok || !bytes.Equal(e.Key, entries[2990].Key) {
-				t.Fatalf("re-seek after invalidation = %q, %v, %v", e.Key, ok, err)
-			}
-
-			c.mu.Lock()
-			refs, dead := r.refs, r.dead
-			c.mu.Unlock()
-			if refs != 1 || !dead {
-				t.Fatalf("parked reader refs=%d dead=%v, want 1, true", refs, dead)
-			}
-			if err := sc.Close(); err != nil {
-				t.Fatal(err)
-			}
-			c.mu.Lock()
-			refs = r.refs
-			c.mu.Unlock()
-			if refs != 0 {
-				t.Errorf("reader refs = %d after Close, want 0", refs)
-			}
-			if _, err := r.data.ReadAt(make([]byte, 1), 0); !errors.Is(err, os.ErrClosed) {
-				t.Errorf("read through the released handle: err = %v, want os.ErrClosed", err)
-			}
-		})
-	}
-}
-
-// TestScannerCorruptionBehindCache: reading scans through the cache must not
-// change what damage looks like. An index that is already corrupt when the
-// reader loads makes the cache refuse the table, and the scanner falls back
-// to the uncached open whose seek degrades to a forward decode — same
-// answers, no error. An index damaged behind a warm entry is not consulted
-// (the parsed copy was validated at load). A damaged data record surfaces as
-// typed ErrCorrupt from Next either way, because every returned record is
+// TestScannerCorruptionBehindCache: reading scans through an open table
+// must not change what damage looks like. An index that is already corrupt
+// makes the table fail to open, and the reader falls back to the uncached
+// scanner, whose seek degrades to a forward decode — same answers, no
+// error. An index damaged behind an open table is not consulted (the parsed
+// copy was validated at open). A damaged data record surfaces as typed
+// ErrCorrupt from Next either way, because every returned record is
 // CRC-verified where it is decoded, not where the table was opened.
 func TestScannerCorruptionBehindCache(t *testing.T) {
 	dev := corruptDev(t)
@@ -295,42 +194,46 @@ func TestScannerCorruptionBehindCache(t *testing.T) {
 	if _, err := WriteTable(dev, "d", 1, entries); err != nil {
 		t.Fatal(err)
 	}
-	c := NewReaderCache(dev, 1<<20)
 	lo, hi := entries[150].Key, entries[250].Key
-	check := func(what string, wantPinned bool) {
+	// scan reads [lo, hi) the way a read view's handle opens its scanner:
+	// through the open table, or uncached when the table failed to open.
+	scan := func(what string, tbl *Table) {
 		t.Helper()
-		sc, err := c.NewScanner("d", 1)
-		if err != nil {
-			t.Fatalf("%s: NewScanner: %v", what, err)
+		var sc Scanner
+		if tbl != nil {
+			sc = tbl.Scanner()
+		} else {
+			var err error
+			if sc, err = NewScanner(dev, "d", 1); err != nil {
+				t.Fatalf("%s: NewScanner: %v", what, err)
+			}
 		}
 		defer sc.Close()
-		if pinned := sc.r != nil; pinned != wantPinned {
-			t.Fatalf("%s: scanner pinned=%v, want %v", what, pinned, wantPinned)
-		}
 		got := scanRange(t, &sc, lo, hi)
 		if len(got) != 100 || !bytes.Equal(got[0].Key, lo) || !bytes.Equal(got[99].Value, entries[249].Value) {
 			t.Fatalf("%s: range returned %d entries, first %q", what, len(got), got[0].Key)
 		}
 	}
 
-	check("clean", true)
+	tbl := mustOpenTable(t, dev, "d", 1)
+	scan("clean", tbl)
 	flipBit(t, dev, IndexName("d", 1), (indexHeader+3)*8)
-	check("index flipped behind a warm entry", true)
-	c.Evict("d", 1)
-	check("index corrupt at load", false)
-	if st := c.Stats(); st.Entries != 0 {
-		t.Errorf("corrupt load left %d cache entries", st.Entries)
+	scan("index flipped behind an open table", tbl)
+	if _, err := OpenTable(dev, "d", 1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenTable over a corrupt index: err = %v, want ErrCorrupt", err)
 	}
+	scan("index corrupt at open", nil)
 
-	// Repair the index, warm the cache, then damage a record in the range.
+	// Repair the index, then damage a record in the range and open the
+	// table over the damaged file.
 	if _, err := WriteTable(dev, "d", 1, entries); err != nil {
 		t.Fatal(err)
 	}
-	check("repaired", true)
-	c.Evict("d", 1)
+	scan("repaired", mustOpenTable(t, dev, "d", 1))
 	flipBit(t, dev, DataName("d", 1), int(recordOffsets(entries)[200]+recHeader+2)*8)
-	for _, open := range map[string]func() (Scanner, error){
-		"cached":   func() (Scanner, error) { return c.NewScanner("d", 1) },
+	tbl = mustOpenTable(t, dev, "d", 1)
+	for name, open := range map[string]func() (Scanner, error){
+		"table":    func() (Scanner, error) { return tbl.Scanner(), nil },
 		"uncached": func() (Scanner, error) { return NewScanner(dev, "d", 1) },
 	} {
 		sc, err := open()
@@ -346,7 +249,7 @@ func TestScannerCorruptionBehindCache(t *testing.T) {
 		}
 		sc.Close()
 		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("scan across a flipped record: err = %v, want ErrCorrupt", err)
+			t.Errorf("%s scan across a flipped record: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
@@ -360,11 +263,7 @@ func TestScannerPooledWindowReturnedOnce(t *testing.T) {
 	if _, err := WriteTable(dev, "db/r0", 1, entries); err != nil {
 		t.Fatal(err)
 	}
-	c := NewReaderCache(dev, 1<<20)
-	sc, err := c.NewScanner("db/r0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := mustOpenTable(t, dev, "db/r0", 1).Scanner()
 	if got := scanRange(t, &sc, entries[400].Key, entries[500].Key); len(got) != 100 {
 		t.Fatalf("range returned %d entries, want 100", len(got))
 	}
