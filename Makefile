@@ -19,8 +19,11 @@ vet:
 test:
 	$(GO) test ./...
 
+# The second line races the WAL's buffer swap against its writes, commits
+# and rotations twenty times over: its interleavings differ run to run.
 race:
 	$(GO) test -race -count=1 -timeout 600s $(RACE_PKGS) $(RACE_CORE)
+	$(GO) test -race -count=20 -run 'Commit|Append|Rotate' ./internal/wal
 
 # The seeded soaks by name, for local use; `race` (and so `ci`) already runs
 # each of them as part of the whole core package.

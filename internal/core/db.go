@@ -12,7 +12,6 @@ import (
 	"papyruskv/internal/mpi"
 	"papyruskv/internal/scrub"
 	"papyruskv/internal/sstable"
-	"papyruskv/internal/wal"
 )
 
 // DB is one rank's handle on an open database. Open is collective; every
@@ -36,6 +35,12 @@ import (
 //	scrubRepMu           leaf
 //	failMu               leaf, taken under any of the above (a WAL rotation
 //	                     degrades the rank under mu)
+//
+// Each wal.Log brings two more, below mu: its I/O lock, then its append
+// lock (wal/log.go). A put appends under mu, taking the append lock alone;
+// a MemTable roll rotates the stream under mu, taking both; commits and the
+// group-commit thread take them without mu, so a write or fsync in flight
+// never holds mu.
 //
 // The wake broadcast (backlog.go) is lock-free and sits outside the order.
 type DB struct {
@@ -62,7 +67,7 @@ type DB struct {
 	ownDir string
 
 	// mu guards the MemTables, the immutable-table lists and the background
-	// threads' claims on them, the WAL stream pointers and walSegs, and the
+	// threads' claims on them, stores of the WAL streams and walSegs, and the
 	// consistency and protection flags. closed is set under it, so a put
 	// that checked it under mu finishes before Close tears down; the read
 	// path loads it lock-free.
@@ -201,16 +206,16 @@ type DB struct {
 	// inj arms the CoreKill injection point; nil when faults are off.
 	inj *faults.Injector
 
-	// Write-ahead log (see wal.go). walLocal/walRemote are nil when the
-	// log is disabled or its recovery failed; walSeq stamps every record
-	// with the database-wide append order; walSegs (guarded by mu) maps
-	// each sealed MemTable to the sealed segment holding its records;
-	// walStop ends the WALAsync group-commit thread.
-	walLocal  *wal.Log
-	walRemote *wal.Log
-	walSeq    atomic.Uint64
-	walSegs   map[*memtable.Table]walSegRef
-	walStop   chan struct{}
+	// Write-ahead log (see wal.go). wal holds the two streams, nil when
+	// the log is disabled or its recovery failed; it is stored under mu
+	// and loaded without it. walSeq stamps every record with the
+	// database-wide append order; walSegs (guarded by mu) maps each sealed
+	// MemTable to the sealed segment holding its records; walStop ends the
+	// WALAsync group-commit thread.
+	wal     atomic.Pointer[walLogs]
+	walSeq  atomic.Uint64
+	walSegs map[*memtable.Table]walSegRef
+	walStop chan struct{}
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -290,13 +295,13 @@ func (rt *Runtime) Open(name string, opt Options) (*DB, error) {
 	}
 	// First life: the local stream's epoch when the WAL is on (Recover
 	// advances it on every rebirth), else a counter recovery bumps.
-	if db.walLocal != nil {
-		db.incarnation.Store(db.walLocal.Epoch())
+	if w := db.wal.Load(); w != nil {
+		db.incarnation.Store(w.local.Epoch())
 		// Record the epoch this life opened with; a manifest dump then
 		// tells which WAL generation pairs with the listed tables. An
 		// append failure here poisons the manifest and fails the rank —
 		// proceeding would let later transitions go unrecorded.
-		if err := db.manifestApply(manifest.Edit{WALEpoch: db.walLocal.Epoch()}); err != nil && db.man != nil {
+		if err := db.manifestApply(manifest.Edit{WALEpoch: w.local.Epoch()}); err != nil && db.man != nil {
 			db.fail(fmt.Errorf("manifest: record WAL epoch: %w", err))
 		}
 	} else {
@@ -318,7 +323,7 @@ func (rt *Runtime) Open(name string, opt Options) (*DB, error) {
 	}
 	// The group-commit thread starts whenever the mode calls for it, even
 	// if this open's WAL recovery failed: a later Recover may install
-	// fresh logs, and the thread reads them through walStream either way.
+	// fresh logs, and the thread loads them from db.wal either way.
 	if opt.WAL == WALAsync {
 		db.wg.Add(1)
 		go db.walFlushThread()

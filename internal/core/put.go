@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"papyruskv/internal/memtable"
+	"papyruskv/internal/wal"
 )
 
 // Put inserts or updates a key-value pair (papyruskv_put). The owner rank is
@@ -82,41 +83,43 @@ func (db *DB) put(ctx context.Context, key, value []byte, tombstone bool) error 
 // full WAL discipline: the record is logged before the insert and — in
 // WALSync mode — persisted before the caller sees success.
 func (db *DB) putLocal(e memtable.Entry) error {
-	if err := db.putLocalBuffered(e); err != nil {
+	l, err := db.putLocalBuffered(e)
+	if err != nil {
 		return err
 	}
-	return db.walCommit(db.walStream(false))
+	return db.walCommit(l)
 }
 
 // putLocalBuffered inserts an entry this rank owns into the local MemTable,
 // evicting any stale local-cache entry for the key and sealing the MemTable
 // onto the flushing queue when it reaches capacity. The entry is appended
 // to the local WAL stream in the same critical section as the insert, but
-// not yet committed: the caller chooses the durability point (walCommit per
-// put, per batch, or the group-commit thread's tick). Both the application
-// thread and the message handler (applying migrated or synchronous remote
-// puts) call it.
-func (db *DB) putLocalBuffered(e memtable.Entry) error {
+// not yet committed: the caller chooses the durability point (walCommit of
+// the returned stream per put, per batch, or the group-commit thread's
+// tick). Both the application thread and the message handler (applying
+// migrated or synchronous remote puts) call it.
+func (db *DB) putLocalBuffered(e memtable.Entry) (*wal.Log, error) {
 	db.localCache.Invalidate(e.Key)
 
 	db.mu.Lock()
 	if db.closed.Load() {
 		db.mu.Unlock()
-		return ErrInvalidDB
+		return nil, ErrInvalidDB
 	}
-	if err := db.walAppendLocked(db.walLocal, e); err != nil {
+	l, err := db.walAppendLocked(false, e)
+	if err != nil {
 		db.mu.Unlock()
 		// A full WAL device degrades the rank to read-only instead of
 		// failing it: the data already accepted stays fully readable.
 		db.failOrDegrade(fmt.Errorf("wal append: %w", err))
-		return db.Health()
+		return nil, db.Health()
 	}
 	db.localMT.Put(e)
 	if db.localMT.Bytes() >= db.opt.MemTableCapacity {
 		db.rollLocalLocked()
 	}
 	db.mu.Unlock()
-	return nil
+	return l, nil
 }
 
 // rollLocalLocked seals the local MemTable onto the tail of immLocal — which
@@ -129,7 +132,7 @@ func (db *DB) rollLocalLocked() {
 	sealed.Seal()
 	db.immLocal = append(db.immLocal, sealed)
 	db.localMT = memtable.New()
-	db.walRotateLocked(db.walLocal, sealed)
+	db.walRotateLocked(false, sealed)
 	db.wakeAll()
 }
 
@@ -144,7 +147,8 @@ func (db *DB) putRemote(e memtable.Entry) error {
 		db.mu.Unlock()
 		return ErrInvalidDB
 	}
-	if err := db.walAppendLocked(db.walRemote, e); err != nil {
+	l, err := db.walAppendLocked(true, e)
+	if err != nil {
 		db.mu.Unlock()
 		db.failOrDegrade(fmt.Errorf("wal append: %w", err))
 		return db.Health()
@@ -154,7 +158,7 @@ func (db *DB) putRemote(e memtable.Entry) error {
 		db.rollRemoteLocked()
 	}
 	db.mu.Unlock()
-	return db.walCommit(db.walStream(true))
+	return db.walCommit(l)
 }
 
 // rollRemoteLocked is rollLocalLocked's twin for the remote MemTable:
@@ -165,7 +169,7 @@ func (db *DB) rollRemoteLocked() {
 	db.immRemote = append(db.immRemote, sealed)
 	db.migrPending++
 	db.remoteMT = memtable.New()
-	db.walRotateLocked(db.walRemote, sealed)
+	db.walRotateLocked(true, sealed)
 	db.wakeAll()
 }
 

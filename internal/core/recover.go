@@ -390,14 +390,14 @@ func (db *DB) Recover() error {
 		if db.flushBusy || db.migrBusy {
 			return false
 		}
-		if db.walLocal != nil {
+		if w := db.wal.Load(); w != nil {
 			// Abandon, not Close: the group-commit thread of a failed rank
 			// is as dead as the rest of it, and whatever never reached the
 			// device is the crash's loss window. What did reach it replays
 			// below.
-			db.walLocal.Abandon()
-			db.walRemote.Abandon()
-			db.walLocal, db.walRemote = nil, nil
+			w.local.Abandon()
+			w.remote.Abandon()
+			db.wal.Store(nil)
 		}
 		db.localMT = memtable.New()
 		db.remoteMT = memtable.New()
@@ -452,7 +452,7 @@ func (db *DB) Recover() error {
 		if err != nil {
 			return fmt.Errorf("papyruskv: recover rank %d: %w", db.rt.rank, err)
 		}
-		db.incarnation.Store(db.walStream(false).Epoch())
+		db.incarnation.Store(db.wal.Load().local.Epoch())
 	} else {
 		db.incarnation.Add(1)
 	}

@@ -12,6 +12,7 @@ import (
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/mpi"
 	"papyruskv/internal/sstable"
+	"papyruskv/internal/wal"
 )
 
 // compactionThread is the paper's compaction thread, reduced to its flush
@@ -332,20 +333,27 @@ func (db *DB) handleBatch(m mpi.Message, migration bool) {
 			// and keep this rank healthy.
 			db.metrics.BadRequests.Add(1)
 		}
-		for _, e := range entries {
+		var logged *wal.Log
+		for i, e := range entries {
 			e.Owner = db.rt.rank
 			// putLocalBuffered triages its own failure (failOrDegrade): a
 			// full WAL device mid-batch degrades this rank and the typed
 			// status tells the sender to park, not give up.
-			if err = db.putLocalBuffered(e); err != nil {
+			var l *wal.Log
+			if l, err = db.putLocalBuffered(e); err != nil {
 				break
+			}
+			if i == 0 {
+				logged = l
 			}
 		}
 		// One WAL commit per batch (WALSync's fsync-per-batch): the
 		// sender's retry discipline means the ack is the durability
-		// promise, so it is issued only after the commit.
+		// promise, so it is issued only after the commit. It commits the
+		// first entry's stream: had Recover swapped the streams mid-batch,
+		// that one was abandoned, and the commit refuses the ack.
 		if err == nil {
-			err = db.walCommit(db.walStream(false))
+			err = db.walCommit(logged)
 		}
 	}
 	// Only applied outcomes enter the dedup window. A refused or failed

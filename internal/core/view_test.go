@@ -184,6 +184,29 @@ func TestOwnGetAllocs(t *testing.T) {
 	})
 }
 
+// TestMemGetAllocs pins what a get served from the local MemTable costs
+// the allocator: the caller's copy at the API edge and nothing else — the
+// MemTable hands out aliases, not copies of its own.
+func TestMemGetAllocs(t *testing.T) {
+	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("memallocs", quietOpt())
+		if err != nil {
+			return err
+		}
+		mustPut(t, db, churnKey(7), churnVal(7))
+		key := []byte(churnKey(7))
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := db.Get(key); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("MemTable-hit get allocates %v times, want 1", allocs)
+		}
+		return db.Close()
+	})
+}
+
 // TestGetRacesTableChurn races value-checked gets and iterators against
 // everything that replaces a rank's tables under them: forced compactions,
 // a scrub repair of a table damaged at rest, checkpoints, and a restore of

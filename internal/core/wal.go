@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,16 +10,18 @@ import (
 )
 
 // Write-ahead-log integration. The database keeps two log streams on its
-// rank's NVM device: walLocal shadows the local MemTable (entries this rank
-// owns — direct puts plus migrated and synchronous entries applied by the
-// message handler) and walRemote shadows the remote MemTable (entries
-// staged toward other owners). Appends happen under db.mu, in the same
-// critical section as the MemTable insert, so a segment rotation — which
-// also runs under db.mu, inside rollLocalLocked/rollRemoteLocked — always
-// cuts both structures at the same record boundary: a sealed segment holds
-// exactly its sealed table's records, and is deleted once that table's
-// flush or migration commits (retireTable). One database-wide sequence counter stamps
-// every record, giving replay a total order across the two streams.
+// rank's NVM device: the local stream shadows the local MemTable (entries
+// this rank owns — direct puts plus migrated and synchronous entries
+// applied by the message handler) and the remote stream shadows the remote
+// MemTable (entries staged toward other owners). Appends happen under
+// db.mu, in the same critical section as the MemTable insert, so a segment
+// rotation — which also runs under db.mu, inside
+// rollLocalLocked/rollRemoteLocked — always cuts both structures at the
+// same record boundary: a sealed segment holds exactly its sealed table's
+// records, and is deleted once that table's flush or migration commits
+// (retireTable). One database-wide sequence counter stamps every record,
+// giving replay a total order across the two streams. Commits run outside
+// db.mu: the log writes and fsyncs under its own I/O lock.
 
 // walSegRef remembers the sealed segment backing one sealed MemTable.
 type walSegRef struct {
@@ -26,17 +29,24 @@ type walSegRef struct {
 	name string
 }
 
-// walStream returns the requested WAL stream under db.mu. Every read of
-// the stream pointers outside the mutex must come through here: Recover
-// swaps them mid-run, so a bare field read from the group-commit thread or
-// a commit path would race the swap.
-func (db *DB) walStream(remote bool) *wal.Log {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if remote {
-		return db.walRemote
+// walLogs is the pair of streams one life of the rank writes. db.wal holds
+// it, or nil while the log is disabled or its recovery failed. walOpen and
+// Recover swap it under db.mu; a put reads it inside the critical section
+// that appends, and commits the stream it appended to outside it, while
+// the group-commit thread and Close load it without db.mu.
+type walLogs struct {
+	local, remote *wal.Log
+}
+
+// stream returns the requested stream of w, nil when w is.
+func (w *walLogs) stream(remote bool) *wal.Log {
+	switch {
+	case w == nil:
+		return nil
+	case remote:
+		return w.remote
 	}
-	return db.walLocal
+	return w.local
 }
 
 // walOpen recovers both WAL streams and replays the surviving records into
@@ -65,7 +75,7 @@ func (db *DB) walOpen() error {
 		walLocal.Close()
 		return fmt.Errorf("wal recovery (remote stream): %w", err)
 	}
-	db.walLocal, db.walRemote = walLocal, walRemote
+	db.wal.Store(&walLogs{local: walLocal, remote: walRemote})
 	db.walSegs = make(map[*memtable.Table]walSegRef)
 
 	// Replay in global sequence order. The streams are key-disjoint (a
@@ -114,14 +124,17 @@ func mergeBySeq(a, b []wal.Record) []wal.Record {
 	return append(out, b[j:]...)
 }
 
-// walAppendLocked logs one entry into stream l before its MemTable insert.
-// Caller holds db.mu. An append failure is a durability failure: the
-// caller must not insert the entry or acknowledge the put.
-func (db *DB) walAppendLocked(l *wal.Log, e memtable.Entry) error {
+// walAppendLocked logs one entry into the requested stream before its
+// MemTable insert and returns that stream for the caller's walCommit (nil
+// when there is no log). Caller holds db.mu. An append failure is a
+// durability failure: the caller must not insert the entry or acknowledge
+// the put.
+func (db *DB) walAppendLocked(remote bool, e memtable.Entry) (*wal.Log, error) {
+	l := db.wal.Load().stream(remote)
 	if l == nil {
-		return nil
+		return nil, nil
 	}
-	return l.Append(wal.Record{
+	return l, l.Append(wal.Record{
 		Seq:       db.walSeq.Add(1),
 		Tombstone: e.Tombstone,
 		Key:       e.Key,
@@ -129,26 +142,39 @@ func (db *DB) walAppendLocked(l *wal.Log, e memtable.Entry) error {
 	})
 }
 
-// walCommit is the WALSync durability point: it persists stream l's
-// appended records before the caller acknowledges them. In WALAsync mode
-// it is a no-op — the group-commit thread persists on its own clock. A
-// commit failure means the rank can no longer keep its durability promise;
-// a full device degrades it to read-only (reclaim can restore it), any
-// other cause fails the domain.
+// walCommit is the WALSync durability point: it persists the appended
+// records of l — the stream the caller appended to — before the caller
+// acknowledges them. In WALAsync mode it is a no-op — the group-commit
+// thread persists on its own clock. A commit failure means the rank can no
+// longer keep its durability promise; a full device degrades it to
+// read-only (reclaim can restore it), any other cause fails the domain. A
+// log Recover abandoned after the append reports ErrClosed: the failure
+// that led to the recovery already accounts for it, so it is reported, not
+// triaged a second time.
 func (db *DB) walCommit(l *wal.Log) error {
 	if l == nil || db.opt.WAL != WALSync {
 		return nil
 	}
-	if err := l.Commit(); err != nil {
-		db.failOrDegrade(fmt.Errorf("wal commit: %w", err))
-		return db.Health()
+	err := l.Commit()
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, wal.ErrClosed):
+		if herr := db.Health(); herr != nil {
+			return herr
+		}
+		// Recover already finished: the record died with the old life.
+		return fmt.Errorf("%w: wal commit: %w", ErrRankFailed, err)
 	}
-	return nil
+	db.failOrDegrade(fmt.Errorf("wal commit: %w", err))
+	return db.Health()
 }
 
-// walRotateLocked rotates stream l alongside the roll of its MemTable and
-// records which sealed segment backs the sealed table. Caller holds db.mu.
-func (db *DB) walRotateLocked(l *wal.Log, sealed *memtable.Table) {
+// walRotateLocked rotates the requested stream alongside the roll of its
+// MemTable and records which sealed segment backs the sealed table. Caller
+// holds db.mu.
+func (db *DB) walRotateLocked(remote bool, sealed *memtable.Table) {
+	l := db.wal.Load().stream(remote)
 	if l == nil {
 		return
 	}
@@ -180,15 +206,15 @@ func (db *DB) walFlushThread() {
 			if db.State() != StateHealthy {
 				continue
 			}
-			local, remote := db.walStream(false), db.walStream(true)
-			if local == nil {
+			w := db.wal.Load()
+			if w == nil {
 				continue // recovery never produced logs to commit
 			}
-			if err := local.GroupCommit(); err != nil {
+			if err := w.local.GroupCommit(); err != nil {
 				db.failOrDegrade(fmt.Errorf("wal group commit: %w", err))
 				continue
 			}
-			if err := remote.GroupCommit(); err != nil {
+			if err := w.remote.GroupCommit(); err != nil {
 				db.failOrDegrade(fmt.Errorf("wal group commit: %w", err))
 			}
 		}
@@ -202,18 +228,18 @@ func (db *DB) walFlushThread() {
 // contract says may be lost. What remains in the active segments is
 // exactly what the next Open replays.
 func (db *DB) walClose() {
-	local, remote := db.walStream(false), db.walStream(true)
-	if local == nil {
+	w := db.wal.Load()
+	if w == nil {
 		return
 	}
 	if db.Health() != nil {
-		local.Abandon()
-		remote.Abandon()
+		w.local.Abandon()
+		w.remote.Abandon()
 		return
 	}
 	// Errors are deliberately not propagated: the bytes a failed close
 	// could not persist are re-replayable or already flushed, and Close's
 	// return value is reserved for the run's root cause.
-	_ = local.Close()
-	_ = remote.Close()
+	_ = w.local.Close()
+	_ = w.remote.Close()
 }

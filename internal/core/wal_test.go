@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"testing"
+	"time"
 
 	"papyruskv/internal/faults"
 	"papyruskv/internal/mpi"
@@ -245,7 +246,7 @@ func TestWALAsyncBoundedLoss(t *testing.T) {
 			mustPut(t, db, string(k), string(val(k)))
 		}
 		// The group-commit boundary: everything above is now on the device.
-		if err := db.walLocal.GroupCommit(); err != nil {
+		if err := db.wal.Load().local.GroupCommit(); err != nil {
 			return err
 		}
 		for _, k := range window {
@@ -271,6 +272,60 @@ func TestWALAsyncBoundedLoss(t *testing.T) {
 			}
 		}
 		return db2.Close()
+	})
+}
+
+// TestPutDoesNotWaitForGroupCommit: while a group commit is inside a slow
+// device write, a local put appends into the log's other buffer instead of
+// waiting for it under db.mu, so neither that put nor a MemTable-hit get
+// racing it stalls behind the write.
+func TestPutDoesNotWaitForGroupCommit(t *testing.T) {
+	opt := walOpt(WALAsync)
+	opt.WALFlushInterval = 3600e9 // the ticker never fires; the commit is explicit
+	slow := nvm.PerfModel{WriteLatency: 50 * time.Millisecond, TimeScale: 1}
+	runCluster(t, clusterSpec{ranks: 1, nvmModel: slow}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("walstall", opt)
+		if err != nil {
+			return err
+		}
+		keys := ownKeys(db, 0, 2)
+		hit, put := keys[0], keys[1]
+		mustPut(t, db, string(hit), string(val(hit)))
+		done := make(chan error, 1)
+		go func() { done <- db.wal.Load().local.GroupCommit() }()
+		// The group commit is 10 ms into its 50 ms write when the put and
+		// the get start, and must still be in it when they end.
+		time.Sleep(10 * time.Millisecond)
+		putTook := make(chan time.Duration, 1)
+		go func() {
+			start := time.Now()
+			mustPut(t, db, string(put), string(val(put)))
+			putTook <- time.Since(start)
+		}()
+		time.Sleep(time.Millisecond) // let the put reach db.mu first
+		start := time.Now()
+		if err := wantGet(db, string(hit), string(val(hit))); err != nil {
+			return err
+		}
+		getTook := time.Since(start)
+		if d := <-putTook; d >= 5*time.Millisecond {
+			t.Errorf("put took %v behind an in-flight group commit", d)
+		}
+		if getTook >= 5*time.Millisecond {
+			t.Errorf("MemTable-hit get took %v behind an in-flight group commit", getTook)
+		}
+		select {
+		case <-done:
+			return errors.New("the group commit finished before the put and get: nothing overlapped")
+		default:
+		}
+		if err := <-done; err != nil {
+			return err
+		}
+		if err := wantGet(db, string(put), string(val(put))); err != nil {
+			return err
+		}
+		return db.Close()
 	})
 }
 

@@ -76,11 +76,12 @@ func (t *Table) Put(e Entry) (ok bool) {
 // found=true with Tombstone set: a MemTable hit on a tombstone terminates
 // the search with NOT_FOUND, it must not fall through to older tables.
 //
-// The returned Key and Value are copies; mutating them cannot corrupt the
-// table (the outbound half of Put's ownership boundary). Bulk read paths
-// that stay inside the runtime — Ascend, Entries, ByOwner, CursorFrom — skip
-// the copy and return aliases instead, under a documented read-only
-// contract.
+// The returned Key and Value alias table memory, like every other read
+// path here (Ascend, Entries, ByOwner, CursorFrom): the caller must neither
+// mutate nor retain them past handing them on. The aliases stay valid —
+// Put replaces an entry wholesale and never writes into a stored one — so
+// a reader that copies once at its own edge (core's Get does, at the API
+// return) needs no copy here.
 func (t *Table) Get(key []byte) (Entry, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -88,10 +89,7 @@ func (t *Table) Get(key []byte) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	e := *(v.(*Entry))
-	e.Key = append([]byte(nil), e.Key...)
-	e.Value = append([]byte(nil), e.Value...)
-	return e, true
+	return *(v.(*Entry)), true
 }
 
 // Len reports the number of entries (tombstones included).

@@ -243,8 +243,9 @@ func BenchmarkPut128B(b *testing.B) {
 // TestPutCopiesCallerBuffers is the aliasing regression test: a caller that
 // reuses its key/value buffers after Put (the WAL replay loop and the
 // migration batch handler both decode into reused frames) must not be able
-// to corrupt the stored pair, and mutating a Get result must not write
-// through into the table.
+// to corrupt the stored pair. (Get's results alias the table under a
+// read-only contract; core's Get copies once at the API edge, which
+// TestGetResultIsCallerOwned pins.)
 func TestPutCopiesCallerBuffers(t *testing.T) {
 	m := New()
 	key := []byte("shared-key")
@@ -260,13 +261,6 @@ func TestPutCopiesCallerBuffers(t *testing.T) {
 	}
 	if string(e.Key) != "shared-key" || string(e.Value) != "shared-val" {
 		t.Fatalf("stored pair aliases caller memory: key=%q value=%q", e.Key, e.Value)
-	}
-
-	// Caller mutates the returned entry — the returned-slice pattern.
-	copy(e.Value, "ZZZZZZZZZZ")
-	e2, _ := m.Get([]byte("shared-key"))
-	if string(e2.Value) != "shared-val" {
-		t.Fatalf("Get result aliases table memory: value=%q", e2.Value)
 	}
 }
 

@@ -38,10 +38,29 @@ type Config struct {
 	Stats *stats.WAL
 }
 
+// maxSpare bounds the drained buffer a Log keeps for its next swap: a burst
+// that grew the buffer past it is written and then dropped, so the log's
+// idle footprint stays bounded, not a burst's high water. Below it the two
+// buffers are recycled and a swap allocates nothing; a batch regrown from
+// scratch costs several times its size in allocations. On a saturated
+// two-core host the batches that pile up behind one slow fsync reach 4 MiB;
+// a 1 MiB bound regrew about one batch in nine.
+const maxSpare = 4 << 20
+
 // Log is one stream of segments. It is safe for concurrent use by the
-// application thread, the message handler, and the group-commit thread;
-// core always acquires its db mutex before any Log method, so the lock
-// order is db.mu → Log.mu.
+// application thread, the message handler, and the group-commit thread.
+//
+// Two locks split it into an append side and an I/O side, so appends keep
+// landing in memory while the previous batch is written and fsynced:
+//
+//	ioMu  the device state (active segment, dirty, poisoned, spare,
+//	      durable); held across every device write, fsync, rotation and
+//	      close, which it serialises
+//	mu    the append state (buf, appended, epoch, closed); held only to
+//	      append, or to swap the filled buffer for the spare
+//
+// Lock order: core's db.mu → ioMu → mu. Appends take mu alone, so a put
+// under db.mu never waits for a write or fsync in flight.
 type Log struct {
 	dev    *nvm.Device
 	dir    string
@@ -51,15 +70,20 @@ type Log struct {
 	inj    *faults.Injector
 	st     *stats.WAL
 
-	mu         sync.Mutex
-	epoch      uint32
+	ioMu       sync.Mutex
 	seg        uint64 // segment number within the epoch
 	active     *nvm.Appender
 	activeName string
-	buf        []byte // framed records not yet handed to the device
+	spare      []byte // the drained buffer the next swap installs
+	durable    uint64 // appends covered by the last successful commit
 	dirty      bool   // device bytes written since the last sync
 	poisoned   bool   // a torn append fired: the device stopped listening
-	closed     bool
+
+	mu       sync.Mutex
+	epoch    uint32 // set once by Recover, so openSegmentLocked reads it bare
+	buf      []byte // framed records not yet handed to the device
+	appended uint64 // records appended since Recover
+	closed   bool
 }
 
 func segName(dir, stream string, epoch uint32, seg uint64) string {
@@ -161,6 +185,8 @@ func Recover(cfg Config) (*Log, []Record, error) {
 	return l, recs, nil
 }
 
+// openSegmentLocked opens the active segment. Caller holds ioMu (or is
+// Recover, before the log is shared).
 func (l *Log) openSegmentLocked() error {
 	name := segName(l.dir, l.stream, l.epoch, l.seg)
 	a, err := l.dev.OpenAppend(name)
@@ -172,6 +198,7 @@ func (l *Log) openSegmentLocked() error {
 	return nil
 }
 
+// site is the injection site of the active segment. Caller holds ioMu.
 func (l *Log) site() faults.Site {
 	return faults.Site{Rank: l.rank, Tag: faults.AnyTag, Where: l.activeName}
 }
@@ -189,7 +216,8 @@ func (l *Log) Epoch() uint32 {
 
 // Append frames r into the in-memory buffer, stamping it with the current
 // epoch. Nothing touches the device until Commit, GroupCommit, or Rotate;
-// the caller decides the durability point.
+// the caller decides the durability point. Append takes only the append
+// lock, so it never waits for a device write or fsync in flight.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -199,23 +227,41 @@ func (l *Log) Append(r Record) error {
 	r.Epoch = l.epoch
 	before := len(l.buf)
 	l.buf = AppendRecord(l.buf, r)
+	l.appended++
 	l.st.RecordsAppended.Add(1)
 	l.st.BytesAppended.Add(uint64(len(l.buf) - before))
 	return nil
 }
 
-// flushLocked hands the buffered frames to the device. This is where
-// WALTornAppend strikes: the firing append writes only a prefix of its
-// frames and poisons the log — every later flush silently drops its bytes
-// while still reporting success, modelling the writes a crashed rank never
-// got onto the device. Replay's frame checksums are what notice.
-func (l *Log) flushLocked() error {
-	if len(l.buf) == 0 {
-		return nil
+// swapLocked takes the filled buffer and installs the spare in its place,
+// holding mu only for the exchange; the caller writes the returned frames
+// outside it. upto counts the appends they end with. Caller holds ioMu. A
+// closed log yields ErrClosed.
+func (l *Log) swapLocked() (b []byte, upto uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, 0, ErrClosed
 	}
-	b := l.buf
-	l.buf = l.buf[:0]
-	if l.poisoned {
+	b = l.buf
+	l.buf, l.spare = l.spare, nil
+	return b, l.appended, nil
+}
+
+// writeLocked hands swapped-out frames to the device and keeps their
+// buffer as the next spare if it is small enough. This is where
+// WALTornAppend strikes: the firing append writes only a prefix of its
+// frames and poisons the log — every later write silently drops its bytes
+// while still reporting success, modelling the writes a crashed rank never
+// got onto the device. Replay's frame checksums are what notice. Caller
+// holds ioMu.
+func (l *Log) writeLocked(b []byte) error {
+	defer func() {
+		if cap(b) <= maxSpare {
+			l.spare = b[:0]
+		}
+	}()
+	if len(b) == 0 || l.poisoned {
 		return nil
 	}
 	if l.inj != nil {
@@ -238,6 +284,7 @@ func (l *Log) flushLocked() error {
 }
 
 // syncLocked makes the written bytes durable; WALSyncError fires here.
+// Caller holds ioMu.
 func (l *Log) syncLocked() error {
 	if l.inj != nil && l.inj.Eval(faults.WALSyncError, l.site()).Fire {
 		return fmt.Errorf("wal: sync %s: %w: sync error", l.activeName, faults.ErrInjected)
@@ -250,47 +297,64 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
+// persist is the one durability routine behind Commit and GroupCommit: it
+// swaps out everything appended so far, writes it and fsyncs — the append
+// lock held only for the swap, the I/O lock for the whole. A caller whose
+// records an earlier caller's persist already swapped out waits for that
+// one's fsync on ioMu and then finds them durable: concurrent commits share
+// one fsync, and appends made meanwhile wait for the next. synced reports
+// a fsync of a non-empty batch.
+func (l *Log) persist() (synced bool, err error) {
+	l.mu.Lock()
+	target := l.appended
+	l.mu.Unlock()
+	l.ioMu.Lock()
+	defer l.ioMu.Unlock()
+	if l.durable >= target {
+		return false, nil
+	}
+	b, upto, err := l.swapLocked()
+	if err != nil {
+		return false, err
+	}
+	batched := len(b) > 0
+	if err := l.writeLocked(b); err != nil {
+		return false, err
+	}
+	if l.dirty {
+		if err := l.syncLocked(); err != nil {
+			return false, err
+		}
+		synced = batched
+	}
+	l.durable = upto
+	return synced, nil
+}
+
 // Commit writes and fsyncs everything appended so far — the WALSync
 // durability point, called once per put or per applied batch before the
-// acknowledgement. It is a no-op when nothing new was appended.
+// acknowledgement. It returns nil only once a fsync covering every record
+// appended before the call has returned nil, its own or a concurrent
+// caller's. It is a no-op when nothing new was appended.
 func (l *Log) Commit() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
-	if !l.dirty {
-		return nil
-	}
-	return l.syncLocked()
+	_, err := l.persist()
+	return err
 }
 
 // GroupCommit writes and fsyncs the accumulated appends — the WALAsync
 // durability point, called by the group-commit thread every flush
-// interval. A tick with nothing to persist does no device work.
+// interval. Appends keep landing in the other buffer while it writes. A
+// tick with nothing to persist does no device work; on a closed log it is
+// a no-op.
 func (l *Log) GroupCommit() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	synced, err := l.persist()
+	if errors.Is(err, ErrClosed) {
 		return nil
 	}
-	batched := len(l.buf) > 0
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
-	if !l.dirty {
-		return nil
-	}
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
-	if batched {
+	if synced {
 		l.st.GroupCommits.Add(1)
 	}
-	return nil
+	return err
 }
 
 // Rotate seals the active segment and opens the next one; core calls it
@@ -299,16 +363,20 @@ func (l *Log) GroupCommit() error {
 // segment's name is returned for deletion once the table's flush or
 // migration commits. Buffered frames are written to the sealed segment
 // first (and fsynced in Sync mode, so a put that itself triggered the roll
-// is durable before its acknowledgement).
+// is durable before its acknowledgement). It waits on the I/O lock for a
+// write or fsync already in flight.
 func (l *Log) Rotate() (sealed string, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return "", ErrClosed
+	l.ioMu.Lock()
+	defer l.ioMu.Unlock()
+	b, upto, err := l.swapLocked()
+	if err != nil {
+		return "", err
 	}
-	err = l.flushLocked()
+	err = l.writeLocked(b)
 	if err == nil && l.sync && l.dirty {
-		err = l.syncLocked()
+		if err = l.syncLocked(); err == nil {
+			l.durable = upto
+		}
 	}
 	if cerr := l.active.Close(); err == nil && cerr != nil {
 		err = cerr
@@ -330,18 +398,30 @@ func (l *Log) Remove(sealed string) error {
 	return l.dev.Remove(sealed)
 }
 
+// closeLocked marks the log closed and returns the frames still buffered.
+// Caller holds ioMu; ok is false if the log was already closed.
+func (l *Log) closeLocked() (b []byte, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, false
+	}
+	l.closed = true
+	b, l.buf = l.buf, nil
+	return b, true
+}
+
 // Abandon releases the active segment WITHOUT persisting buffered appends
 // — the teardown of a failed rank, whose group-commit thread is as dead as
 // the rest of it. Whatever reached the device stays replayable; the
 // in-memory buffer is the crash's loss window and is dropped.
 func (l *Log) Abandon() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	l.ioMu.Lock()
+	defer l.ioMu.Unlock()
+	if _, ok := l.closeLocked(); !ok {
 		return
 	}
-	l.closed = true
-	l.buf = nil
+	l.spare = nil
 	_ = l.active.Close()
 }
 
@@ -349,13 +429,14 @@ func (l *Log) Abandon() {
 // segment. The segment file stays on the device: whatever it holds is
 // exactly the un-flushed state the next Open must replay.
 func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	l.ioMu.Lock()
+	defer l.ioMu.Unlock()
+	b, ok := l.closeLocked()
+	if !ok {
 		return nil
 	}
-	l.closed = true
-	err := l.flushLocked()
+	err := l.writeLocked(b)
+	l.spare = nil
 	if err == nil && l.dirty {
 		err = l.syncLocked()
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"papyruskv/internal/faults"
 	"papyruskv/internal/nvm"
@@ -440,4 +442,169 @@ func TestGroupCommitStats(t *testing.T) {
 		t.Fatalf("RecordsAppended = %d, want 4", n)
 	}
 	l.Close()
+}
+
+// recoverAll abandons l and returns every record the next Recover replays.
+func recoverAll(t *testing.T, l *Log, cfg Config) []Record {
+	t.Helper()
+	l.Abandon()
+	cfg.Inj = nil
+	l2, got, err := Recover(cfg)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	l2.Abandon()
+	return got
+}
+
+// TestAppendDoesNotWaitForGroupCommit: while a group commit is inside a
+// slow device write, appends land in the other buffer without waiting for
+// it, and the next commit writes them after the in-flight batch, so replay
+// sees every record in append order.
+func TestAppendDoesNotWaitForGroupCommit(t *testing.T) {
+	dev, err := nvm.Open(t.TempDir(), nvm.PerfModel{WriteLatency: 50 * time.Millisecond, TimeScale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(dev)
+	cfg.Sync = false
+	l, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(8)
+	for _, r := range recs[:4] {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- l.GroupCommit() }()
+	// The group commit is 10 ms into its 50 ms device write when the
+	// appends start, and must still be in it when they end.
+	time.Sleep(10 * time.Millisecond)
+	for i, r := range recs[4:] {
+		start := time.Now()
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d >= 5*time.Millisecond {
+			t.Fatalf("append %d took %v behind an in-flight group commit", i, d)
+		}
+	}
+	select {
+	case <-done:
+		t.Fatal("the group commit finished before the appends: nothing overlapped")
+	default:
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := l.GroupCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoverAll(t, l, cfg); !sameSeqs(got, recs) {
+		t.Fatalf("recovered %v, want all 8 records in append order", seqs(got))
+	}
+}
+
+// TestConcurrentCommitsShareSync: sync-mode commits racing one another
+// share fsyncs. While one commit writes, the other writers' appends land in
+// the spare buffer and their commits queue on the I/O lock; the first to
+// get it writes them all, and the rest find their records already synced.
+// Sixteen writers committing five records each settle into two
+// alternating groups of eight per fsync, ten in all; a log that blocked
+// appends behind the write needs twice as many or more.
+func TestConcurrentCommitsShareSync(t *testing.T) {
+	dev, err := nvm.Open(t.TempDir(), nvm.PerfModel{WriteLatency: 5 * time.Millisecond, TimeScale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(dev)
+	l, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, rounds = 16, 5
+	recs := testRecords(writers * rounds)
+	start := make(chan struct{})
+	errs := make(chan error, len(recs))
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(mine []Record) {
+			defer wg.Done()
+			<-start
+			for _, r := range mine {
+				if err := l.Append(r); err != nil {
+					errs <- err
+					return
+				}
+				if err := l.Commit(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(recs[g*rounds : (g+1)*rounds])
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := cfg.Stats.Fsyncs.Load(); n > uint64(len(recs)/5) {
+		t.Fatalf("Fsyncs = %d for %d concurrent commits, want <= %d", n, len(recs), len(recs)/5)
+	}
+	got := recoverAll(t, l, cfg)
+	if len(got) != len(recs) {
+		t.Fatalf("recovered %d records, want %d", len(got), len(recs))
+	}
+}
+
+// TestGroupCommitBufferBounded: a burst past maxSpare is written and its
+// buffer dropped, so the log keeps no more than one bounded spare.
+func TestGroupCommitBufferBounded(t *testing.T) {
+	dev := testDevice(t)
+	cfg := testConfig(dev)
+	cfg.Sync = false
+	l, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 64<<10)
+	burst := 4 * maxSpare / len(val)
+	for i := 0; i < burst; i++ {
+		if err := l.Append(Record{Seq: uint64(i + 1), Key: []byte(fmt.Sprintf("k%03d", i)), Value: val}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.GroupCommit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.ioMu.Lock()
+	l.mu.Lock()
+	spare, buf := cap(l.spare), cap(l.buf)
+	l.mu.Unlock()
+	l.ioMu.Unlock()
+	if spare > maxSpare || buf > maxSpare {
+		t.Fatalf("retained buffers: spare cap %d, buf cap %d; want both <= %d", spare, buf, maxSpare)
+	}
+	if got := recoverAll(t, l, cfg); len(got) != burst {
+		t.Fatalf("recovered %d records, want %d", len(got), burst)
+	}
+}
+
+func seqs(recs []Record) []uint64 {
+	out := make([]uint64, len(recs))
+	for i, r := range recs {
+		out[i] = r.Seq
+	}
+	return out
+}
+
+func sameSeqs(a, b []Record) bool {
+	return fmt.Sprint(seqs(a)) == fmt.Sprint(seqs(b))
 }
