@@ -1,8 +1,9 @@
 GO ?= go
 
-# Packages raced in CI: every concurrency-heavy layer, and all of core —
-# the whole package, soaks included, so no test is skipped by a name filter.
-RACE_PKGS = ./internal/fifo ./internal/lru ./internal/manifest ./internal/memtable ./internal/mpi ./internal/scrub ./internal/sstable ./internal/wal
+# Packages raced in CI: every concurrency-heavy layer, stats (whose Flatten
+# reads counters while they are incremented), and all of core — the whole
+# package, soaks included, so no test is skipped by a name filter.
+RACE_PKGS = ./internal/fifo ./internal/lru ./internal/manifest ./internal/memtable ./internal/mpi ./internal/scrub ./internal/sstable ./internal/stats ./internal/wal
 RACE_CORE = ./internal/core
 
 .PHONY: all build vet test race chaos overload crash scrub fuzz bench-smoke bench-check ci clean

@@ -17,7 +17,7 @@
 //	barrier [mem|sst]       collective barrier (default mem)
 //	consistency rel|seq     switch consistency mode (collective)
 //	protect rdwr|wronly|rdonly
-//	metrics RANK            print RANK's data-path counters
+//	metrics RANK            print every counter of RANK's snapshot, by name
 //	sstables                per-rank SSTable counts
 //	help                    this text
 //	quit                    close the database and exit
@@ -27,7 +27,9 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -259,10 +261,8 @@ func dispatch(args []string, chans []chan request, ranks int) string {
 		return ask(chans, r, func(ctx *papyruskv.Context, db *papyruskv.DB) (string, error) {
 			var b strings.Builder
 			snap := db.Metrics().Snapshot()
-			for _, k := range []string{"puts_local", "puts_remote", "puts_sync", "gets_local", "gets_remote",
-				"local_cache_hits", "remote_cache_hits", "memtable_hits", "sstable_hits", "shared_sst_reads",
-				"flushes", "compactions", "migrations", "migrated_pairs"} {
-				fmt.Fprintf(&b, "%-18s %d\n", k, snap[k])
+			for _, k := range slices.Sorted(maps.Keys(snap)) {
+				fmt.Fprintf(&b, "%-26s %d\n", k, snap[k])
 			}
 			return strings.TrimRight(b.String(), "\n"), nil
 		})

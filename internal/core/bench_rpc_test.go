@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkConcurrentRemoteGet measures aggregate remote-get throughput when
-// 1 vs 8 client goroutines on one rank hammer the same owner (HandlerThreads
+// 1 vs 8 client goroutines on one rank hammer the same owner (handlerThreads
 // at its default of 4). The owner serves every get with an SSTable binary
 // search against a modelled NVMe device — each probe step is a ~90µs device
 // read — so a get is dominated by NVM wait, the cost the handler worker pool

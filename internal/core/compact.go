@@ -18,7 +18,7 @@ package core
 //     pin is recorded and re-fired when the pin releases — the fix for the
 //     trigger-starvation bug where a due compaction under a held pin was
 //     skipped and never rescheduled.
-//   - Jobs on disjoint table sets run on Options.CompactionWorkers workers
+//   - Jobs on disjoint table sets run on compactionWorkers workers
 //     in parallel. Inputs are claimed under compactMu at pick time; any
 //     two jobs whose output ranges could overlap necessarily share a
 //     claimed table (each job's input hull is fully covered by its own

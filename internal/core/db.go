@@ -141,7 +141,7 @@ type DB struct {
 	// scans is the owner-side registry of remote scans in progress: each
 	// holds a pinned iterator between page requests so a slow consumer
 	// costs a registry entry, never a handler worker. The prober reaps
-	// entries idle past ScanIdleTimeout.
+	// entries idle past scanIdleTimeout.
 	scans scanRegistry
 
 	// man is this rank's table-lifecycle manifest (manifest.go): the
@@ -257,7 +257,7 @@ func (rt *Runtime) Open(name string, opt Options) (*DB, error) {
 		pendingCompact: newCounter(),
 		compactKick:    make(chan struct{}, 1),
 		compactBusy:    make(map[uint64]bool),
-		readers:        sstable.CacheFor(rt.cfg.Device, opt.ReaderCacheBytes),
+		readers:        sstable.CacheFor(rt.cfg.Device, readerCacheBytes),
 		nextSSID:       1,
 		scrubLim:       scrub.NewLimiter(opt.ScrubBytesPerSec),
 	}
@@ -317,7 +317,7 @@ func (rt *Runtime) Open(name string, opt Options) (*DB, error) {
 	// The compaction workers are separate from the flush thread: picking is
 	// score-driven, not tied to flush cadence, and jobs over disjoint level
 	// ranges run in parallel.
-	for i := 0; i < opt.CompactionWorkers; i++ {
+	for i := 0; i < compactionWorkers; i++ {
 		db.wg.Add(1)
 		go db.compactorThread()
 	}

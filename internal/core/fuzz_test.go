@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"papyruskv/internal/memtable"
 )
 
 // FuzzWireDecode feeds one input to every decoder of a cross-rank frame:
@@ -15,7 +17,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeGetRequest(getRequest{Seq: 1, Key: []byte("key"), Group: 2}))
 	f.Add(encodeScanRequest(scanRequest{Seq: 3, ScanID: 4, Op: scanOpOpen, MaxBytes: 256, Lo: []byte("a"), Hi: []byte("z")}))
-	f.Add(prependSeq(5, 1, encodePutOne(putOne{Key: []byte("k"), Value: []byte("v")})))
+	f.Add(prependSeq(5, 1, memtable.EncodeEntries([]memtable.Entry{{Key: []byte("k"), Value: []byte("v")}})))
 	f.Add(encodePing(6, 2))
 	f.Add(encodeReply(7, statusShare, encodeSSIDs([]uint64{1, 2})))
 	f.Add(encodeReply(8, statusRankFailed, []byte("papyruskv: rank failed: killed")))
@@ -46,8 +48,8 @@ func FuzzWireDecode(f *testing.F) {
 			if !bytes.Equal(prependSeq(seq, inc, body), data) {
 				t.Fatalf("reliable request re-encodes differently")
 			}
-			if p, err := decodePutOne(body); err == nil && !bytes.Equal(encodePutOne(p), body) {
-				t.Fatalf("putOne %+v re-encodes differently", p)
+			if es, err := memtable.DecodeEntries(body); err == nil && !bytes.Equal(memtable.EncodeEntries(es), body) {
+				t.Fatalf("entry batch of %d re-encodes differently", len(es))
 			}
 		}
 	})

@@ -114,10 +114,6 @@ type Options struct {
 	// merge output consumed an SSID — so the cadence is stable under any
 	// mix of flushes and compactions. 0 disables background compaction.
 	CompactionEvery uint64
-	// CompactionWorkers is the number of background compaction workers;
-	// jobs over disjoint level ranges run in parallel. 0 selects the
-	// default (2).
-	CompactionWorkers int
 	// LevelBytesBase is the byte budget of level 1; each deeper level's
 	// budget is LevelBytesGrowth times its parent's. A level over budget
 	// scores a compaction of its largest table into the next level.
@@ -126,14 +122,6 @@ type Options struct {
 	// LevelBytesGrowth is the per-level budget multiplier. 0 selects the
 	// default (10).
 	LevelBytesGrowth int
-	// ReaderCacheBytes bounds the per-device SSTable reader cache, which
-	// pins each hot table's validated bloom filter, parsed SSIndex, and
-	// open data file so repeated gets skip the device reads and CRC
-	// passes. The cache is shared by every rank on a device (a storage
-	// group shares one), and its capacity is fixed by the first database
-	// opened on that device. 0 selects the default (32MB); a negative
-	// value disables the cache.
-	ReaderCacheBytes int64
 	// RetryTimeout is the per-attempt reply deadline of every remote
 	// request (migration batch, synchronous put, remote get, scan page).
 	// A request that times out is resent under the same sequence number —
@@ -144,20 +132,6 @@ type Options struct {
 	// the default (10s) is generous for that reason. Tests injecting
 	// message loss shrink it to keep retries fast. 0 selects the default.
 	RetryTimeout time.Duration
-	// HandlerThreads is the number of message-handler workers serving
-	// remote requests. Requests that mutate state (migration batches,
-	// synchronous puts) are sharded by source rank so each source's
-	// batches apply in the order it sent them; remote gets are served by
-	// whichever worker is free, so a get stuck in an NVM SSTable search
-	// cannot head-of-line-block migration acks. 0 selects the default (4).
-	HandlerThreads int
-	// HandlerQueueDepth bounds each handler worker's request queue. The
-	// receive dispatcher blocks when a worker's queue fills, which
-	// back-pressures through the request communicator exactly like the
-	// original single-threaded handler did; deeper queues absorb burstier
-	// request mixes at the cost of more buffered wire bytes per rank.
-	// 0 selects the default (16).
-	HandlerQueueDepth int
 	// WAL selects the write-ahead-log durability mode. The zero value is
 	// WALAsync: logging on, group commit.
 	WAL WALMode
@@ -199,12 +173,6 @@ type Options struct {
 	// request round-trip over more pairs; smaller pages bound the memory a
 	// slow consumer pins on the owner. 0 selects the default (256KB).
 	ScanPageBytes int
-	// ScanIdleTimeout is how long an owner keeps an idle remote scan — its
-	// pinned snapshot included — before the prober reaps it. A consumer that
-	// pages slower than this must restart its scan (the caller sees a typed
-	// "scan expired" error). 0 selects the default (30s); a negative value
-	// disables expiry, so abandoned scans pin their snapshots until Close.
-	ScanIdleTimeout time.Duration
 	// ScrubInterval is the background integrity scrubber's cycle period:
 	// every interval the rank re-reads its live SSTables, WAL segments, and
 	// manifest and verifies them against the manifest-recorded checksums,
@@ -220,6 +188,30 @@ type Options struct {
 	ScrubBytesPerSec int64
 }
 
+// Fixed sizes of the runtime's pools, caches and timeouts.
+const (
+	// compactionWorkers is the number of background compaction workers;
+	// jobs over disjoint level ranges run in parallel.
+	compactionWorkers = 2
+	// readerCacheBytes bounds the per-device SSTable reader cache, which
+	// pins each hot table's validated bloom filter, parsed SSIndex and
+	// open data file so repeated gets skip the device reads and CRC passes.
+	// Every rank on a device (a storage group shares one) shares the cache.
+	readerCacheBytes = 32 << 20
+	// handlerThreads is the number of message-handler workers serving
+	// remote requests (see handlerThread for how requests are routed).
+	handlerThreads = 4
+	// handlerQueueDepth bounds each handler worker's request queue. The
+	// receive dispatcher blocks when a worker's queue fills, which
+	// back-pressures through the request communicator.
+	handlerQueueDepth = 16
+	// scanIdleTimeout is how long an owner keeps an idle remote scan — its
+	// pinned read view included — before the prober reaps it. A consumer
+	// that pages slower than this must restart its scan (the caller sees a
+	// typed "scan expired" error).
+	scanIdleTimeout = 30 * time.Second
+)
+
 // DefaultOptions returns the paper's default configuration.
 func DefaultOptions() Options {
 	return Options{
@@ -231,13 +223,9 @@ func DefaultOptions() Options {
 		SearchMode:          sstable.BinarySearch,
 		UseBloom:            true,
 		CompactionEvery:     8,
-		CompactionWorkers:   2,
 		LevelBytesBase:      8 << 20,
 		LevelBytesGrowth:    10,
-		ReaderCacheBytes:    32 << 20,
 		RetryTimeout:        10 * time.Second,
-		HandlerThreads:      4,
-		HandlerQueueDepth:   16,
 		WAL:                 WALAsync,
 		WALFlushInterval:    2 * time.Millisecond,
 		ParkedBytes:         8 << 20,
@@ -245,7 +233,6 @@ func DefaultOptions() Options {
 		StallSoftDepth:      8,
 		StallTimeout:        time.Second,
 		ScanPageBytes:       256 << 10,
-		ScanIdleTimeout:     30 * time.Second,
 		ScrubInterval:       60 * time.Second,
 		ScrubBytesPerSec:    8 << 20,
 	}
@@ -257,29 +244,17 @@ func (o Options) withDefaults() Options {
 	if o.MemTableCapacity <= 0 {
 		o.MemTableCapacity = d.MemTableCapacity
 	}
-	if o.ReaderCacheBytes == 0 {
-		o.ReaderCacheBytes = d.ReaderCacheBytes
-	}
 	if o.Hash == nil {
 		o.Hash = hashfn.Default
 	}
 	if o.RetryTimeout <= 0 {
 		o.RetryTimeout = d.RetryTimeout
 	}
-	if o.CompactionWorkers <= 0 {
-		o.CompactionWorkers = d.CompactionWorkers
-	}
 	if o.LevelBytesBase <= 0 {
 		o.LevelBytesBase = d.LevelBytesBase
 	}
 	if o.LevelBytesGrowth <= 1 {
 		o.LevelBytesGrowth = d.LevelBytesGrowth
-	}
-	if o.HandlerThreads <= 0 {
-		o.HandlerThreads = d.HandlerThreads
-	}
-	if o.HandlerQueueDepth <= 0 {
-		o.HandlerQueueDepth = d.HandlerQueueDepth
 	}
 	if o.WALFlushInterval <= 0 {
 		o.WALFlushInterval = d.WALFlushInterval
@@ -298,9 +273,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ScanPageBytes <= 0 {
 		o.ScanPageBytes = d.ScanPageBytes
-	}
-	if o.ScanIdleTimeout == 0 {
-		o.ScanIdleTimeout = d.ScanIdleTimeout
 	}
 	if o.ScrubInterval == 0 {
 		o.ScrubInterval = d.ScrubInterval

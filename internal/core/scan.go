@@ -104,20 +104,16 @@ func (r *scanRegistry) closeAll() {
 	}
 }
 
-// expireScans reaps remote scans idle past ScanIdleTimeout, releasing their
+// expireScans reaps remote scans idle past scanIdleTimeout, releasing their
 // pinned snapshots; the prober's tick drives it. Every stream a caller opened
 // ends with a close — completed ones included — so the sweep only ever finds
 // scans whose consumer died mid-scan or whose fire-and-forget close was lost;
 // each costs at most one timeout's worth of pinned files and retained page.
 func (db *DB) expireScans() {
-	timeout := db.opt.ScanIdleTimeout
-	if timeout <= 0 {
-		return
-	}
 	now := time.Now()
 	for k, s := range db.scans.snapshot() {
 		s.mu.Lock()
-		expired := now.Sub(s.lastUsed) > timeout
+		expired := now.Sub(s.lastUsed) > scanIdleTimeout
 		if expired {
 			s.closeLocked()
 		}
@@ -374,7 +370,7 @@ func (s *scanStream) abort() {
 // ctx bounds the whole call: cancellation or deadline expiry aborts the
 // merge between pairs, releases the local snapshot, and sends best-effort
 // closes for the remote continuations (owners reap lost ones after
-// ScanIdleTimeout).
+// scanIdleTimeout).
 func (db *DB) Scan(ctx context.Context, lo, hi []byte, fn func(key, value []byte) error) error {
 	if fn == nil {
 		return fmt.Errorf("%w: nil scan callback", ErrInvalidArgument)

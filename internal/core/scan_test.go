@@ -352,7 +352,7 @@ func TestScanCtxCancelReleasesPins(t *testing.T) {
 
 // TestCompactDoesNotWaitForParkedScan: a remote scan parked at its owner
 // between pages pins the owner's read view for as long as its consumer
-// dawdles, up to ScanIdleTimeout. Compacting away every table it reads must
+// dawdles, up to scanIdleTimeout. Compacting away every table it reads must
 // not wait for it: the compaction returns at once, the consumer then drains
 // the scan's snapshot — pre-compaction values, no error — and the inputs'
 // files go when the stream ends.
@@ -543,7 +543,7 @@ func TestIteratorOpenAcrossClose(t *testing.T) {
 
 // waitScansDrained polls until this rank's scan registry is empty and no
 // iterator is open. Closes are fire-and-forget, so the drain is prompt but
-// not synchronous; the bound is far below ScanIdleTimeout, so a registry
+// not synchronous; the bound is far below scanIdleTimeout, so a registry
 // that only the idle sweep would empty fails here.
 func waitScansDrained(t *testing.T, db *DB) {
 	t.Helper()
@@ -569,7 +569,7 @@ func waitScansDrained(t *testing.T, db *DB) {
 // completed scan's registry entry and last page only so a retried final-page
 // request can be replayed; the caller's close — sent for completed streams
 // too — deletes them. Left to the idle sweep instead, a scan-heavy workload
-// holds ScanIdleTimeout's worth of dead entries and retained pages.
+// holds scanIdleTimeout's worth of dead entries and retained pages.
 func TestScanCompletedStreamsDrainRegistry(t *testing.T) {
 	const scans = 25
 	runCluster(t, clusterSpec{ranks: 2}, func(rt *Runtime, c *mpi.Comm) error {

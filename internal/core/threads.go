@@ -199,7 +199,7 @@ func (db *DB) migrateOne(table *memtable.Table) {
 
 // handlerThread is the paper's message handler, grown into a worker pool:
 // a receive dispatcher drains the private request communicator and hands
-// each request to one of Options.HandlerThreads workers, until the shutdown
+// each request to one of handlerThreads workers, until the shutdown
 // message (sent by this rank's own Close) arrives. The handlers stay alive
 // after this rank's domain fails — they answer requests with error
 // responses so remote callers get a clean root-cause error instead of a
@@ -217,12 +217,7 @@ func (db *DB) migrateOne(table *memtable.Table) {
 // whole rank.
 func (db *DB) handlerThread() {
 	defer db.wg.Done()
-	n := db.opt.HandlerThreads
-	// Options.HandlerQueueDepth bounds each worker's request queue. The
-	// receive dispatcher blocks when a queue fills, which back-pressures
-	// through the request communicator exactly like the single-threaded
-	// handler did.
-	depth := db.opt.HandlerQueueDepth
+	n, depth := handlerThreads, handlerQueueDepth
 	writeQ := make([]chan mpi.Message, n)
 	getQ := make(chan mpi.Message, n*depth)
 	var workers sync.WaitGroup

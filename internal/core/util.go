@@ -50,80 +50,74 @@ func (c *counter) value() int {
 
 // Metrics are cumulative per-rank, per-database operation counters; tests
 // and the experiment harness use them to assert which data path served each
-// operation (the arrows of Figures 2 and 3).
+// operation (the arrows of Figures 2 and 3). A counter's metric tag is its
+// Snapshot key.
 type Metrics struct {
-	PutsLocal              atomic.Uint64 // puts whose owner is the caller
-	PutsRemote             atomic.Uint64 // staged remote puts (relaxed mode)
-	PutsSync               atomic.Uint64 // synchronous remote puts (sequential mode)
-	GetsLocal              atomic.Uint64 // gets served by the local path
-	GetsRemote             atomic.Uint64 // gets that queried a remote owner
-	LocalCacheHits         atomic.Uint64
-	RemoteCacheHits        atomic.Uint64
-	MemTableHits           atomic.Uint64 // local/immutable MemTable hits
-	SSTableHits            atomic.Uint64 // values read out of own SSTables
-	SharedSSTReads         atomic.Uint64 // values read from a peer's SSTables via the storage group
-	SSTableProbes          atomic.Uint64 // SSTable reader probes issued by gets (read amplification)
-	Flushes                atomic.Uint64 // immutable local MemTables flushed
-	Compactions            atomic.Uint64 // SSTable merges performed
-	CompactionsDeferred    atomic.Uint64 // compaction triggers deferred under a held checkpoint pin
-	CompactionBytesWritten atomic.Uint64 // bytes written by compaction outputs (write amplification)
-	Migrations             atomic.Uint64 // migration batches sent
-	MigratedPairs          atomic.Uint64 // key-value pairs migrated out
-	MigrationRetries       atomic.Uint64 // migration batch attempts beyond the first
-	PutSyncRetries         atomic.Uint64 // synchronous-put attempts beyond the first
-	GetRetries             atomic.Uint64 // remote-get attempts beyond the first
-	DupsDropped            atomic.Uint64 // duplicate requests dropped by the dedup window
-	RepliesUnclaimed       atomic.Uint64 // stale/duplicate replies dropped by the response router
-	BadRequests            atomic.Uint64 // malformed request frames from peers, dropped or nacked
+	PutsLocal              atomic.Uint64 `metric:"puts_local"`  // puts whose owner is the caller
+	PutsRemote             atomic.Uint64 `metric:"puts_remote"` // staged remote puts (relaxed mode)
+	PutsSync               atomic.Uint64 `metric:"puts_sync"`   // synchronous remote puts (sequential mode)
+	GetsLocal              atomic.Uint64 `metric:"gets_local"`  // gets served by the local path
+	GetsRemote             atomic.Uint64 `metric:"gets_remote"` // gets that queried a remote owner
+	LocalCacheHits         atomic.Uint64 `metric:"local_cache_hits"`
+	RemoteCacheHits        atomic.Uint64 `metric:"remote_cache_hits"`
+	MemTableHits           atomic.Uint64 `metric:"memtable_hits"`            // local/immutable MemTable hits
+	SSTableHits            atomic.Uint64 `metric:"sstable_hits"`             // values read out of own SSTables
+	SharedSSTReads         atomic.Uint64 `metric:"shared_sst_reads"`         // values read from a peer's SSTables via the storage group
+	SSTableProbes          atomic.Uint64 `metric:"sstable_probes"`           // SSTable reader probes issued by gets (read amplification)
+	Flushes                atomic.Uint64 `metric:"flushes"`                  // immutable local MemTables flushed
+	Compactions            atomic.Uint64 `metric:"compactions"`              // SSTable merges performed
+	CompactionsDeferred    atomic.Uint64 `metric:"compactions_deferred"`     // compaction triggers deferred under a held checkpoint pin
+	CompactionBytesWritten atomic.Uint64 `metric:"compaction_bytes_written"` // bytes written by compaction outputs (write amplification)
+	Migrations             atomic.Uint64 `metric:"migrations"`               // migration batches sent
+	MigratedPairs          atomic.Uint64 `metric:"migrated_pairs"`           // key-value pairs migrated out
+	MigrationRetries       atomic.Uint64 `metric:"migration_retries"`        // migration batch attempts beyond the first
+	PutSyncRetries         atomic.Uint64 `metric:"put_sync_retries"`         // synchronous-put attempts beyond the first
+	GetRetries             atomic.Uint64 `metric:"get_retries"`              // remote-get attempts beyond the first
+	DupsDropped            atomic.Uint64 `metric:"dups_dropped"`             // duplicate requests dropped by the dedup window
+	RepliesUnclaimed       atomic.Uint64 `metric:"replies_unclaimed"`        // stale/duplicate replies dropped by the response router
+	BadRequests            atomic.Uint64 `metric:"bad_requests"`             // malformed request frames from peers, dropped or nacked
 
-	Recoveries          atomic.Uint64 // successful in-run Recover calls on this rank
-	Reclaims            atomic.Uint64 // Degraded→Healthy transitions (reclaim probe or Reclaim call)
-	DegradedTransitions atomic.Uint64 // Healthy→Degraded transitions
-	Degraded            atomic.Uint64 // gauge: 1 while the rank is Degraded (read-only)
-	Stalls              atomic.Uint64 // puts that entered the admission-control stall loop
-	StallNanos          atomic.Uint64 // total nanoseconds puts spent stalled
-	PutsShed            atomic.Uint64 // puts refused with ErrWriteStalled
-	ProbesSent          atomic.Uint64 // half-open circuit probes sent
-	CircuitsOpened      atomic.Uint64 // peer circuit breakers tripped open
-	CircuitsClosed      atomic.Uint64 // peer circuit breakers closed by a healthy probe answer
-	ParkedBatches       atomic.Uint64 // migration batches parked for an unreachable peer
-	RedeliveredBatches  atomic.Uint64 // parked batches delivered after the peer recovered
-	ParkOverflows       atomic.Uint64 // batches degraded to loss by the parked-bytes budget
-	PairsLost           atomic.Uint64 // pairs definitively lost on the way to their owner
-	QuarantinedTables   atomic.Uint64 // unlisted SSTables moved aside at open/recover, never adopted
+	Recoveries          atomic.Uint64 `metric:"recoveries"`           // successful in-run Recover calls on this rank
+	Reclaims            atomic.Uint64 `metric:"reclaims"`             // Degraded→Healthy transitions (reclaim probe or Reclaim call)
+	DegradedTransitions atomic.Uint64 `metric:"degraded_transitions"` // Healthy→Degraded transitions
+	Degraded            atomic.Uint64 `metric:"degraded"`             // gauge: 1 while the rank is Degraded (read-only)
+	Stalls              atomic.Uint64 `metric:"stalls"`               // puts that entered the admission-control stall loop
+	StallNanos          atomic.Uint64 `metric:"stall_ns_total"`       // total nanoseconds puts spent stalled
+	PutsShed            atomic.Uint64 `metric:"puts_shed"`            // puts refused with ErrWriteStalled
+	ProbesSent          atomic.Uint64 `metric:"probes_sent"`          // half-open circuit probes sent
+	CircuitsOpened      atomic.Uint64 `metric:"circuits_opened"`      // peer circuit breakers tripped open
+	CircuitsClosed      atomic.Uint64 `metric:"circuits_closed"`      // peer circuit breakers closed by a healthy probe answer
+	ParkedBatches       atomic.Uint64 `metric:"parked_batches"`       // migration batches parked for an unreachable peer
+	RedeliveredBatches  atomic.Uint64 `metric:"redelivered_batches"`  // parked batches delivered after the peer recovered
+	ParkOverflows       atomic.Uint64 `metric:"park_overflows"`       // batches degraded to loss by the parked-bytes budget
+	PairsLost           atomic.Uint64 `metric:"pairs_lost"`           // pairs definitively lost on the way to their owner
+	QuarantinedTables   atomic.Uint64 `metric:"quarantined_tables"`   // unlisted SSTables moved aside at open/recover, never adopted
 
-	Scans               atomic.Uint64 // DB.Scan calls started
-	ScanPairs           atomic.Uint64 // pairs delivered to Scan callbacks on this rank
-	ScanPages           atomic.Uint64 // owner-side scan pages served to remote callers
-	ScanRetries         atomic.Uint64 // scan page attempts beyond the first
-	ScansExpired        atomic.Uint64 // owner-side remote scans reaped by the idle sweep
-	IteratorsOpen       atomic.Uint64 // gauge: per-rank merge iterators currently open (snapshots pinned)
-	ScanUnlinksDeferred atomic.Uint64 // doomed tables (compacted away or quarantined) whose files waited for a pinned view to retire
+	Scans               atomic.Uint64 `metric:"scans"`                 // DB.Scan calls started
+	ScanPairs           atomic.Uint64 `metric:"scan_pairs"`            // pairs delivered to Scan callbacks on this rank
+	ScanPages           atomic.Uint64 `metric:"scan_pages"`            // owner-side scan pages served to remote callers
+	ScanRetries         atomic.Uint64 `metric:"scan_retries"`          // scan page attempts beyond the first
+	ScansExpired        atomic.Uint64 `metric:"scans_expired"`         // owner-side remote scans reaped by the idle sweep
+	IteratorsOpen       atomic.Uint64 `metric:"iterators_open"`        // gauge: per-rank merge iterators currently open (snapshots pinned)
+	ScanUnlinksDeferred atomic.Uint64 `metric:"scan_unlinks_deferred"` // doomed tables (compacted away or quarantined) whose files waited for a pinned view to retire
 
 	// lostMu guards the per-owner breakdown behind PairsLost; tests use it
 	// to pin exactly whose pairs a degradation cost.
 	lostMu     sync.Mutex
 	lostByPeer map[int]uint64
 
-	// WAL holds the write-ahead-log counters (records/bytes appended,
-	// fsyncs, group commits, recovery totals), incremented by the wal
-	// package and flattened into Snapshot with a wal_ prefix.
-	WAL stats.WAL
-
-	// Manifest holds the table-lifecycle log's counters (edits, rotations,
-	// truncated tails), incremented by the manifest package and flattened
-	// into Snapshot with a manifest_ prefix.
+	// WAL, Manifest and Scrub hold the write-ahead log's (records/bytes
+	// appended, fsyncs, group commits, recovery totals), the table-lifecycle
+	// manifest's (edits, rotations, truncated tails) and the integrity
+	// scrubber's (tables verified, bytes read, corruptions, repairs)
+	// counters, incremented by those layers.
+	WAL      stats.WAL
 	Manifest stats.Manifest
+	Scrub    stats.Scrub
 
-	// Scrub holds the background integrity scrubber's counters (tables
-	// verified, bytes read, corruptions, repairs), flattened into Snapshot
-	// under their scrub metric names.
-	Scrub stats.Scrub
-
-	// Readers points at the SSTable reader-cache counters, flattened into
-	// Snapshot with a reader_cache_ prefix. The cache — and therefore
-	// these counters — is per NVM device, shared by every rank of a
-	// storage group, not per-rank like the counters above.
+	// Readers points at the SSTable reader-cache counters. The cache — and
+	// therefore these counters — is per NVM device, shared by every rank of
+	// a storage group, not per-rank like the counters above.
 	Readers *stats.ReaderCache
 }
 
@@ -150,78 +144,16 @@ func (m *Metrics) PairsLostByPeer() map[int]uint64 {
 	return out
 }
 
-// Snapshot returns a plain-values copy for reporting, the WAL counters
-// included under their wal_ keys (and the per-rank loss breakdown under
-// pairs_lost_rank_ keys).
+// Snapshot returns a plain-values copy for reporting: every counter under
+// its metric tag — the WAL, manifest, scrub and (once set) reader-cache
+// counters included — and the per-rank loss breakdown under
+// pairs_lost_rank_ keys.
 func (m *Metrics) Snapshot() map[string]uint64 {
-	snap := map[string]uint64{
-		"puts_local":               m.PutsLocal.Load(),
-		"puts_remote":              m.PutsRemote.Load(),
-		"puts_sync":                m.PutsSync.Load(),
-		"gets_local":               m.GetsLocal.Load(),
-		"gets_remote":              m.GetsRemote.Load(),
-		"local_cache_hits":         m.LocalCacheHits.Load(),
-		"remote_cache_hits":        m.RemoteCacheHits.Load(),
-		"memtable_hits":            m.MemTableHits.Load(),
-		"sstable_hits":             m.SSTableHits.Load(),
-		"shared_sst_reads":         m.SharedSSTReads.Load(),
-		"sstable_probes":           m.SSTableProbes.Load(),
-		"flushes":                  m.Flushes.Load(),
-		"compactions":              m.Compactions.Load(),
-		"compactions_deferred":     m.CompactionsDeferred.Load(),
-		"compaction_bytes_written": m.CompactionBytesWritten.Load(),
-		"migrations":               m.Migrations.Load(),
-		"migrated_pairs":           m.MigratedPairs.Load(),
-		"migration_retries":        m.MigrationRetries.Load(),
-		"put_sync_retries":         m.PutSyncRetries.Load(),
-		"get_retries":              m.GetRetries.Load(),
-		"dups_dropped":             m.DupsDropped.Load(),
-		"replies_unclaimed":        m.RepliesUnclaimed.Load(),
-		"bad_requests":             m.BadRequests.Load(),
-
-		"recoveries":           m.Recoveries.Load(),
-		"reclaims":             m.Reclaims.Load(),
-		"degraded_transitions": m.DegradedTransitions.Load(),
-		"degraded":             m.Degraded.Load(),
-		"stalls":               m.Stalls.Load(),
-		"stall_ns_total":       m.StallNanos.Load(),
-		"puts_shed":            m.PutsShed.Load(),
-
-		"probes_sent":         m.ProbesSent.Load(),
-		"circuits_opened":     m.CircuitsOpened.Load(),
-		"circuits_closed":     m.CircuitsClosed.Load(),
-		"parked_batches":      m.ParkedBatches.Load(),
-		"redelivered_batches": m.RedeliveredBatches.Load(),
-		"park_overflows":      m.ParkOverflows.Load(),
-		"pairs_lost":          m.PairsLost.Load(),
-		"quarantined_tables":  m.QuarantinedTables.Load(),
-
-		"scans":                 m.Scans.Load(),
-		"scan_pairs":            m.ScanPairs.Load(),
-		"scan_pages":            m.ScanPages.Load(),
-		"scan_retries":          m.ScanRetries.Load(),
-		"scans_expired":         m.ScansExpired.Load(),
-		"iterators_open":        m.IteratorsOpen.Load(),
-		"scan_unlinks_deferred": m.ScanUnlinksDeferred.Load(),
-	}
+	snap := stats.Flatten(m)
 	m.lostMu.Lock()
 	for r, n := range m.lostByPeer {
 		snap[fmt.Sprintf("pairs_lost_rank_%d", r)] = n
 	}
 	m.lostMu.Unlock()
-	for k, v := range m.WAL.Snapshot() {
-		snap[k] = v
-	}
-	for k, v := range m.Manifest.Snapshot() {
-		snap[k] = v
-	}
-	for k, v := range m.Scrub.Snapshot() {
-		snap[k] = v
-	}
-	if m.Readers != nil {
-		for k, v := range m.Readers.Snapshot() {
-			snap[k] = v
-		}
-	}
 	return snap
 }

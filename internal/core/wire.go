@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-
-	"papyruskv/internal/memtable"
 )
 
 // Message tags on the database's private request/response communicators.
@@ -14,7 +12,7 @@ const (
 	tagMigBatch = 1
 	tagMigAck   = 2
 	// tagPutOne carries a single synchronous put/delete (sequential
-	// mode); acked with tagPutAck.
+	// mode) as a one-entry batch; acked with tagPutAck.
 	tagPutOne = 3
 	tagPutAck = 4
 	// tagGet carries a remote get request; answered with tagGetResp.
@@ -234,26 +232,3 @@ func decodeScanRequest(data []byte) (scanRequest, error) {
 // the stream exhausted, after which the owner has already released the
 // scan's pins. scanPageHeader is where the payload starts in the frame.
 const scanPageHeader = replyHeader + 1
-
-// putOne is the sequential-mode single-operation wire format.
-type putOne struct {
-	Key       []byte
-	Value     []byte
-	Tombstone bool
-}
-
-func encodePutOne(p putOne) []byte {
-	return memtable.EncodeEntries([]memtable.Entry{{Key: p.Key, Value: p.Value, Tombstone: p.Tombstone}})
-}
-
-func decodePutOne(data []byte) (putOne, error) {
-	entries, err := memtable.DecodeEntries(data)
-	if err != nil {
-		return putOne{}, err
-	}
-	if len(entries) != 1 {
-		return putOne{}, fmt.Errorf("core: putOne with %d entries", len(entries))
-	}
-	e := entries[0]
-	return putOne{Key: e.Key, Value: e.Value, Tombstone: e.Tombstone}, nil
-}

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"papyruskv/internal/stats"
 )
 
 func TestGetRequestRoundTrip(t *testing.T) {
@@ -142,33 +146,6 @@ func TestGetResponseDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestPutOneRoundTrip(t *testing.T) {
-	f := func(key, value []byte, tomb bool) bool {
-		in := putOne{Key: key, Value: value, Tombstone: tomb}
-		out, err := decodePutOne(encodePutOne(in))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(out.Key, in.Key) && bytes.Equal(out.Value, in.Value) && out.Tombstone == in.Tombstone
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPutOneDecodeErrors(t *testing.T) {
-	if _, err := decodePutOne(nil); err == nil {
-		t.Fatal("nil decoded")
-	}
-	// A batch of 2 entries is not a valid putOne.
-	two := append([]byte{2, 0, 0, 0},
-		1, 0, 0, 0, 0, 0, 0, 0, 0, 'a',
-		1, 0, 0, 0, 0, 0, 0, 0, 0, 'b')
-	if _, err := decodePutOne(two); err == nil {
-		t.Fatal("two-entry batch decoded as putOne")
-	}
-}
-
 func TestCounterWait(t *testing.T) {
 	c := newCounter()
 	c.add(2)
@@ -232,11 +209,40 @@ func TestMetricsSnapshotComplete(t *testing.T) {
 	if snap["wal_records_appended"] != 11 {
 		t.Fatalf("snapshot is missing the WAL counters: %v", snap)
 	}
-	if len(snap) != 62 {
-		t.Fatalf("snapshot has %d fields; update Snapshot when adding metrics", len(snap))
+	// The exact key set: 45 core counters, 7 wal_, 5 manifest_ and 5
+	// scrub. bench/ reads its per-layer figures by these names.
+	want := []string{
+		"bad_requests", "circuits_closed", "circuits_opened",
+		"compaction_bytes_written", "compactions", "compactions_deferred",
+		"degraded", "degraded_transitions", "dups_dropped", "flushes", "get_retries",
+		"gets_local", "gets_remote", "iterators_open", "local_cache_hits",
+		"manifest_edits", "manifest_edits_recovered", "manifest_rotate_errors",
+		"manifest_rotations", "manifest_tails_truncated", "memtable_hits",
+		"migrated_pairs", "migration_retries", "migrations", "pairs_lost",
+		"park_overflows", "parked_batches", "probes_sent", "put_sync_retries",
+		"puts_local", "puts_remote", "puts_shed", "puts_sync", "quarantined_tables",
+		"reclaims", "recoveries", "redelivered_batches", "remote_cache_hits",
+		"repair_failures", "repairs", "replies_unclaimed", "scan_pages",
+		"scan_pairs", "scan_retries", "scan_unlinks_deferred", "scans",
+		"scans_expired", "scrub_bytes", "scrub_corruptions", "shared_sst_reads",
+		"sstable_hits", "sstable_probes", "stall_ns_total", "stalls",
+		"tables_scrubbed", "wal_bytes_appended", "wal_fsyncs", "wal_group_commits",
+		"wal_records_appended", "wal_records_recovered", "wal_segments_recovered",
+		"wal_segments_truncated",
 	}
-	if _, ok := snap["pairs_lost"]; !ok {
-		t.Fatalf("snapshot is missing the recovery counters: %v", snap)
+	if got := slices.Sorted(maps.Keys(snap)); !slices.Equal(got, want) {
+		t.Fatalf("snapshot keys = %q\nwant %q", got, want)
+	}
+	// An open database points Readers at its device's reader-cache
+	// counters, which add their four keys.
+	m.Readers = &stats.ReaderCache{}
+	m.Readers.NegHits.Add(2)
+	snap = m.Snapshot()
+	want = append(want, "reader_cache_evictions", "reader_cache_hits",
+		"reader_cache_misses", "reader_cache_neg_hits")
+	slices.Sort(want)
+	if got := slices.Sorted(maps.Keys(snap)); !slices.Equal(got, want) || snap["reader_cache_neg_hits"] != 2 {
+		t.Fatalf("snapshot with reader-cache counters = %v", snap)
 	}
 	// The per-rank loss breakdown appears only for owners that lost pairs.
 	m.addPairsLost(3, 5)

@@ -3,6 +3,12 @@
 // minimum, and maximum of total execution times for all MPI ranks"; Agg
 // reproduces that, and the throughput helpers convert to the paper's KRPS
 // (kilo-requests per second) and MBPS (megabytes per second) metrics.
+//
+// It also holds the counter structs the storage layers share (WAL,
+// Manifest, Scrub, ReaderCache). A counter is defined once, as an
+// atomic.Uint64 field whose `metric` tag is its reporting name; Flatten
+// turns any struct of such fields into the name→value map core's
+// Metrics.Snapshot returns.
 package stats
 
 import (
