@@ -21,10 +21,13 @@ test:
 	$(GO) test ./...
 
 # The second line races the WAL's buffer swap against its writes, commits
-# and rotations twenty times over: its interleavings differ run to run.
+# and rotations twenty times over; the third races a checkpoint copy and a
+# get against compaction's table churn ten times over. Their interleavings
+# differ run to run.
 race:
 	$(GO) test -race -count=1 -timeout 600s $(RACE_PKGS) $(RACE_CORE)
 	$(GO) test -race -count=20 -run 'Commit|Append|Rotate' ./internal/wal
+	$(GO) test -race -count=10 -run 'TestCompactionRunsDuringCheckpointCopy|TestCheckpointPinReleasedBeforeWaitReturns|TestGetRacesTableChurn' ./internal/core
 
 # The seeded soaks by name, for local use; `race` (and so `ci`) already runs
 # each of them as part of the whole core package.

@@ -12,14 +12,12 @@ package core
 //     (LevelBytesBase × LevelBytesGrowth^(n-1)); the highest score ≥ 1
 //     wins. An L0 job merges all of L0 plus the overlapping L1 range; an
 //     Ln job merges one victim table plus its overlapping next-level range.
-//   - Picking is decoupled from flush cadence: flushes (and releases of
-//     the checkpoint pin) kick the compaction workers, which loop until no
-//     level scores ≥ 1. A trigger arriving while a checkpoint holds its
-//     pin is recorded and re-fired when the pin releases — the fix for the
-//     trigger-starvation bug where a due compaction under a held pin was
-//     skipped and never rescheduled.
+//   - Picking is decoupled from flush cadence: flushes and finished jobs
+//     kick the compaction workers, which loop until no level scores ≥ 1.
+//     Nothing suspends them: a checkpoint copies a pinned read view, so an
+//     input it is still reading keeps its files until the copy unpins.
 //   - Jobs on disjoint table sets run on compactionWorkers workers
-//     in parallel. Inputs are claimed under compactMu at pick time; any
+//     in parallel. Inputs are claimed under sstMu at pick time; any
 //     two jobs whose output ranges could overlap necessarily share a
 //     claimed table (each job's input hull is fully covered by its own
 //     inputs), so conflicts always surface as claim collisions, never as
@@ -128,17 +126,6 @@ func (db *DB) kickCompact() {
 	}
 }
 
-// releaseCheckpointPin drops one checkpoint pin and re-fires any compaction
-// trigger that arrived while the pin was held. The Swap pairs with
-// runCompactions' deferral: whichever side runs second sees the other's
-// state, so a due compaction is never silently dropped.
-func (db *DB) releaseCheckpointPin() {
-	db.checkpointPin.done()
-	if db.compactPending.Swap(false) {
-		db.kickCompact()
-	}
-}
-
 // compactorThread is one compaction worker: it waits for a kick and runs
 // picked jobs until no level scores over its threshold. Workers exit when
 // Close begins teardown (the flush Barrier has already drained everything
@@ -158,19 +145,26 @@ func (db *DB) compactorThread() {
 // compact runs compactions synchronously until no further job is picked
 // and none is in flight, forcing a merge of L0 (plus its L1 overlap) even
 // below the score threshold. Tests and the pre-leveled callers use it as
-// the "merge everything down" lever; like the background workers it defers
-// under a held checkpoint pin.
+// the "merge everything down" lever.
 func (db *DB) compact() {
 	for {
 		db.runCompactions(true)
-		if db.pendingCompact.value() == 0 {
+		// A background job's claims may be what made this pass's pick come
+		// up empty. Wait until none is held — the release can unblock a due
+		// job the forced pass was meant to run — then sweep again.
+		claimed := false
+		db.await(func() bool {
+			db.sstMu.RLock()
+			defer db.sstMu.RUnlock()
+			if len(db.compactBusy) > 0 { // every running job claims its inputs
+				claimed = true
+				return false
+			}
+			return true
+		})
+		if !claimed {
 			return
 		}
-		// A background job is mid-merge, and its claims (compactL0Busy, the
-		// per-table busy set) may be what made this pass's pick come up
-		// empty. Wait it out — the release can unblock a due job the forced
-		// pass was meant to run — then sweep again.
-		db.pendingCompact.wait()
 	}
 }
 
@@ -182,37 +176,13 @@ func (db *DB) runCompactions(force bool) {
 		if db.readHealth() != nil {
 			return
 		}
-		// Register as in-flight BEFORE the pin check. Checkpoint pins first
-		// and then waits out pendingCompact, so a job invisible to both
-		// sides is impossible: if the checkpoint's wait observed zero, this
-		// add happened after its pin landed and the check below defers.
-		db.pendingCompact.add(1)
-		if db.checkpointPin.value() != 0 {
-			// A checkpoint is copying its snapshot: record the trigger and
-			// stand down. The double-check below closes the race with
-			// releaseCheckpointPin — if the pin dropped between our check
-			// and the Store, one side's Swap wins the pending flag and
-			// exactly one re-fire happens.
-			db.pendingCompact.done()
-			db.compactPending.Store(true)
-			if db.checkpointPin.value() != 0 {
-				db.metrics.CompactionsDeferred.Add(1)
-				return
-			}
-			if !db.compactPending.Swap(false) {
-				return // releaseCheckpointPin claimed it; its kick re-runs us
-			}
-			continue
-		}
 		job := db.pickCompaction(force)
 		if job == nil {
-			db.pendingCompact.done()
 			return
 		}
 		// Another worker may be able to pick a disjoint job concurrently.
 		db.kickCompact()
 		db.runJob(job)
-		db.pendingCompact.done()
 	}
 }
 
@@ -222,8 +192,6 @@ func (db *DB) runCompactions(force bool) {
 func (db *DB) pickCompaction(force bool) *compactionJob {
 	db.sstMu.Lock()
 	defer db.sstMu.Unlock()
-	db.compactMu.Lock()
-	defer db.compactMu.Unlock()
 
 	var best *compactionJob
 	var bestScore float64
@@ -286,8 +254,8 @@ func (db *DB) pickCompaction(force bool) *compactionJob {
 	if best == nil {
 		return nil
 	}
-	// Claim the tables and allocate the output SSID under the same locks
-	// that picked them, so no concurrent pick can double-claim and no flush
+	// Claim the tables and allocate the output SSID under the lock that
+	// picked them, so no concurrent pick can double-claim and no flush
 	// can slip an SSID between pick and allocation.
 	if best.level == 0 {
 		db.compactL0Busy = true
@@ -316,8 +284,8 @@ func (db *DB) pickCompaction(force bool) *compactionJob {
 }
 
 // victimJobLocked builds an Ln→Ln+1 job for level n: the largest unclaimed
-// table plus the next-level run overlapping it. Caller holds sstMu and
-// compactMu. Returns nil if every viable victim or its overlap is claimed.
+// table plus the next-level run overlapping it. Caller holds sstMu.
+// Returns nil if every viable victim or its overlap is claimed.
 func (db *DB) victimJobLocked(n int) *compactionJob {
 	var victims []manifest.TableMeta
 	for _, t := range db.levels[n] {
@@ -372,7 +340,7 @@ func overlapRun(run []manifest.TableMeta, lo, hi []byte) []manifest.TableMeta {
 }
 
 // anyClaimedLocked reports whether any table in the slice is already
-// claimed by a running job. Caller holds compactMu.
+// claimed by a running job. Caller holds sstMu.
 func (db *DB) anyClaimedLocked(ts []manifest.TableMeta) bool {
 	for _, t := range ts {
 		if db.compactBusy[t.SSID] {
@@ -382,10 +350,10 @@ func (db *DB) anyClaimedLocked(ts []manifest.TableMeta) bool {
 	return false
 }
 
-// releaseJob returns a job's claims and kicks the workers again: tables the
-// finished job was blocking may now form the next pick.
+// releaseJob returns a job's claims, wakes compact(), and kicks the workers
+// again: tables the finished job was blocking may now form the next pick.
 func (db *DB) releaseJob(job *compactionJob) {
-	db.compactMu.Lock()
+	db.sstMu.Lock()
 	if job.level == 0 {
 		db.compactL0Busy = false
 	}
@@ -395,7 +363,8 @@ func (db *DB) releaseJob(job *compactionJob) {
 	for _, t := range job.overlap {
 		delete(db.compactBusy, t.SSID)
 	}
-	db.compactMu.Unlock()
+	db.sstMu.Unlock()
+	db.wakeAll()
 	db.kickCompact()
 }
 

@@ -8,55 +8,68 @@ import (
 
 	"papyruskv/internal/faults"
 	"papyruskv/internal/mpi"
+	"papyruskv/internal/nvm"
 )
 
-// TestCompactStarvationUnderCheckpointPin pins the checkpoint counter (as a
-// long-running Checkpoint copy-out does), flushes well past several
-// compaction triggers, then releases the pin. The deferred trigger must
-// re-fire on release so the table count converges; the seed code skipped the
-// due compaction and never rescheduled it, accumulating unbounded tables.
-func TestCompactStarvationUnderCheckpointPin(t *testing.T) {
-	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+// TestCompactionRunsDuringCheckpointCopy: a checkpoint copies a pinned read
+// view, so compaction keeps running while the copy is slow. The PFS charges
+// 100ms per file open, so copying two tables takes most of a second; three
+// more flushes meanwhile bring L0 to CompactionEvery, and the merge must
+// finish before the checkpoint's event completes. The merged-away snapshot
+// tables keep their files until the copy unpins, so the snapshot restores
+// every key it held. The seed suspended compaction for the whole copy.
+func TestCompactionRunsDuringCheckpointCopy(t *testing.T) {
+	spec := clusterSpec{ranks: 1, pfsModel: nvm.PerfModel{OpenLatency: 100 * time.Millisecond, TimeScale: 1}}
+	runCluster(t, spec, func(rt *Runtime, c *mpi.Comm) error {
 		opt := smallOpt()
-		opt.CompactionEvery = 2
+		opt.CompactionEvery = 3
 		db, err := rt.Open("db", opt)
 		if err != nil {
 			return err
 		}
-		// Simulate a checkpoint holding its pin across the whole load phase.
-		db.checkpointPin.add(1)
-		for round := 0; round < 8; round++ {
-			for i := 0; i < 30; i++ {
-				k := fmt.Sprintf("key-%d-%03d", round, i)
-				if err := db.Put([]byte(k), bytes.Repeat([]byte("v"), 64)); err != nil {
-					return err
+		flushTable(t, db, "snap0", 10)
+		flushTable(t, db, "snap1", 10)
+		ev, err := db.Checkpoint("snap")
+		if err != nil {
+			return err
+		}
+		for _, tag := range []string{"post0", "post1", "post2"} {
+			flushTable(t, db, tag, 10)
+		}
+		for db.Metrics().Compactions.Load() == 0 {
+			if len(ev.done) > 0 {
+				return fmt.Errorf("no compaction ran while the checkpoint copied")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err := ev.Wait(); err != nil {
+			return err
+		}
+		if n := db.doomedTables.Load(); n != 0 {
+			return fmt.Errorf("%d compacted tables still wait for a view after the copy unpinned", n)
+		}
+		if err := db.Close(); err != nil {
+			return err
+		}
+
+		rdb, rev, err := rt.Restart("snap", "db", opt, false)
+		if err != nil {
+			return err
+		}
+		if err := rev.Wait(); err != nil {
+			return err
+		}
+		for _, tag := range []string{"snap0", "snap1"} {
+			for i := 0; i < 10; i++ {
+				if err := wantGet(rdb, fmt.Sprintf("%s-%03d", tag, i), fmt.Sprintf("%s-val-%03d", tag, i)); err != nil {
+					return fmt.Errorf("restored: %w", err)
 				}
 			}
-			if err := db.Barrier(LevelSSTable); err != nil {
-				return err
-			}
 		}
-		pinned := db.SSTableCount()
-		if pinned < int(opt.CompactionEvery)+1 {
-			return fmt.Errorf("workload too small: only %d tables flushed under pin", pinned)
+		if err := wantMissing(rdb, "post0-000"); err != nil {
+			return fmt.Errorf("a post-checkpoint flush reached the snapshot: %w", err)
 		}
-		// Release the pin: the recorded trigger must fire and drain the debt.
-		db.releaseCheckpointPin()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if n := db.SSTableCount(); n <= int(opt.CompactionEvery) {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("compaction starved: %d tables live after pin release (was %d under pin), want <= %d",
-					db.SSTableCount(), pinned, opt.CompactionEvery)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		if db.Metrics().Compactions.Load() == 0 {
-			return fmt.Errorf("no compaction ran after pin release")
-		}
-		return db.Close()
+		return rdb.Close()
 	})
 }
 

@@ -25,13 +25,12 @@ import (
 // concurrently with each other; that is MPI's own collective-ordering
 // contract, not a lock this layer could supply.
 //
-// Lock order for the seven mutexes declared below, outermost first. A
+// Lock order for the six mutexes declared below, outermost first. A
 // goroutine may take a lock only while holding locks listed above it:
 //
 //	recoverMu, scrubMu   each held across one whole Recover / scrub cycle;
 //	                     never both at once
 //	mu, sstMu            never held together
-//	compactMu            only under sstMu or alone
 //	scrubRepMu           leaf
 //	failMu               leaf, taken under any of the above (a WAL rotation
 //	                     degrades the rank under mu)
@@ -125,18 +124,11 @@ type DB struct {
 	doomedTables atomic.Int64
 
 	// compactKick wakes the compaction workers; the cap-1 channel coalesces
-	// any number of triggers into one pending kick. pendingCompact counts
-	// in-flight compaction jobs so Checkpoint can wait them out before
-	// snapshotting the live set. compactPending records a trigger deferred
-	// under a held checkpointPin, re-fired when the pin releases — the fix
-	// for the compaction-starvation bug. compactMu guards the busy sets:
-	// tables claimed as inputs by a job still running.
-	compactKick    chan struct{}
-	pendingCompact *counter
-	compactPending atomic.Bool
-	compactMu      sync.Mutex
-	compactBusy    map[uint64]bool
-	compactL0Busy  bool
+	// any number of triggers into one pending kick. The busy sets, guarded
+	// by sstMu, hold the tables claimed as inputs by a job still running.
+	compactKick   chan struct{}
+	compactBusy   map[uint64]bool
+	compactL0Busy bool
 
 	// scans is the owner-side registry of remote scans in progress: each
 	// holds a pinned iterator between page requests so a slow consumer
@@ -150,10 +142,9 @@ type DB struct {
 	// nil after a failed manifest open, which refuses further transitions.
 	man *manifest.Manifest
 
-	// checkpointPin suppresses compaction while a checkpoint is copying
-	// the snapshot's SSTables (updates never touch snapshotted SSTables,
-	// §4.2, but a merge would delete them).
-	checkpointPin *counter
+	// ckptCopies counts checkpoint copies in progress. Each copies a pinned
+	// read view, so compaction runs on; only the scrubber yields to it.
+	ckptCopies atomic.Int32
 
 	// Background integrity scrub (scrub.go). scrubMu serializes cycles
 	// (the ticker thread against explicit Scrub calls); scrubLim is the
@@ -237,29 +228,27 @@ func (rt *Runtime) Open(name string, opt Options) (*DB, error) {
 	}
 	opt = opt.withDefaults()
 	db := &DB{
-		rt:             rt,
-		name:           name,
-		opt:            opt,
-		reqComm:        rt.cfg.Comm.Dup(),
-		respComm:       rt.cfg.Comm.Dup(),
-		replyComm:      rt.cfg.Comm.Dup(),
-		ckptComm:       rt.cfg.Comm.Dup(),
-		closing:        make(chan struct{}),
-		routerDone:     make(chan struct{}),
-		inj:            rt.cfg.Faults,
-		localMT:        memtable.New(),
-		remoteMT:       memtable.New(),
-		consistency:    opt.Consistency,
-		protection:     opt.Protection,
-		localCache:     lru.New(opt.LocalCacheCapacity),
-		remoteCache:    lru.New(opt.RemoteCacheCapacity),
-		checkpointPin:  newCounter(),
-		pendingCompact: newCounter(),
-		compactKick:    make(chan struct{}, 1),
-		compactBusy:    make(map[uint64]bool),
-		readers:        sstable.CacheFor(rt.cfg.Device, readerCacheBytes),
-		nextSSID:       1,
-		scrubLim:       scrub.NewLimiter(opt.ScrubBytesPerSec),
+		rt:          rt,
+		name:        name,
+		opt:         opt,
+		reqComm:     rt.cfg.Comm.Dup(),
+		respComm:    rt.cfg.Comm.Dup(),
+		replyComm:   rt.cfg.Comm.Dup(),
+		ckptComm:    rt.cfg.Comm.Dup(),
+		closing:     make(chan struct{}),
+		routerDone:  make(chan struct{}),
+		inj:         rt.cfg.Faults,
+		localMT:     memtable.New(),
+		remoteMT:    memtable.New(),
+		consistency: opt.Consistency,
+		protection:  opt.Protection,
+		localCache:  lru.New(opt.LocalCacheCapacity),
+		remoteCache: lru.New(opt.RemoteCacheCapacity),
+		compactKick: make(chan struct{}, 1),
+		compactBusy: make(map[uint64]bool),
+		readers:     sstable.CacheFor(rt.cfg.Device, readerCacheBytes),
+		nextSSID:    1,
+		scrubLim:    scrub.NewLimiter(opt.ScrubBytesPerSec),
 	}
 	db.ownDir = db.dir(rt.rank)
 	db.publishLocked(nil) // empty until the manifest composes the version

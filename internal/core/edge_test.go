@@ -156,11 +156,11 @@ func TestEventWaitTwice(t *testing.T) {
 }
 
 // TestCheckpointPinReleasedBeforeWaitReturns: once Event.Wait returns, the
-// checkpoint pin is gone. The checkpoint goroutine used to complete the event
-// first and release the pin second, so a Scrub issued right after the wait
-// found the pin held and silently skipped its whole cycle, and a compaction
-// trigger in that window was deferred for no reason. The test spins on the
-// event's completion and reads the pin the instant it lands, a hundred
+// copy is over — its view unpinned and its copy count dropped. The
+// checkpoint goroutine used to complete the event first and release its pin
+// second, so a Scrub issued right after the wait found the copy still
+// running and silently skipped its whole cycle. The test spins on the
+// event's completion and reads the count the instant it lands, a hundred
 // checkpoints over, so the window is hit without the race detector's timing.
 func TestCheckpointPinReleasedBeforeWaitReturns(t *testing.T) {
 	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
@@ -177,12 +177,12 @@ func TestCheckpointPinReleasedBeforeWaitReturns(t *testing.T) {
 			for len(ev.done) == 0 {
 				runtime.Gosched()
 			}
-			pins := db.checkpointPin.value()
+			copies := db.ckptCopies.Load()
 			if err := ev.Wait(); err != nil {
 				return err
 			}
-			if pins != 0 {
-				t.Fatalf("checkpoint %d: checkpointPin = %d once the event completed, want 0", i, pins)
+			if copies != 0 {
+				t.Fatalf("checkpoint %d: %d copies running once the event completed, want 0", i, copies)
 			}
 		}
 		return db.Close()

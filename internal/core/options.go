@@ -153,7 +153,9 @@ type Options struct {
 	// drives its reclaim probe, so the interval also bounds how quickly a
 	// cleaned-up device is noticed. 0 selects the default (250ms); a
 	// negative value disables probing, so tripped circuits stay open and a
-	// degraded rank heals only through an explicit Reclaim call.
+	// degraded rank heals only through an explicit Reclaim call. The same
+	// thread reaps idle remote scans, at the default period when probing is
+	// disabled.
 	ProbeInterval time.Duration
 	// StallSoftDepth is the write admission control's stall threshold:
 	// when the count of immutable local (for local puts) or remote (for

@@ -82,8 +82,9 @@ type ckptReport struct {
 // snapshot is built by an internal Barrier(LevelSSTable), so all MemTables
 // land in SSTables on NVM; the file transfer to the PFS then runs
 // asynchronously — the returned Event completes when the whole snapshot is
-// committed. Updates issued meanwhile are safe: they never touch existing
-// SSTables, and compaction is pinned for the duration of the copy.
+// committed. Updates issued meanwhile are safe: the copy reads a pinned
+// read view, so a table compaction drops meanwhile keeps its files until
+// the copy unpins it, exactly as for an open iterator.
 //
 // Commit is two-phase: every rank transfers its files and reports the file
 // list (with sizes and CRC32C checksums) to rank 0, which writes the
@@ -98,30 +99,23 @@ func (db *DB) Checkpoint(path string) (*Event, error) {
 	if db.rt.cfg.PFS == nil {
 		return nil, fmt.Errorf("%w: no parallel file system configured", ErrInvalidArgument)
 	}
-	// Pin before the barrier: once other ranks pass their barrier they may
-	// put again, and an incoming migration could otherwise trigger a
-	// compaction that deletes snapshot files while they are being copied.
-	db.checkpointPin.add(1)
+	db.ckptCopies.Add(1)
 	rankErr := db.Barrier(LevelSSTable)
-	// Compaction now runs on its own workers, decoupled from the flush the
-	// barrier drained; wait out any job already in flight so the table list
-	// snapshotted below is stable for the whole copy. New triggers defer to
-	// the pin (and are re-fired by releaseCheckpointPin).
-	db.pendingCompact.wait()
-
-	db.sstMu.RLock()
+	// The view pinned here holds every table flushed by the barrier, or the
+	// compaction output that already replaced it.
+	v := db.pinView()
 	var snapshot []manifest.TableMeta
-	for _, lvl := range db.levels {
-		snapshot = append(snapshot, lvl...)
+	for t := range v.tables(nil, nil, false) {
+		snapshot = append(snapshot, t.TableMeta)
 	}
-	db.sstMu.RUnlock()
 
 	ev := newEvent()
 	go func() {
-		// Release the pin BEFORE completing the event: a Scrub or compaction
-		// trigger issued right after Wait returns must not still find it held.
+		// Unpin BEFORE completing the event: a Scrub issued right after Wait
+		// returns must not still find the copy running.
 		err := db.copyOut(path, snapshot, rankErr)
-		db.releaseCheckpointPin()
+		db.unpinView(v)
+		db.ckptCopies.Add(-1)
 		ev.complete(err)
 	}()
 	return ev, nil

@@ -150,14 +150,16 @@ func (db *DB) parkLocked(st *peerCircuit, owner int, b parkedBatch) {
 // reclaim probe while it is Degraded. A failed rank does neither — its
 // domain is down, and Recover restarts the duty by clearing the failure; a
 // Degraded rank keeps probing peers, because migrating out is exactly the
-// work that frees its space.
+// work that frees its space. With probing off (a negative ProbeInterval) the
+// thread still ticks at the default period, to reap idle remote scans.
 func (db *DB) proberThread() {
 	defer db.wg.Done()
-	if db.opt.ProbeInterval <= 0 {
-		<-db.closing
-		return
+	probing := db.opt.ProbeInterval > 0
+	interval := db.opt.ProbeInterval
+	if !probing {
+		interval = DefaultOptions().ProbeInterval
 	}
-	ticker := time.NewTicker(db.opt.ProbeInterval)
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -165,10 +167,11 @@ func (db *DB) proberThread() {
 			return
 		case <-ticker.C:
 			// Reap idle remote scans first, and regardless of this rank's
-			// health: an abandoned consumer's pinned snapshot must not
-			// outlive the timeout just because this rank failed meanwhile.
+			// health or probing: an abandoned consumer's pinned snapshot
+			// must not outlive the timeout just because this rank failed
+			// meanwhile, or probes are off.
 			db.expireScans()
-			if db.readHealth() != nil {
+			if !probing || db.readHealth() != nil {
 				continue
 			}
 			if db.State() == StateDegraded {

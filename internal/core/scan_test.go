@@ -609,6 +609,39 @@ func TestScanCompletedStreamsDrainRegistry(t *testing.T) {
 	})
 }
 
+// TestIdleScanReapedWithProbingOff: the idle-scan sweep runs on the prober's
+// tick, and turning probes off (ProbeInterval < 0) must not turn it off too.
+// The seed's prober returned at once without probing, so an abandoned remote
+// scan kept its pinned view — and every table that view dooms — until Close.
+func TestIdleScanReapedWithProbingOff(t *testing.T) {
+	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+		opt := smallOpt()
+		opt.ProbeInterval = -1
+		db, err := rt.Open("scanreap", opt)
+		if err != nil {
+			return err
+		}
+		mustPut(t, db, "k", "v")
+		it, err := db.NewIterator(nil, nil)
+		if err != nil {
+			return err
+		}
+		s := db.scans.getOrCreate(scanKey{source: 0, id: 1})
+		s.mu.Lock()
+		s.it, s.started = it, true
+		s.lastUsed = time.Now().Add(-2 * scanIdleTimeout)
+		s.mu.Unlock()
+		deadline := time.Now().Add(2 * time.Second)
+		for db.metrics.ScansExpired.Load() == 0 {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("an idle scan was not reaped within 2s with ProbeInterval < 0")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		return db.Close()
+	})
+}
+
 // TestScanReadsThroughViewHandles: iterators and gets share one way to read
 // a table — the read view's handles. Once a rank's tables are open, opening
 // an iterator over them — seek included — opens no file and counts as

@@ -40,10 +40,11 @@ import (
 //     verified and keeps serving reads).
 //
 // The scrubber defers to the foreground: a cycle runs only on a Healthy
-// rank, aborts while a checkpoint holds its pin (the copy reads the same
-// tables), and skips tables claimed by a running compaction. An open scan
-// is no reason to skip: a repair writes new inodes its open data files never
-// see, and a quarantined table's files move only once its last view retires.
+// rank, aborts while a checkpoint copies (a repair reads the checkpoint
+// generation that the copy's commit garbage-collects), and skips tables
+// claimed by a running compaction. An open scan is no reason to skip: a
+// repair writes new inodes its open data files never see, and a quarantined
+// table's files move only once its last view retires.
 
 // scrubThread runs one scrub cycle every ScrubInterval until Close.
 func (db *DB) scrubThread() {
@@ -73,8 +74,8 @@ func (db *DB) Scrub() error {
 	if db.State() != StateHealthy {
 		return nil
 	}
-	if db.checkpointPin.value() != 0 {
-		return nil // a checkpoint is reading the same tables; yield
+	if db.ckptCopies.Load() != 0 {
+		return nil // a checkpoint is copying; yield
 	}
 	if err := db.scrubTables(); err != nil {
 		return err
@@ -119,7 +120,7 @@ func (db *DB) scrubTables() error {
 			return nil
 		default:
 		}
-		if db.checkpointPin.value() != 0 {
+		if db.ckptCopies.Load() != 0 {
 			return nil // checkpoint started mid-cycle; finish next interval
 		}
 		if db.State() != StateHealthy {
@@ -166,8 +167,8 @@ func (db *DB) scrubTables() error {
 // scrubSkip reports whether table t must be left alone this cycle: claimed
 // as input by a running compaction, which is about to replace it anyway.
 func (db *DB) scrubSkip(t manifest.TableMeta) bool {
-	db.compactMu.Lock()
-	defer db.compactMu.Unlock()
+	db.sstMu.RLock()
+	defer db.sstMu.RUnlock()
 	return db.compactBusy[t.SSID] || (t.Level == 0 && db.compactL0Busy)
 }
 

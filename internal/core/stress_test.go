@@ -199,12 +199,11 @@ func TestRestartAfterSimulatedCrash(t *testing.T) {
 		// Crash: no Close, no Barrier. The runtime threads die with the
 		// world; recovery comes solely from the snapshot. A real crash
 		// kills the compaction workers too, but the harness cannot kill
-		// goroutines — freeze them the way a checkpoint does (a pin that
-		// never releases) and drain any in-flight job, so no leaked worker
-		// unlinks tables after the next run restores into these same
-		// directories.
-		db.checkpointPin.add(1)
-		db.pendingCompact.wait()
+		// goroutines — fail the rank, which stops every worker at its next
+		// pick, and drain any in-flight job, so no leaked worker unlinks
+		// tables after the next run restores into these same directories.
+		db.Fail(errors.New("simulated crash"))
+		db.compact()
 		return nil
 	})
 	// Job teardown trims the NVM scratch.

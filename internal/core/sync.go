@@ -91,10 +91,10 @@ func (db *DB) Barrier(level BarrierLevel) error {
 		db.mu.Unlock()
 	}
 	// "List empty AND thread idle", not just "list empty": flushOne unlists
-	// its table before it kicks compaction, and Checkpoint relies on that
-	// kick preceding this return. On a rank that cannot flush (or is
-	// closing) the wait is "thread idle" only, which is what lets a degraded
-	// rank's Barrier and Close terminate.
+	// its table before it kicks compaction, so only an idle thread has
+	// finished the whole flush. On a rank that cannot flush (or is closing)
+	// the wait is "thread idle" only, which is what lets a degraded rank's
+	// Barrier and Close terminate.
 	db.await(func() bool {
 		stuck := db.State() != StateHealthy || db.isClosing()
 		db.mu.Lock()

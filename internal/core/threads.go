@@ -104,9 +104,7 @@ func (db *DB) flushOne(table *memtable.Table) {
 
 	if due {
 		// Score-driven trigger, decoupled from the flush path: the workers
-		// pick and run the job (or record it as pending under a held
-		// checkpoint pin — see runCompactions), so a slow merge never
-		// stalls flushing and a pinned trigger is never lost.
+		// pick and run the job, so a slow merge never stalls flushing.
 		db.kickCompact()
 	}
 }

@@ -8,46 +8,6 @@ import (
 	"papyruskv/internal/stats"
 )
 
-// counter is a waitable pending-work counter: the runtime uses one for
-// in-flight compaction jobs and one for held checkpoint pins.
-type counter struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-}
-
-func newCounter() *counter {
-	c := &counter{}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-func (c *counter) add(delta int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.n += delta
-	if c.n <= 0 {
-		c.cond.Broadcast()
-	}
-}
-
-func (c *counter) done() { c.add(-1) }
-
-// wait blocks until the counter reaches zero.
-func (c *counter) wait() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.n > 0 {
-		c.cond.Wait()
-	}
-}
-
-func (c *counter) value() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
 // Metrics are cumulative per-rank, per-database operation counters; tests
 // and the experiment harness use them to assert which data path served each
 // operation (the arrows of Figures 2 and 3). A counter's metric tag is its
@@ -66,7 +26,6 @@ type Metrics struct {
 	SSTableProbes          atomic.Uint64 `metric:"sstable_probes"`           // SSTable reader probes issued by gets (read amplification)
 	Flushes                atomic.Uint64 `metric:"flushes"`                  // immutable local MemTables flushed
 	Compactions            atomic.Uint64 `metric:"compactions"`              // SSTable merges performed
-	CompactionsDeferred    atomic.Uint64 `metric:"compactions_deferred"`     // compaction triggers deferred under a held checkpoint pin
 	CompactionBytesWritten atomic.Uint64 `metric:"compaction_bytes_written"` // bytes written by compaction outputs (write amplification)
 	Migrations             atomic.Uint64 `metric:"migrations"`               // migration batches sent
 	MigratedPairs          atomic.Uint64 `metric:"migrated_pairs"`           // key-value pairs migrated out

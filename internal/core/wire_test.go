@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"maps"
 	"slices"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"papyruskv/internal/stats"
 )
@@ -146,57 +144,6 @@ func TestGetResponseDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestCounterWait(t *testing.T) {
-	c := newCounter()
-	c.add(2)
-	done := make(chan struct{})
-	go func() {
-		c.wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("wait returned with count 2")
-	case <-time.After(10 * time.Millisecond):
-	}
-	c.done()
-	select {
-	case <-done:
-		t.Fatal("wait returned with count 1")
-	case <-time.After(10 * time.Millisecond):
-	}
-	c.done()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("wait did not return at zero")
-	}
-	if c.value() != 0 {
-		t.Fatalf("value = %d", c.value())
-	}
-	c.wait() // at zero: returns immediately
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	c := newCounter()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				c.add(1)
-				c.done()
-			}
-		}()
-	}
-	wg.Wait()
-	c.wait()
-	if c.value() != 0 {
-		t.Fatalf("value = %d", c.value())
-	}
-}
-
 func TestMetricsSnapshotComplete(t *testing.T) {
 	var m Metrics
 	m.PutsLocal.Add(3)
@@ -209,11 +156,11 @@ func TestMetricsSnapshotComplete(t *testing.T) {
 	if snap["wal_records_appended"] != 11 {
 		t.Fatalf("snapshot is missing the WAL counters: %v", snap)
 	}
-	// The exact key set: 45 core counters, 7 wal_, 5 manifest_ and 5
+	// The exact key set: 44 core counters, 7 wal_, 5 manifest_ and 5
 	// scrub. bench/ reads its per-layer figures by these names.
 	want := []string{
 		"bad_requests", "circuits_closed", "circuits_opened",
-		"compaction_bytes_written", "compactions", "compactions_deferred",
+		"compaction_bytes_written", "compactions",
 		"degraded", "degraded_transitions", "dups_dropped", "flushes", "get_retries",
 		"gets_local", "gets_remote", "iterators_open", "local_cache_hits",
 		"manifest_edits", "manifest_edits_recovered", "manifest_rotate_errors",
