@@ -17,7 +17,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeGetRequest(getRequest{Seq: 1, Key: []byte("key"), Group: 2}))
 	f.Add(encodeScanRequest(scanRequest{Seq: 3, ScanID: 4, Op: scanOpOpen, MaxBytes: 256, Lo: []byte("a"), Hi: []byte("z")}))
-	f.Add(prependSeq(5, 1, memtable.EncodeEntries([]memtable.Entry{{Key: []byte("k"), Value: []byte("v")}})))
+	f.Add(seqFrame(5, 1, []memtable.Entry{{Key: []byte("k"), Value: []byte("v")}}))
 	f.Add(encodePing(6, 2))
 	f.Add(encodeReply(7, statusShare, encodeSSIDs([]uint64{1, 2})))
 	f.Add(encodeReply(8, statusRankFailed, []byte("papyruskv: rank failed: killed")))
@@ -45,10 +45,10 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("ping re-encodes differently")
 		}
 		if seq, inc, body, err := splitSeq(data); err == nil {
-			if !bytes.Equal(prependSeq(seq, inc, body), data) {
+			if !bytes.Equal(append(appendSeq(nil, seq, inc), body...), data) {
 				t.Fatalf("reliable request re-encodes differently")
 			}
-			if es, err := memtable.DecodeEntries(body); err == nil && !bytes.Equal(memtable.EncodeEntries(es), body) {
+			if es, err := memtable.DecodeEntries(body); err == nil && !bytes.Equal(seqFrame(seq, inc, es), data) {
 				t.Fatalf("entry batch of %d re-encodes differently", len(es))
 			}
 		}

@@ -21,8 +21,9 @@ package core
 //     files stay until the last view naming it — this one — retires.
 //
 // Each scanner reads only the blocks [lo, hi) can touch, once, into a pooled
-// window whose entries are valid until Close: Next, producePage and the
-// DB.Scan gather copy what they keep before the iterator closes.
+// window whose entries are valid through the scanner's following Next; the
+// merge's are valid until its next Next. Next, producePage and the DB.Scan
+// gather copy what they keep before they pull again.
 //
 // Flush between the MemTable capture and the view pin can only add a table
 // whose content the iterator already holds from the MemTable side — a
@@ -57,6 +58,7 @@ type Iterator struct {
 	db       *DB
 	m        *memtable.Merger
 	view     *readView         // pinned until release
+	hi       []byte            // the merge's upper bound, copied at open
 	scanners []sstable.Scanner // one per overlapping table, in one array
 	key, val []byte
 	err      error
@@ -79,22 +81,36 @@ func (db *DB) NewIterator(lo, hi []byte) (*Iterator, error) {
 	return db.newIterator(lo, hi, false)
 }
 
-// newIterator builds the merge. withStaging additionally includes the
-// remote-side staging tables (the mutable remote MemTable and the immutable
-// remote list) — DB.Scan's self-source uses it so locally staged writes and
-// deletes shadow the owner ranks' streams, mirroring getRemote's
-// staging-first search order. Staged entries are hash-disjoint from owned
-// ones, so the extra sources never collide with the local ones.
+// newIterator opens the iterator's sources and starts its merge.
 func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
-	if err := db.checkOpen(); err != nil {
+	it, sources, err := db.openIterator(lo, hi, withStaging)
+	if err != nil {
 		return nil, err
 	}
-	if err := db.readHealth(); err != nil {
+	if err := it.merge(sources); err != nil {
 		return nil, err
+	}
+	return it, nil
+}
+
+// openIterator captures the sources of an iterator over [lo, hi), newest
+// first, without merging them yet. withStaging additionally includes the
+// remote-side staging tables (the mutable remote MemTable and the immutable
+// remote list) — DB.Scan uses it so locally staged writes and deletes shadow
+// the owner ranks' streams, mirroring getRemote's staging-first search
+// order. Staged entries are hash-disjoint from owned ones, so the extra
+// sources never collide with the local ones.
+func (db *DB) openIterator(lo, hi []byte, withStaging bool) (*Iterator, []memtable.Source, error) {
+	if err := db.checkOpen(); err != nil {
+		return nil, nil, err
+	}
+	if err := db.readHealth(); err != nil {
+		return nil, nil, err
 	}
 	it := &Iterator{db: db}
 	bounds := append(append(make([]byte, 0, len(lo)+len(hi)), lo...), hi...)
 	lo, hi = bounds[:len(lo):len(lo)], bounds[len(lo):]
+	it.hi = hi
 
 	// MemTables first, SSTables second — see the package comment: this
 	// order makes a concurrent flush a benign duplicate instead of a gap.
@@ -127,19 +143,26 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 		}
 		if err != nil {
 			it.release()
-			return nil, fmt.Errorf("papyruskv: open iterator on SSTable %d: %w", t.SSID, err)
+			return nil, nil, fmt.Errorf("papyruskv: open iterator on SSTable %d: %w", t.SSID, err)
 		}
 		sources = append(sources, &it.scanners[len(it.scanners)-1])
 	}
+	return it, sources, nil
+}
 
-	m, err := memtable.NewMerger(sources, hi)
+// merge starts the iterator's merge over sources — its own, which
+// openIterator returned, and any older ones appended after them — up to the
+// first key >= its upper bound. On error the iterator is released.
+func (it *Iterator) merge(sources []memtable.Source) error {
+	m, err := memtable.NewMerger(sources, it.hi)
 	if err != nil {
 		it.release()
-		return nil, err
+		it.closed = true // never counted open: Close has nothing to undo
+		return err
 	}
 	it.m = m
-	db.metrics.IteratorsOpen.Add(1)
-	return it, nil
+	it.db.metrics.IteratorsOpen.Add(1)
+	return nil
 }
 
 // Next advances to the next live pair, reporting whether one exists.

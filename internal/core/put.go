@@ -183,7 +183,7 @@ func (db *DB) rollRemoteLocked() {
 // read-only owner is still alive and answering.
 func (db *DB) putSync(ctx context.Context, owner int, e memtable.Entry) error {
 	seq := db.sendSeq.Add(1)
-	msg := prependSeq(seq, db.incarnation.Load(), memtable.EncodeEntries([]memtable.Entry{e}))
+	msg := seqFrame(seq, db.incarnation.Load(), []memtable.Entry{e})
 	// Retries are charged to PutSyncRetries: sequential puts are an
 	// application-visible latency path and must not pollute the migration
 	// counter the relaxed-mode experiments assert on.

@@ -214,8 +214,8 @@ func TestRPCBadPeerFramesDoNotFailReceiver(t *testing.T) {
 			}{
 				{tagMigBatch, []byte{1, 2, 3}}, // too short to carry a seq
 				{tagGet, []byte{9}},            // undecodable get request
-				{42, prependSeq(1, 1, nil)},    // unknown request tag
-				{tagPutOne, prependSeq(db.sendSeq.Add(1), 1, []byte{1, 0, 0, 0})}, // seq ok, body undecodable
+				{42, appendSeq(nil, 1, 1)},     // unknown request tag
+				{tagPutOne, append(appendSeq(nil, db.sendSeq.Add(1), 1), 1, 0, 0, 0)}, // seq ok, body undecodable
 			}
 			for _, b := range bad {
 				if err := db.reqComm.Send(0, b.tag, b.data); err != nil {

@@ -390,18 +390,20 @@ func (db *DB) Scan(ctx context.Context, lo, hi []byte, fn func(key, value []byte
 	}
 	db.metrics.Scans.Add(1)
 
-	// The self-source includes the staging tables (withStaging): locally
-	// staged entries must shadow their owners' streams. It goes first in the
+	// This rank's sources include the staging tables (withStaging): locally
+	// staged entries must shadow their owners' streams. They go first in the
 	// merge's newest-first list, which is all staging-wins takes; streams
-	// never tie with each other (hash partitioning is disjoint).
-	self, err := db.newIterator(lo, hi, true)
+	// never tie with each other (hash partitioning is disjoint). The streams
+	// join the same merge rather than a second one stacked on this rank's:
+	// a merge's entries last only until its next pull, too short for a
+	// source of another merge.
+	self, sources, err := db.openIterator(lo, hi, true)
 	if err != nil {
 		return err
 	}
 	defer self.Close()
 
 	streams := make([]scanStream, 0, db.rt.size-1)
-	sources := append(make([]memtable.Source, 0, db.rt.size), self.m)
 	defer func() {
 		for i := range streams {
 			streams[i].abort()
@@ -432,10 +434,10 @@ func (db *DB) Scan(ctx context.Context, lo, hi []byte, fn func(key, value []byte
 		wg.Wait()
 	}
 
-	m, err := memtable.NewMerger(sources, nil)
-	if err != nil {
+	if err := self.merge(sources); err != nil {
 		return err
 	}
+	m := self.m
 	var keyBuf, valBuf []byte
 	for {
 		select {

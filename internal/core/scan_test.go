@@ -1020,6 +1020,61 @@ func TestScanReadsOneSpanPerTable(t *testing.T) {
 	})
 }
 
+// TestScanGatherAcrossRefills scans, from one rank of two, pairs whose
+// values outgrow the scanners' read-ahead, and checks every pair. Each such
+// record takes a refill of its own, into the window that does not hold the
+// record before it, while the owner's pages interleave with them in the
+// gather. An entry a scanner returns lasts only through its following Next,
+// so a merge stacked on another merge — pulling the scanner once more
+// before the outer one hands the entry out — would give the callback bytes
+// a refill had already overwritten.
+func TestScanGatherAcrossRefills(t *testing.T) {
+	const n = 16
+	big := func(k []byte) []byte { return bytes.Repeat(append(val(k), ';'), 200<<10/11) }
+	runCluster(t, clusterSpec{ranks: 2}, func(rt *Runtime, c *mpi.Comm) error {
+		opt := quietOpt()
+		opt.MemTableCapacity = 1 << 20
+		db, err := rt.Open("scanrefill", opt)
+		if err != nil {
+			return err
+		}
+		for _, k := range ownKeys(db, rt.Rank(), n) {
+			mustPut(t, db, string(k), string(big(k)))
+		}
+		if err := db.Barrier(LevelSSTable); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if rt.Rank() == 0 {
+			var prev []byte
+			count := 0
+			err := db.Scan(context.Background(), nil, nil, func(k, v []byte) error {
+				if prev != nil && bytes.Compare(prev, k) >= 0 {
+					return fmt.Errorf("%q after %q", k, prev)
+				}
+				if !bytes.Equal(v, big(k)) {
+					return fmt.Errorf("value of %q is not the one written", k)
+				}
+				prev = append(prev[:0], k...)
+				count++
+				return nil
+			})
+			if err == nil && count != 2*n {
+				err = fmt.Errorf("scanned %d pairs, want %d", count, 2*n)
+			}
+			if err != nil {
+				t.Errorf("full-range scan: %v", err)
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		return db.Close()
+	})
+}
+
 // TestScanConcurrentPooledWindows races scans whose scanners read into
 // pooled windows — 4 goroutines per rank on 2 ranks, over overlapping
 // ranges, checking every value — against a writer on each rank whose

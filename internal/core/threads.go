@@ -174,7 +174,7 @@ func (db *DB) migrateOne(table *memtable.Table) {
 	for _, owner := range owners {
 		entries := byOwner[owner]
 		seq := db.sendSeq.Add(1)
-		msg := prependSeq(seq, db.incarnation.Load(), memtable.EncodeEntries(entries))
+		msg := seqFrame(seq, db.incarnation.Load(), entries)
 		b := parkedBatch{seq: seq, msg: msg, pairs: len(entries), table: table}
 		if db.tryPark(owner, b) {
 			continue // queued behind the circuit; the prober redelivers
@@ -421,19 +421,21 @@ func (db *DB) handleGet(m mpi.Message) {
 			v := db.pinView()
 			ids := v.ids(req.Key, req.Key, true)
 			db.unpinView(v)
-			db.sendResp(m.Source, tagGetResp, encodeReply(req.Seq, statusShare, encodeSSIDs(ids)))
+			db.sendRespOwned(m.Source, tagGetResp, encodeReply(req.Seq, statusShare, encodeSSIDs(ids)))
 			return
 		}
 	}
 	// A read error is per-operation, not a domain failure: a corrupt table
 	// poisons reads that touch it, while writes and other reads continue.
+	// Every reply frame is encoded fresh for this one send and never read
+	// again, so it is handed to the transport without a copy.
 	switch {
 	case err != nil:
-		db.sendResp(m.Source, tagGetResp, errorReply(req.Seq, err))
+		db.sendRespOwned(m.Source, tagGetResp, errorReply(req.Seq, err))
 	case !found || tomb:
-		db.sendResp(m.Source, tagGetResp, encodeReply(req.Seq, statusAbsent, nil))
+		db.sendRespOwned(m.Source, tagGetResp, encodeReply(req.Seq, statusAbsent, nil))
 	default:
-		db.sendResp(m.Source, tagGetResp, encodeReply(req.Seq, statusOK, val))
+		db.sendRespOwned(m.Source, tagGetResp, encodeReply(req.Seq, statusOK, val))
 	}
 }
 

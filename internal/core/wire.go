@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+
+	"papyruskv/internal/memtable"
 )
 
 // Message tags on the database's private request/response communicators.
@@ -138,17 +140,22 @@ func decodeSSIDs(body []byte) ([]uint64, error) {
 // replayed WAL, so its seqs must not match acks recorded against its
 // previous life.
 
-// prependSeq frames body with its sequence number and the sender's
-// incarnation.
-func prependSeq(seq uint64, inc uint32, body []byte) []byte {
-	out := make([]byte, 12+len(body))
-	binary.LittleEndian.PutUint64(out, seq)
-	binary.LittleEndian.PutUint32(out[8:], inc)
-	copy(out[12:], body)
-	return out
+// appendSeq appends the reliable-request header — the sequence number and
+// the sender's incarnation — to dst.
+func appendSeq(dst []byte, seq uint64, inc uint32) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	return binary.LittleEndian.AppendUint32(dst, inc)
 }
 
-// splitSeq undoes prependSeq.
+// seqFrame builds a reliable request carrying entries: the header and the
+// batch, encoded into one allocation that the request owns from then on
+// (a retry resends it, a parked batch keeps it).
+func seqFrame(seq uint64, inc uint32, entries []memtable.Entry) []byte {
+	frame := appendSeq(make([]byte, 0, 12+memtable.BatchSize(entries)), seq, inc)
+	return memtable.AppendEntries(frame, entries)
+}
+
+// splitSeq undoes appendSeq.
 func splitSeq(data []byte) (uint64, uint32, []byte, error) {
 	if len(data) < 12 {
 		return 0, 0, nil, fmt.Errorf("core: short reliable request (%d bytes)", len(data))

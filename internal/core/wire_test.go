@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"papyruskv/internal/memtable"
 	"papyruskv/internal/stats"
 )
 
@@ -95,7 +96,7 @@ func TestAckRoundTrip(t *testing.T) {
 }
 
 func TestPrependSplitSeq(t *testing.T) {
-	seq, inc, body, err := splitSeq(prependSeq(42, 7, []byte("payload")))
+	seq, inc, body, err := splitSeq(append(appendSeq(nil, 42, 7), "payload"...))
 	if err != nil || seq != 42 || inc != 7 || string(body) != "payload" {
 		t.Fatalf("splitSeq = %d %d %q %v", seq, inc, body, err)
 	}
@@ -106,6 +107,27 @@ func TestPrependSplitSeq(t *testing.T) {
 	// field is part of the header, not optional.
 	if _, _, _, err := splitSeq(make([]byte, 8)); err == nil {
 		t.Fatal("incarnationless frame split")
+	}
+}
+
+// TestSeqFrameAllocatesOnce: a migration frame's header and its batch of N
+// entries are encoded into one allocation, and it splits back into exactly
+// that seq, incarnation and batch.
+func TestSeqFrameAllocatesOnce(t *testing.T) {
+	entries := make([]memtable.Entry, 64)
+	for i := range entries {
+		entries[i] = memtable.Entry{Key: []byte{byte(i), 'k'}, Value: bytes.Repeat([]byte{byte(i)}, i), Tombstone: i%9 == 0}
+	}
+	var frame []byte
+	if allocs := testing.AllocsPerRun(100, func() { frame = seqFrame(42, 7, entries) }); allocs != 1 {
+		t.Errorf("a frame of %d entries takes %v allocations, want 1", len(entries), allocs)
+	}
+	seq, inc, body, err := splitSeq(frame)
+	if err != nil || seq != 42 || inc != 7 {
+		t.Fatalf("splitSeq = %d %d %v", seq, inc, err)
+	}
+	if !bytes.Equal(body, memtable.EncodeEntries(entries)) {
+		t.Fatal("the frame's batch differs from EncodeEntries")
 	}
 }
 

@@ -16,15 +16,27 @@ import (
 
 // EncodeEntries serialises a batch of entries.
 func EncodeEntries(entries []Entry) []byte {
+	return AppendEntries(make([]byte, 0, BatchSize(entries)), entries)
+}
+
+// BatchSize is the encoded length of a batch of entries.
+func BatchSize(entries []Entry) int {
 	size := 4
 	for i := range entries {
 		size += 9 + len(entries[i].Key) + len(entries[i].Value)
 	}
-	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(entries)))
+	return size
+}
+
+// AppendEntries appends a batch of entries to dst. A caller that frames the
+// batch behind a header of its own sizes dst with BatchSize, so header and
+// batch share one allocation.
+func AppendEntries(dst []byte, entries []Entry) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entries)))
 	for _, e := range entries {
-		out = AppendEntry(out, e)
+		dst = AppendEntry(dst, e)
 	}
-	return out
+	return dst
 }
 
 // AppendEntry appends one entry in the batch format to dst. A batch is a

@@ -10,10 +10,13 @@ import "bytes"
 // key. Tombstones are yielded like any other entry; suppressing them is the
 // consumer's call.
 //
-// A yielded entry aliases its source's memory and must stay valid after
-// that source is pulled again; every source in the store (sealed-table
-// cursors, mutable-table snapshots, SSTable scanners, scan pages) hands out
-// entries that do.
+// Next advances the winning source once before it returns the winner, so a
+// source's entry must stay valid through that source's following Next;
+// every source in the store (sealed-table cursors, mutable-table snapshots,
+// SSTable scanners, scan pages) hands out entries that do. What the merge
+// yields is valid only until its own next Next, which may pull that source
+// again: a consumer copies what it keeps before it pulls, and a merge is
+// never itself the source of another.
 type Merger struct {
 	srcs []mergeSource
 	heap []*mergeSource // min-heap over srcs by before

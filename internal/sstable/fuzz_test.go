@@ -94,7 +94,8 @@ func resealed(raw []byte) []byte {
 // Each block is also tried with every record's checksum repaired, so the
 // fuzzer reaches the key comparisons behind the CRC.
 func FuzzSearchBlock(f *testing.F) {
-	block := appendRecord(appendRecord(nil, "a", "1", false), "c", "3", true)
+	block := appendRecord(appendRecord(nil, memtable.Entry{Key: []byte("a"), Value: []byte("1")}),
+		memtable.Entry{Key: []byte("c"), Value: []byte("3"), Tombstone: true})
 	f.Add([]byte{}, []byte("a"))
 	f.Add(block, []byte("a"))
 	f.Add(block, []byte("b"))
@@ -149,21 +150,6 @@ func holdsRecord(data []byte, e memtable.Entry) bool {
 			return true
 		}
 	}
-}
-
-// appendRecord appends one SSData record to dst, sealed with its checksum.
-func appendRecord(dst []byte, key, value string, tombstone bool) []byte {
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(value)))
-	var flags byte
-	if tombstone {
-		flags = 1
-	}
-	dst = append(dst, flags)
-	dst = append(dst, key...)
-	dst = append(dst, value...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
 
 // resealedRecords returns a copy of block with the checksum of every record

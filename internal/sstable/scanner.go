@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync"
 
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/nvm"
@@ -20,12 +21,17 @@ import (
 // used scanner must not be copied.
 //
 // Entries returned by Next alias the scanner's read windows and are valid
-// until Close. A window is never rewritten once records have been handed out
-// of it, so an entry survives later Next calls (the merge holds one per
-// source); but Close hands the first window back to blockPool. So every
-// consumer copies before it closes: Iterator.Next, producePage and the
-// DB.Scan gather into their own buffers, compaction and redistribution in
-// Writer.Add and DB.Put, seqSearch with detach, and ReadAll (tests only).
+// through the following Next, no longer: the merge advances the winning
+// source once before it hands the winner out, and that is all the slack a
+// window gives. The first window comes from blockPool — a bounded seek whose
+// span fits reads it once and never refills. Later refills go to two fixed
+// windows of windowCap bytes, taken from windowPool at first need and
+// returned at Close (the one not in use already at the end of the span),
+// and always to the one that does not hold the entry Next returned last; a
+// record longer than a window gets a one-off buffer.
+// So every consumer copies what it keeps before it pulls again: Writer.Add, Iterator.Next, producePage
+// and the DB.Scan gather into their own buffers, redistribution in DB.Put,
+// seqSearch with detach, and ReadAll.
 type Scanner struct {
 	f    *nvm.File
 	dev  *nvm.Device
@@ -42,8 +48,14 @@ type Scanner struct {
 	limit  int64  // file offset no read passes: the end of the table or of the span SeekRange bounds
 	window int    // bytes the next refill reads ahead
 	last   []byte // key of the record Next returned last, nil after a seek
-	// pooled is the window taken from blockPool, if any; Close returns it.
+	// pooled is the first window, taken from blockPool; wins are the two
+	// refill windows, taken from windowPool. Close returns all three.
 	pooled *[]byte
+	wins   [2]*[]byte
+	// cur names the window buf lives in and held the one the entry Next
+	// returned last lives in: 1 and 2 are wins[0] and wins[1], 0 a window
+	// never written again (the first, or a one-off for an outsized record).
+	cur, held int
 	// pending holds the record SeekRange decoded to find the seek point;
 	// Next returns it before touching the file.
 	pending    memtable.Entry
@@ -59,7 +71,14 @@ type Scanner struct {
 const (
 	scannerFirstWindow = 4 << 10
 	scannerChunk       = 1 << 20
+	// windowCap is a refill window's capacity: the longest read-ahead plus
+	// the unconsumed tail carried over, a partial record of up to a pooled
+	// block. A record longer than that gets a one-off buffer.
+	windowCap = scannerChunk + maxPooledBlock
 )
+
+// windowPool holds the scanners' refill windows, windowCap bytes each.
+var windowPool = sync.Pool{New: func() any { b := make([]byte, windowCap); return &b }}
 
 // NewScanner opens SSTable ssid's data file for a sequential scan.
 func NewScanner(dev *nvm.Device, dir string, ssid uint64) (Scanner, error) {
@@ -123,10 +142,10 @@ func (s *Scanner) SeekRange(lo, hi []byte) error {
 func (s *Scanner) SeekGE(key []byte) error { return s.SeekRange(key, nil) }
 
 // rewind discards buffered data and repositions the scanner at off, reading
-// no further than limit, with the read-ahead ramp restarted. The old window
-// is dropped, not reused: entries already returned may still alias it.
+// no further than limit, with the read-ahead ramp restarted. held is kept:
+// the entry Next returned last stays valid through the next refill.
 func (s *Scanner) rewind(off, limit int64) {
-	s.buf, s.off, s.pos, s.limit, s.window, s.last = nil, off, 0, limit, scannerFirstWindow, nil
+	s.buf, s.off, s.pos, s.limit, s.window, s.last, s.cur = nil, off, 0, limit, scannerFirstWindow, nil, 0
 }
 
 // skipTo decodes records forward until one with key >= key appears, and
@@ -146,9 +165,9 @@ func (s *Scanner) skipTo(key []byte) error {
 
 // fill ensures at least need bytes are available at s.pos, reading the next
 // window as required. Returns false at a clean end of the span. Each refill
-// reads min(window, bytes left before limit) — never less than need — into a
-// fresh window, with the unconsumed tail (at most one partial record)
-// carried over, so entries aliasing the previous window are undisturbed.
+// reads min(window, bytes left before limit) — never less than need — with
+// the unconsumed tail (at most one partial record) moved to the front of the
+// window it reads into.
 func (s *Scanner) fill(need int) (bool, error) {
 	avail := len(s.buf) - s.pos
 	if avail >= need {
@@ -157,20 +176,21 @@ func (s *Scanner) fill(need int) (bool, error) {
 	left := s.limit - (s.off + int64(len(s.buf)))
 	if int64(avail)+left < int64(need) {
 		if avail == 0 && left == 0 {
+			s.releaseIdle()
 			return false, nil
 		}
 		return false, fmt.Errorf("%w: record of %d bytes runs past offset %d", ErrCorrupt, need, s.limit)
 	}
-	toRead := max(int(min(int64(s.window), left)), need-avail)
+	n := max(avail+int(min(int64(s.window), left)), need)
 	if s.window < scannerChunk {
 		s.window *= 2
 	}
-	win := s.newWindow(avail + toRead)
-	copy(win, s.buf[s.pos:])
+	win := s.nextWindow(n, need)
+	copy(win, s.buf[s.pos:]) // may overlap: the window refilled in place
 	s.off += int64(s.pos)
 	s.pos = 0
-	n, err := s.f.ReadAt(win[avail:], s.off+int64(avail))
-	s.buf = win[:avail+n]
+	got, err := s.f.ReadAt(win[avail:], s.off+int64(avail))
+	s.buf = win[:avail+got]
 	if err != nil && err != io.EOF {
 		return false, err
 	}
@@ -180,17 +200,48 @@ func (s *Scanner) fill(need int) (bool, error) {
 	return true, nil
 }
 
-// newWindow returns an n-byte read window: the first one that fits comes
-// from blockPool and is held until Close, every other one is allocated.
-func (s *Scanner) newWindow(n int) []byte {
-	if s.pooled != nil || n > maxPooledBlock {
+// nextWindow returns the window a refill of n bytes, at least need of them,
+// reads into. The first window that fits comes from blockPool. After it,
+// the refill window is whichever of the two that does not hold the entry
+// Next returned last — alternating is not enough, since one Next can refill
+// twice (for the header, then for a record longer than the window) — cut to
+// windowCap; it may be the window being refilled. A record longer than
+// windowCap gets a one-off buffer.
+func (s *Scanner) nextWindow(n, need int) []byte {
+	switch {
+	case s.pooled == nil && n <= maxPooledBlock:
+		s.pooled, s.cur = blockPool.Get().(*[]byte), 0
+		if cap(*s.pooled) < n {
+			*s.pooled = make([]byte, n)
+		}
+		return (*s.pooled)[:n]
+	case need > windowCap:
+		s.cur = 0
 		return make([]byte, n)
 	}
-	s.pooled = blockPool.Get().(*[]byte)
-	if cap(*s.pooled) < n {
-		*s.pooled = make([]byte, n)
+	s.cur = 1
+	if s.held == 1 {
+		s.cur = 2
 	}
-	return (*s.pooled)[:n]
+	w := &s.wins[s.cur-1]
+	if *w == nil {
+		*w = windowPool.Get().(*[]byte)
+	}
+	return (**w)[:min(n, windowCap)]
+}
+
+// releaseIdle hands back the refill windows that do not hold the entry Next
+// returned last: at Close, and once the span is read to its end — a merge
+// keeps an exhausted input open until the merge ends, and its spare window
+// is better spent on the inputs still being read. Nothing is read from the
+// buffer after its end.
+func (s *Scanner) releaseIdle() {
+	for i, w := range s.wins {
+		if w != nil && s.held != i+1 {
+			windowPool.Put(w)
+			s.wins[i] = nil
+		}
+	}
 }
 
 // Next returns the next record. ok=false signals the end of the table, or
@@ -222,11 +273,11 @@ func (s *Scanner) Next() (memtable.Entry, bool, error) {
 	if err != nil {
 		return memtable.Entry{}, false, err
 	}
-	s.last = e.Key
+	s.last, s.held = e.Key, s.cur
 	return e, true, nil
 }
 
-// Close returns the pooled window and releases the data file: an uncached
+// Close returns the pooled windows and releases the data file: an uncached
 // scanner closes the handle it opened, a table's scanner leaves the table's
 // handle open. A repeated Close returns nothing twice.
 func (s *Scanner) Close() error {
@@ -235,13 +286,16 @@ func (s *Scanner) Close() error {
 		blockPool.Put(s.pooled)
 		s.pooled = nil
 	}
+	s.held = 0 // no entry outlives Close
+	s.releaseIdle()
 	if s.idx != nil {
 		return nil // the table's handle
 	}
 	return s.f.Close()
 }
 
-// ReadAll returns every record of SSTable ssid in key order.
+// ReadAll returns every record of SSTable ssid in key order, each copied out
+// of the scanner's windows as it is read.
 func ReadAll(dev *nvm.Device, dir string, ssid uint64) ([]memtable.Entry, error) {
 	sc, err := NewScanner(dev, dir, ssid)
 	if err != nil {
@@ -257,7 +311,7 @@ func ReadAll(dev *nvm.Device, dir string, ssid uint64) ([]memtable.Entry, error)
 		if !ok {
 			return out, nil
 		}
-		// Copied: the entry aliases a window Close hands back to the pool.
+		// Copied: the entry aliases a window the next refill may reuse.
 		out = append(out, memtable.Entry{Key: bytes.Clone(e.Key), Value: bytes.Clone(e.Value), Tombstone: e.Tombstone})
 	}
 }

@@ -121,16 +121,24 @@ type Writer struct {
 	firstKey []byte
 	lastKey  []byte
 	dataCRC  uint32 // running CRC32C over the logical SSData byte stream
-	buf      []byte
-	pending  []byte // write-behind buffer: records stream to the device in
-	// large sequential chunks, as the compaction thread would, instead of
-	// paying one device operation per record
+	// pending is the write-behind buffer, writeChunk bytes from writePool:
+	// Add encodes each record straight into it, and it goes to the device
+	// in one write before a record would overflow it — large sequential
+	// chunks, as the compaction thread would write, instead of one device
+	// operation per record. pooled is its pool handle; Close and Abort
+	// return it.
+	pending []byte
+	pooled  *[]byte
 	written int64  // logical SSData bytes emitted (pending included)
 	sealed  []byte // the SSIndex file image, once Close has written it
 }
 
 // writeChunk is the streaming granularity of SSData writes.
 const writeChunk = 1 << 20
+
+// writePool holds the writers' write-behind buffers, writeChunk bytes each.
+// A buffer is reused as soon as the device write of its bytes returns.
+var writePool = sync.Pool{New: func() any { b := make([]byte, 0, writeChunk); return &b }}
 
 // NewWriter starts SSTable ssid in dir. expectedCount sizes the bloom
 // filter; passing a low estimate only raises its false-positive rate.
@@ -139,12 +147,15 @@ func NewWriter(dev *nvm.Device, dir string, ssid uint64, expectedCount int) (*Wr
 	if err != nil {
 		return nil, err
 	}
+	pooled := writePool.Get().(*[]byte)
 	return &Writer{
-		dev:    dev,
-		dir:    dir,
-		ssid:   ssid,
-		data:   data,
-		filter: bloom.New(expectedCount, 0.01),
+		dev:     dev,
+		dir:     dir,
+		ssid:    ssid,
+		data:    data,
+		filter:  bloom.New(expectedCount, 0.01),
+		pending: (*pooled)[:0],
+		pooled:  pooled,
 	}, nil
 }
 
@@ -163,47 +174,73 @@ func (w *Writer) Add(e memtable.Entry) error {
 		w.index = appendFence(w.index, w.written, e.Key)
 		w.blocks++
 	}
-
-	w.buf = w.buf[:0]
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(e.Key)))
-	w.buf = append(w.buf, u32[:]...)
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(e.Value)))
-	w.buf = append(w.buf, u32[:]...)
-	var flags byte
-	if e.Tombstone {
-		flags |= 1
-	}
-	w.buf = append(w.buf, flags)
-	w.buf = append(w.buf, e.Key...)
-	w.buf = append(w.buf, e.Value...)
-	binary.LittleEndian.PutUint32(u32[:], crc32.Checksum(w.buf, crcTable))
-	w.buf = append(w.buf, u32[:]...)
-	w.pending = append(w.pending, w.buf...)
-	w.written += int64(len(w.buf))
-	w.dataCRC = crc32.Update(w.dataCRC, crcTable, w.buf)
-	if len(w.pending) >= writeChunk {
-		if _, err := w.data.Write(w.pending); err != nil {
+	if len(w.pending)+recLen > writeChunk {
+		if err := w.flush(); err != nil {
 			return err
 		}
-		w.pending = w.pending[:0]
 	}
-
+	// A record longer than writeChunk grows a one-off buffer, which the
+	// next flush drops.
+	start := len(w.pending)
+	w.pending = appendRecord(w.pending, e)
+	w.dataCRC = crc32.Update(w.dataCRC, crcTable, w.pending[start:])
+	w.written += int64(recLen)
 	w.filter.Add(e.Key)
 	w.count++
 	return nil
 }
 
+// appendRecord appends e to dst as one SSData record, CRC32C trailer
+// included.
+func appendRecord(dst []byte, e memtable.Entry) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Key)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Value)))
+	var flags byte
+	if e.Tombstone {
+		flags |= 1
+	}
+	dst = append(dst, flags)
+	dst = append(dst, e.Key...)
+	dst = append(dst, e.Value...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
+}
+
+// flush writes the buffered records to the device and empties the buffer.
+func (w *Writer) flush() error {
+	if len(w.pending) == 0 {
+		return nil
+	}
+	_, err := w.data.Write(w.pending)
+	w.pending = (*w.pooled)[:0]
+	return err
+}
+
 // Count returns the number of entries added so far.
 func (w *Writer) Count() int { return w.count }
 
-// Close finishes the SSTable, writing the index and bloom files.
+// Close finishes the SSTable, writing the index and bloom files. If any step
+// fails, nothing of the table stays on the device: the data file is aborted,
+// or removed once published, and so is a published index. A leftover would
+// be worst on a full device, where reclaim is trying to free space: the
+// partial data file's name is never listed, so nothing would remove it.
 func (w *Writer) Close() (Meta, error) {
-	if len(w.pending) > 0 {
-		if _, err := w.data.Write(w.pending); err != nil {
-			return Meta{}, err
-		}
-		w.pending = nil
+	meta, err := w.seal()
+	w.release()
+	if err != nil {
+		// Best effort: the caller acts on err, not on the cleanup's.
+		w.data.Abort()
+		_ = w.dev.Remove(DataName(w.dir, w.ssid))
+		_ = w.dev.Remove(IndexName(w.dir, w.ssid))
+	}
+	return meta, err
+}
+
+// seal writes the last buffered records, publishes the data file, and
+// writes the index and bloom files.
+func (w *Writer) seal() (Meta, error) {
+	if err := w.flush(); err != nil {
+		return Meta{}, err
 	}
 	dataBytes := w.data.Size()
 	if err := w.data.Close(); err != nil {
@@ -234,6 +271,14 @@ func (w *Writer) Close() (Meta, error) {
 	}, nil
 }
 
+// release hands the write-behind buffer back to writePool, once.
+func (w *Writer) release() {
+	if w.pooled != nil {
+		writePool.Put(w.pooled)
+		w.pooled, w.pending = nil, nil
+	}
+}
+
 // Table opens the table a successful Close just published for reads. Its
 // bloom filter and SSIndex are the ones the writer built in memory, so
 // nothing is read back from the device: only the data file is opened.
@@ -251,6 +296,7 @@ func (w *Writer) Table() (*Table, error) {
 
 // Abort discards the partial SSTable.
 func (w *Writer) Abort() {
+	w.release()
 	w.data.Abort()
 }
 

@@ -125,16 +125,29 @@ func TestScannerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScannerLargeValuesAcrossChunks holds the scanner to its contract: an
+// entry stays valid through the following Next, across the read-ahead ramp,
+// across a Next that refills twice, and across records larger than the
+// ramp's largest read and than a whole window.
 func TestScannerLargeValuesAcrossChunks(t *testing.T) {
 	dev := testDev(t)
-	// A run of small records walks the read-ahead ramp through several
-	// doubling refills; values larger than the largest window then force
-	// refills sized by the record, not the ramp.
-	big := make([]byte, scannerChunk+12345)
+	// The prefix makes one Next refill twice. The first window reads 4096
+	// bytes and 0a fills 4092 of them, so 0b's header straddles its end: a
+	// refill reads 8192 more into one of the two windows, 0b fills 8190 of
+	// that, and 0c's header straddles again. That refill goes to the other
+	// window, and 0c's 100000 bytes need a second refill in the same Next,
+	// which must not land on the window 0b — returned last — lives in.
+	framed := func(key string, total int) memtable.Entry {
+		return memtable.Entry{Key: []byte(key), Value: bytes.Repeat([]byte(key[1:]), total-recHeader-len(key)-recTrailer)}
+	}
+	entries := []memtable.Entry{framed("0a", 4092), framed("0b", 8190), framed("0c", 100000)}
+	// A run of small records walks the ramp through several doubling
+	// refills; the values after it force refills sized by the record, not
+	// the ramp, and "d" outgrows a window and gets a buffer of its own.
+	big := make([]byte, windowCap+12345)
 	for i := range big {
 		big[i] = byte(i)
 	}
-	var entries []memtable.Entry
 	for i := 0; i < 1500; i++ {
 		entries = append(entries, memtable.Entry{
 			Key:   []byte(fmt.Sprintf("a-%06d", i)),
@@ -142,49 +155,54 @@ func TestScannerLargeValuesAcrossChunks(t *testing.T) {
 		})
 	}
 	entries = append(entries,
-		memtable.Entry{Key: []byte("b"), Value: big},
+		memtable.Entry{Key: []byte("b"), Value: big[:scannerChunk+12345]},
 		memtable.Entry{Key: []byte("c"), Value: []byte("small")},
-		memtable.Entry{Key: []byte("d"), Value: big[:scannerChunk-1]},
+		memtable.Entry{Key: []byte("d"), Value: big},
+		memtable.Entry{Key: []byte("e"), Value: []byte("small")},
+		memtable.Entry{Key: []byte("f"), Value: big[:scannerChunk-1]},
+		memtable.Entry{Key: []byte("g"), Value: []byte("small")},
 	)
 	meta, err := WriteTable(dev, "d", 1, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	same := func(got, want memtable.Entry) bool {
+		return bytes.Equal(got.Key, want.Key) && bytes.Equal(got.Value, want.Value)
+	}
 	before := dev.Stats()
 	sc, err := NewScanner(dev, "d", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	// Hold every entry while the scanner refills under them: an entry
-	// aliases its read window, and a refill must leave earlier windows alone.
-	var got []memtable.Entry
-	refills := 0
+	var prev memtable.Entry
+	n, refills := 0, 0
 	for {
 		windowOff := sc.off
 		e, ok, err := sc.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if n > 0 && !same(prev, entries[n-1]) {
+			t.Fatalf("record %d (%q) changed under the following Next", n-1, entries[n-1].Key)
+		}
 		if !ok {
 			break
 		}
+		if n >= len(entries) || !same(e, entries[n]) {
+			t.Fatalf("record %d: got %q (value len %d)", n, e.Key, len(e.Value))
+		}
 		if sc.off != windowOff {
-			refills++ // the window moved on: everything in got aliases older ones
+			refills++
 		}
-		got = append(got, e)
+		prev = e
+		n++
 	}
-	if len(got) != len(entries) {
-		t.Fatalf("scanned %d entries, want %d", len(got), len(entries))
+	if n != len(entries) {
+		t.Fatalf("scanned %d entries, want %d", n, len(entries))
 	}
-	for i := range entries {
-		if !bytes.Equal(got[i].Key, entries[i].Key) || !bytes.Equal(got[i].Value, entries[i].Value) {
-			t.Fatalf("record %d (%q) changed under later refills (value len %d vs %d)",
-				i, entries[i].Key, len(got[i].Value), len(entries[i].Value))
-		}
-	}
-	// The ramp: the small-record prefix (~200KB) alone walks the 4, 8, ...,
+	// The ramp: the small-record run (~200KB) alone walks the 4, 8, ...,
 	// 128KB windows, and the whole pass stays logarithmic in the file size —
 	// neither one read per record nor one 1MB read for the first dozen.
 	if refills < 6 {
