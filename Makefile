@@ -3,7 +3,7 @@ GO ?= go
 # Packages raced in CI: every concurrency-heavy layer, stats (whose Flatten
 # reads counters while they are incremented), and all of core — the whole
 # package, soaks included, so no test is skipped by a name filter.
-RACE_PKGS = ./internal/fifo ./internal/lru ./internal/manifest ./internal/memtable ./internal/mpi ./internal/scrub ./internal/sstable ./internal/stats ./internal/wal
+RACE_PKGS = ./internal/fifo ./internal/freelist ./internal/lru ./internal/manifest ./internal/memtable ./internal/mpi ./internal/scrub ./internal/sstable ./internal/stats ./internal/wal
 RACE_CORE = ./internal/core
 
 .PHONY: all build vet test race chaos overload crash scrub fuzz bench-smoke bench-check ci clean
@@ -20,15 +20,16 @@ vet:
 test:
 	$(GO) test ./...
 
-# The second line races the WAL's buffer swap against its writes, commits
-# and rotations twenty times over; the third races the scanners' and
-# writers' pooled windows and buffers, shared by concurrent merges, ten
-# times over; the fourth races a checkpoint copy and a get against
-# compaction's table churn ten times over. Their interleavings differ run to
-# run.
+# The second line races the WAL's block chain (appends, cuts, and the
+# commits, write-throughs and closes that take blocks off it) against its
+# device writes twenty times over, FuzzLogOps's seed corpus included; the
+# third races the scanners' and writers' recycled windows and buffers,
+# shared by concurrent merges, ten times over; the fourth races a
+# checkpoint copy and a get against compaction's table churn ten times
+# over. Their interleavings differ run to run.
 race:
 	$(GO) test -race -count=1 -timeout 600s $(RACE_PKGS) $(RACE_CORE)
-	$(GO) test -race -count=20 -run 'Commit|Append|Rotate' ./internal/wal
+	$(GO) test -race -count=20 -run 'Commit|Append|Rotate|Remove|FuzzLogOps' ./internal/wal
 	$(GO) test -race -count=10 -run 'TestScanner|TestMerge|TestWriter' ./internal/sstable
 	$(GO) test -race -count=10 -run 'TestCompactionRunsDuringCheckpointCopy|TestCheckpointPinReleasedBeforeWaitReturns|TestGetRacesTableChurn' ./internal/core
 
@@ -52,18 +53,20 @@ scrub:
 	$(SOAK) 'TestSoakScrub'
 
 # Short coverage-guided runs of the WAL and manifest replay decoders, the
+# WAL's operation sequences checked against a model of its segments, the
 # SSIndex decoder, the SSData block walk, the bounded table scan, the bloom
-# file parser, the
-# cross-rank wire decoders and the entry-batch decoder on top of their
-# committed seed corpora
+# file parser, the cross-rank wire decoders and the entry-batch decoder on
+# top of their committed seed corpora
 # (internal/{wal,manifest,sstable,bloom,core,memtable}/testdata/fuzz). The
-# index, block, scan and wire targets bound minimisation: the index, block
-# and scan targets repair each input's checksums, so nearly every byte of an input
-# matters, and the wire target runs every decoder on each input —
-# minimising one that adds coverage would spend the default 60 s budget,
-# the whole run, executing nothing new.
+# log-ops, index, block, scan and wire targets bound minimisation: the
+# log-ops target writes megabyte records, the index, block and scan targets
+# repair each input's checksums, so nearly every byte of an input matters,
+# and the wire target runs every decoder on each input — minimising one
+# that adds coverage would spend the default 60 s budget, the whole run,
+# executing nothing new.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzLogOps -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s ./internal/manifest
 	$(GO) test -run '^$$' -fuzz FuzzIndexDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/sstable
 	$(GO) test -run '^$$' -fuzz FuzzSearchBlock -fuzztime 10s -fuzzminimizetime 1s ./internal/sstable

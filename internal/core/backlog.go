@@ -82,8 +82,10 @@ func (db *DB) retireTable(list *[]*memtable.Table, t *memtable.Table) {
 	if !logged {
 		return
 	}
+	// Remove may first write the segment's still-buffered blocks through:
+	// a full device there degrades the rank, like any WAL write.
 	if err := ref.log.Remove(ref.name); err != nil {
-		db.fail(fmt.Errorf("wal segment gc: %w", err))
+		db.failOrDegrade(fmt.Errorf("wal segment gc: %w", err))
 	}
 }
 

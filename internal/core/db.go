@@ -98,6 +98,9 @@ type DB struct {
 
 	localCache  *lru.Cache
 	remoteCache *lru.Cache
+	// beforeFill, nil outside tests, runs between a local get's SSTable
+	// search and its local-cache fill, the window a concurrent put races.
+	beforeFill func(key []byte)
 
 	// readers is the device's shared SSTable reader cache (see
 	// sstable.ReaderCache): every rank on the device — the whole storage

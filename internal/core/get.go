@@ -103,7 +103,13 @@ func (db *DB) getMemory(key []byte) (val []byte, tomb, hit bool) {
 // getLocalFull is the complete local get: memory structures, then the
 // SSTables on NVM, highest SSID first. Values found in SSTables are
 // promoted into the local cache (Figure 3).
+//
+// The cache generation is sampled before the MemTables are searched: a put
+// the search misses inserts after it and then invalidates the key, which
+// advances the generation, so the fill cannot cache the older value the
+// SSTables still hold over that put's.
 func (db *DB) getLocalFull(key []byte) (val []byte, tomb, found bool, err error) {
+	gen := db.localCache.Gen()
 	if v, t, hit := db.getMemory(key); hit {
 		return v, t, true, nil
 	}
@@ -113,8 +119,11 @@ func (db *DB) getLocalFull(key []byte) (val []byte, tomb, found bool, err error)
 	}
 	if found {
 		db.metrics.SSTableHits.Add(1)
+		if db.beforeFill != nil {
+			db.beforeFill(key)
+		}
 		if !tomb {
-			db.localCache.Put(key, val, true)
+			db.localCache.Fill(key, val, gen)
 		}
 	}
 	return val, tomb, found, nil

@@ -83,43 +83,55 @@ func (db *DB) put(ctx context.Context, key, value []byte, tombstone bool) error 
 // full WAL discipline: the record is logged before the insert and — in
 // WALSync mode — persisted before the caller sees success.
 func (db *DB) putLocal(e memtable.Entry) error {
-	l, err := db.putLocalBuffered(e)
+	l, err := db.putLocalBatch([]memtable.Entry{e})
 	if err != nil {
 		return err
 	}
 	return db.walCommit(l)
 }
 
-// putLocalBuffered inserts an entry this rank owns into the local MemTable,
-// evicting any stale local-cache entry for the key and sealing the MemTable
-// onto the flushing queue when it reaches capacity. The entry is appended
-// to the local WAL stream in the same critical section as the insert, but
-// not yet committed: the caller chooses the durability point (walCommit of
-// the returned stream per put, per batch, or the group-commit thread's
-// tick). Both the application thread and the message handler (applying
-// migrated or synchronous remote puts) call it.
-func (db *DB) putLocalBuffered(e memtable.Entry) (*wal.Log, error) {
-	db.localCache.Invalidate(e.Key)
-
+// putLocalBatch inserts entries this rank owns into the local MemTable
+// under one db.mu hold, sealing the MemTable onto the flushing queue
+// whenever it reaches capacity — between two entries, so one batch may roll
+// it more than once. Each entry is appended to the local WAL stream in the
+// same critical section as its insert, but not committed: the caller
+// chooses the durability point (walCommit of the returned stream per put,
+// per batch, or the group-commit thread's tick). The local-cache entries of
+// the inserted keys are invalidated once the inserts have landed — after,
+// not before, so a get that read an older value out of an SSTable cannot
+// cache it over them (lru.Cache.Fill). The application thread calls it with
+// one entry; the message handler with a migrated batch or a synchronous
+// remote put.
+func (db *DB) putLocalBatch(entries []memtable.Entry) (*wal.Log, error) {
 	db.mu.Lock()
 	if db.closed.Load() {
 		db.mu.Unlock()
 		return nil, ErrInvalidDB
 	}
-	l, err := db.walAppendLocked(false, e)
+	var logged *wal.Log
+	var err error
+	n := 0
+	for ; n < len(entries); n++ {
+		e := entries[n]
+		if logged, err = db.walAppendLocked(false, e); err != nil {
+			break
+		}
+		db.localMT.Put(e)
+		if db.localMT.Bytes() >= db.opt.MemTableCapacity {
+			db.rollLocalLocked()
+		}
+	}
+	db.mu.Unlock()
+	for _, e := range entries[:n] {
+		db.localCache.Invalidate(e.Key)
+	}
 	if err != nil {
-		db.mu.Unlock()
 		// A full WAL device degrades the rank to read-only instead of
 		// failing it: the data already accepted stays fully readable.
 		db.failOrDegrade(fmt.Errorf("wal append: %w", err))
 		return nil, db.Health()
 	}
-	db.localMT.Put(e)
-	if db.localMT.Bytes() >= db.opt.MemTableCapacity {
-		db.rollLocalLocked()
-	}
-	db.mu.Unlock()
-	return l, nil
+	return logged, nil
 }
 
 // rollLocalLocked seals the local MemTable onto the tail of immLocal — which

@@ -326,27 +326,22 @@ func (db *DB) handleBatch(m mpi.Message, migration bool) {
 			// and keep this rank healthy.
 			db.metrics.BadRequests.Add(1)
 		}
-		var logged *wal.Log
-		for i, e := range entries {
-			e.Owner = db.rt.rank
-			// putLocalBuffered triages its own failure (failOrDegrade): a
-			// full WAL device mid-batch degrades this rank and the typed
-			// status tells the sender to park, not give up.
-			var l *wal.Log
-			if l, err = db.putLocalBuffered(e); err != nil {
-				break
-			}
-			if i == 0 {
-				logged = l
-			}
+		for i := range entries {
+			entries[i].Owner = db.rt.rank
 		}
-		// One WAL commit per batch (WALSync's fsync-per-batch): the
-		// sender's retry discipline means the ack is the durability
-		// promise, so it is issued only after the commit. It commits the
-		// first entry's stream: had Recover swapped the streams mid-batch,
-		// that one was abandoned, and the commit refuses the ack.
+		// putLocalBatch triages its own failure (failOrDegrade): a full
+		// WAL device mid-batch degrades this rank and the typed status
+		// tells the sender to park, not give up. One WAL commit per batch
+		// (WALSync's fsync-per-batch): the sender's retry discipline
+		// means the ack is the durability promise, so it is issued only
+		// after the commit. Had Recover swapped the streams since the
+		// batch was applied, the commit finds its stream abandoned and
+		// refuses the ack.
 		if err == nil {
-			err = db.walCommit(logged)
+			var logged *wal.Log
+			if logged, err = db.putLocalBatch(entries); err == nil {
+				err = db.walCommit(logged)
+			}
 		}
 	}
 	// Only applied outcomes enter the dedup window. A refused or failed

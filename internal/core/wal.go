@@ -20,8 +20,10 @@ import (
 // same record boundary: a sealed segment holds exactly its sealed table's
 // records, and is deleted once that table's flush or migration commits
 // (retireTable). One database-wide sequence counter stamps every record,
-// giving replay a total order across the two streams. Commits run outside
-// db.mu: the log writes and fsyncs under its own I/O lock.
+// giving replay a total order across the two streams. Neither an append
+// nor a rotation touches the device: both only extend or cut the log's
+// in-memory block chain. Commits, and the writes and segment switches they
+// carry, run outside db.mu under the log's own I/O lock.
 
 // walSegRef remembers the sealed segment backing one sealed MemTable.
 type walSegRef struct {
@@ -171,8 +173,9 @@ func (db *DB) walCommit(l *wal.Log) error {
 }
 
 // walRotateLocked rotates the requested stream alongside the roll of its
-// MemTable and records which sealed segment backs the sealed table. Caller
-// holds db.mu.
+// MemTable and records which sealed segment backs the sealed table. The
+// rotation is a cut in the log's memory, so the roll does no device I/O
+// under db.mu. Caller holds db.mu.
 func (db *DB) walRotateLocked(remote bool, sealed *memtable.Table) {
 	l := db.wal.Load().stream(remote)
 	if l == nil {
@@ -181,10 +184,9 @@ func (db *DB) walRotateLocked(remote bool, sealed *memtable.Table) {
 	name, err := l.Rotate()
 	if err != nil {
 		db.failOrDegrade(fmt.Errorf("wal rotate: %w", err))
+		return
 	}
-	if name != "" {
-		db.walSegs[sealed] = walSegRef{log: l, name: name}
-	}
+	db.walSegs[sealed] = walSegRef{log: l, name: name}
 }
 
 // walFlushThread is the WALAsync group-commit loop: every WALFlushInterval

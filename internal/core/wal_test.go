@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"papyruskv/internal/faults"
+	"papyruskv/internal/memtable"
 	"papyruskv/internal/mpi"
 	"papyruskv/internal/nvm"
 	"papyruskv/internal/wal"
@@ -604,4 +605,156 @@ func TestWALCorruptSegmentFailsDomain(t *testing.T) {
 		db2.Close()
 		return nil
 	})
+}
+
+// TestRollDoesNotWaitForGroupCommit is TestPutDoesNotWaitForGroupCommit's
+// twin for MemTable rolls: a WAL rotation only cuts the log's block chain,
+// so a put that seals the MemTable, a migration batch that seals the
+// owner's table mid-batch, and a MemTable-hit get each finish while the
+// group commit is inside a 50 ms device write.
+func TestRollDoesNotWaitForGroupCommit(t *testing.T) {
+	opt := walOpt(WALAsync)
+	opt.MemTableCapacity = 4 << 10
+	opt.WALFlushInterval = 3600e9 // the ticker never fires; the commit is explicit
+	slow := nvm.PerfModel{WriteLatency: 50 * time.Millisecond, TimeScale: 1}
+	runCluster(t, clusterSpec{ranks: 1, nvmModel: slow}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("rollstall", opt)
+		if err != nil {
+			return err
+		}
+		keys := ownKeys(db, 0, 10)
+		hit, roll, batch := keys[0], keys[1], keys[2:]
+		mustPut(t, db, string(hit), string(val(hit)))
+		big := func(k []byte) []byte { return append(val(k), make([]byte, 1<<10)...) }
+		entries := make([]memtable.Entry, len(batch))
+		for i, k := range batch {
+			entries[i] = memtable.Entry{Key: k, Value: big(k)}
+		}
+		msg := mpi.Message{Source: 0, Data: seqFrame(1<<40, db.incarnation.Load(), entries)}
+		rolls := db.metrics.Flushes.Load()
+
+		done := make(chan error, 1)
+		go func() { done <- db.wal.Load().local.GroupCommit() }()
+		// The group commit is 10 ms into its 50 ms write when the roll,
+		// the get and the batch start, and must still be in it when they
+		// end.
+		time.Sleep(10 * time.Millisecond)
+		putTook := make(chan time.Duration, 1)
+		go func() {
+			start := time.Now()
+			// One value as large as the MemTable: its insert seals it.
+			mustPut(t, db, string(roll), string(append(val(roll), make([]byte, opt.MemTableCapacity)...)))
+			putTook <- time.Since(start)
+		}()
+		time.Sleep(time.Millisecond) // let the put reach db.mu first
+		start := time.Now()
+		if err := wantGet(db, string(hit), string(val(hit))); err != nil {
+			return err
+		}
+		getTook := time.Since(start)
+		if d := <-putTook; d >= 5*time.Millisecond {
+			t.Errorf("put that sealed the MemTable took %v behind an in-flight group commit", d)
+		}
+		if getTook >= 5*time.Millisecond {
+			t.Errorf("MemTable-hit get took %v behind an in-flight group commit", getTook)
+		}
+		start = time.Now()
+		db.handleBatch(msg, true)
+		if d := time.Since(start); d >= 5*time.Millisecond {
+			t.Errorf("migration batch that sealed the MemTable took %v behind an in-flight group commit", d)
+		}
+		select {
+		case <-done:
+			return errors.New("the group commit finished before the roll, get and batch: nothing overlapped")
+		default:
+		}
+		if err := <-done; err != nil {
+			return err
+		}
+		if err := db.Barrier(LevelSSTable); err != nil {
+			return err
+		}
+		if n := db.metrics.Flushes.Load() - rolls; n < 2 {
+			t.Errorf("%d flushes, want the put's roll and at least one mid-batch roll", n)
+		}
+		for _, k := range batch {
+			if err := wantGet(db, string(k), string(big(k))); err != nil {
+				t.Error(err)
+			}
+		}
+		return db.Close()
+	})
+}
+
+// TestWALWriteNoSpaceAtCutDegrades: an ENOSPC while a deferred cut's
+// blocks are written — by the commit of the put that sealed the segment,
+// or by Remove writing a still-buffered segment through before it unlinks
+// it — degrades the rank to read-only; it does not fail it. Reclaim heals
+// it, and every acked pair survives a reopen.
+func TestWALWriteNoSpaceAtCutDegrades(t *testing.T) {
+	for _, mode := range []WALMode{WALSync, WALAsync} {
+		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+			inj := faults.New(0xc07)
+			opt := walOpt(mode)
+			opt.MemTableCapacity = 4 << 10
+			opt.WALFlushInterval = 3600e9 // WALAsync: only Remove writes the cut through
+			opt.ProbeInterval = -1        // reclaim only via the explicit call
+			runCluster(t, clusterSpec{ranks: 1, faults: inj}, func(rt *Runtime, c *mpi.Comm) error {
+				db, err := rt.Open("walcutfull", opt)
+				if err != nil {
+					return err
+				}
+				keys := ownKeys(db, 0, 4)
+				mustPut(t, db, string(keys[0]), string(val(keys[0])))
+				inj.Enable(faults.Rule{Point: faults.NVMWriteNoSpace, Rank: faults.AnyRank, Where: "wal/local-", Count: 1, Fires: 1})
+				// One value as large as the MemTable: its insert seals it.
+				sealing := append(val(keys[1]), make([]byte, opt.MemTableCapacity)...)
+				err = db.Put(keys[1], sealing)
+				if mode == WALSync && !errors.Is(err, ErrReadOnly) {
+					t.Errorf("sealing put under WALSync = %v, want ErrReadOnly", err)
+				}
+				if mode == WALAsync && err != nil {
+					t.Errorf("sealing put under WALAsync = %v, want nil", err)
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for db.State() == StateHealthy && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if st := db.State(); st != StateDegraded {
+					return fmt.Errorf("State = %v after an ENOSPC at the cut, want %v", st, StateDegraded)
+				}
+				if err := db.Health(); !errors.Is(err, nvm.ErrNoSpace) {
+					t.Errorf("Health = %v, want the full device as root cause", err)
+				}
+				if err := db.Reclaim(); err != nil {
+					return fmt.Errorf("Reclaim: %w", err)
+				}
+				mustPut(t, db, string(keys[2]), string(val(keys[2])))
+				if err := db.Barrier(LevelSSTable); err != nil {
+					return err
+				}
+				mustPut(t, db, string(keys[3]), string(val(keys[3])))
+				if err := db.Close(); err != nil {
+					return err
+				}
+				db, err = rt.Open("walcutfull", opt)
+				if err != nil {
+					return err
+				}
+				for i, k := range keys {
+					want := string(val(k))
+					if i == 1 {
+						want = string(sealing)
+					}
+					if err := wantGet(db, string(k), want); err != nil {
+						t.Error(err)
+					}
+				}
+				return db.Close()
+			})
+			if inj.Fired(faults.NVMWriteNoSpace) != 1 {
+				t.Fatalf("ENOSPC fired %d times, want 1", inj.Fired(faults.NVMWriteNoSpace))
+			}
+		})
+	}
 }

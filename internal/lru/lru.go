@@ -8,6 +8,7 @@ package lru
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
 type entry struct {
@@ -27,6 +28,9 @@ type Cache struct {
 	order    *list.List // front = most recently used
 	items    map[string]*list.Element
 	enabled  bool
+	// gen counts the calls that drop entries (Invalidate, Clear, a
+	// disabling SetEnabled); it is written under mu and read bare by Gen.
+	gen atomic.Uint64
 
 	hits, misses uint64
 }
@@ -62,6 +66,7 @@ func (c *Cache) SetEnabled(on bool) {
 		return
 	}
 	c.enabled = false
+	c.gen.Add(1)
 	c.order.Init()
 	c.items = make(map[string]*list.Element)
 	c.used = 0
@@ -72,6 +77,28 @@ func (c *Cache) SetEnabled(on bool) {
 func (c *Cache) Put(key []byte, value []byte, found bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(key, value, found)
+}
+
+// Gen returns the cache's invalidation generation, which every Invalidate
+// and Clear, and every SetEnabled that disables the cache, advances.
+func (c *Cache) Gen() uint64 { return c.gen.Load() }
+
+// Fill is Put for a value read from the store beneath the cache: it caches
+// value only if the generation is still gen, the caller's Gen sampled
+// before it began the read. A writer that inserts a newer value and then
+// invalidates its key thus either advances the generation before the fill,
+// which refuses it, or removes the filled entry after it: a fill can never
+// outlive an insert its read did not see.
+func (c *Cache) Fill(key []byte, value []byte, gen uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.gen.Load() == gen {
+		c.putLocked(key, value, true)
+	}
+}
+
+func (c *Cache) putLocked(key []byte, value []byte, found bool) {
 	if !c.enabled {
 		return
 	}
@@ -117,11 +144,14 @@ func (c *Cache) Get(key []byte) (value []byte, found, hit bool) {
 	return e.value, e.found, true
 }
 
-// Invalidate removes key from the cache; puts of a fresh pair with the same
-// key call it so stale cache entries are evicted (Figure 2).
+// Invalidate removes key from the cache and advances the generation; puts
+// of a fresh pair with the same key call it once the pair is inserted, so
+// stale cache entries are evicted (Figure 2) and a fill in flight is
+// refused (Fill).
 func (c *Cache) Invalidate(key []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen.Add(1)
 	if el, ok := c.items[string(key)]; ok {
 		c.removeElement(el)
 	}
@@ -131,6 +161,7 @@ func (c *Cache) Invalidate(key []byte) {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen.Add(1)
 	c.order.Init()
 	c.items = make(map[string]*list.Element)
 	c.used = 0

@@ -82,6 +82,30 @@ func TestInvalidate(t *testing.T) {
 	c.Invalidate([]byte("absent")) // must not panic
 }
 
+// TestFillRefusedAfterInvalidate: a fill whose generation an Invalidate
+// (of any key), a Clear or a disabling SetEnabled overtook is dropped; one that
+// nothing overtook caches.
+func TestFillRefusedAfterInvalidate(t *testing.T) {
+	c := New(100)
+	for _, overtake := range []func(){
+		func() { c.Invalidate([]byte("k")) },
+		func() { c.Invalidate([]byte("other")) },
+		c.Clear,
+		func() { c.SetEnabled(false); c.SetEnabled(true) },
+	} {
+		gen := c.Gen()
+		overtake()
+		c.Fill([]byte("k"), []byte("stale"), gen)
+		if _, _, hit := c.Get([]byte("k")); hit {
+			t.Fatal("a fill overtaken by an invalidation was cached")
+		}
+	}
+	c.Fill([]byte("k"), []byte("v"), c.Gen())
+	if v, found, hit := c.Get([]byte("k")); !hit || !found || string(v) != "v" {
+		t.Fatalf("Get after a current fill = %q, %v, %v", v, found, hit)
+	}
+}
+
 func TestDisabledCache(t *testing.T) {
 	c := New(0)
 	if c.Enabled() {

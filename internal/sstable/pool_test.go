@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -15,9 +14,6 @@ import (
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/nvm"
 )
-
-// raceEnabled is set by race_test.go in race-detector builds.
-var raceEnabled bool
 
 // TestWriterCloseFailureLeavesNoFiles fails each of Close's three writes in
 // turn — the last data chunk, the index, the bloom filter — on a full
@@ -58,14 +54,11 @@ func bigTable(t *testing.T, dev *nvm.Device, dir string, ssid uint64, size int) 
 	return entries
 }
 
-// TestScannerRefillAllocs: once the pools are warm, a full sequential pass
-// refills into the scanner's two pooled windows instead of a fresh window
-// per refill — a few hundred bytes for the scanner and its handle, not
+// TestScannerRefillAllocs: once the free list is warm, a full sequential
+// pass refills into the scanner's two recycled windows instead of a fresh
+// window per refill — a few hundred bytes for the scanner and its handle, not
 // megabytes.
 func TestScannerRefillAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops pooled windows at random")
-	}
 	dev := testDev(t)
 	entries := bigTable(t, dev, "d", 1, 8<<20)
 	pass := func() {
@@ -89,11 +82,8 @@ func TestScannerRefillAllocs(t *testing.T) {
 			t.Fatalf("pass scanned %d entries, want %d", n, len(entries))
 		}
 	}
-	// One P and no collection between the passes: a sync.Pool keeps one
-	// item per P out of other Ps' reach and empties over two collections,
-	// either of which could make the second pass allocate a window anew.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// The free list hands the first pass's windows to the second whatever
+	// P it runs on and however many collections fall between the passes.
 	pass()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

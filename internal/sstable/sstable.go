@@ -50,6 +50,7 @@ import (
 	"sync"
 
 	"papyruskv/internal/bloom"
+	"papyruskv/internal/freelist"
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/nvm"
 )
@@ -121,14 +122,14 @@ type Writer struct {
 	firstKey []byte
 	lastKey  []byte
 	dataCRC  uint32 // running CRC32C over the logical SSData byte stream
-	// pending is the write-behind buffer, writeChunk bytes from writePool:
+	// pending is the write-behind buffer, writeChunk bytes from writeBufs:
 	// Add encodes each record straight into it, and it goes to the device
 	// in one write before a record would overflow it — large sequential
 	// chunks, as the compaction thread would write, instead of one device
-	// operation per record. pooled is its pool handle; Close and Abort
-	// return it.
+	// operation per record. pooled is the buffer from writeBufs; Close
+	// and Abort return it.
 	pending []byte
-	pooled  *[]byte
+	pooled  []byte
 	written int64  // logical SSData bytes emitted (pending included)
 	sealed  []byte // the SSIndex file image, once Close has written it
 }
@@ -136,9 +137,13 @@ type Writer struct {
 // writeChunk is the streaming granularity of SSData writes.
 const writeChunk = 1 << 20
 
-// writePool holds the writers' write-behind buffers, writeChunk bytes each.
-// A buffer is reused as soon as the device write of its bytes returns.
-var writePool = sync.Pool{New: func() any { b := make([]byte, 0, writeChunk); return &b }}
+// writeBufs recycles the writers' write-behind buffers, writeChunk bytes
+// each, keeping at most maxFreeWriteBufs — a flush's and a compaction's —
+// while no table is being written. A buffer is reused as soon as the device
+// write of its bytes returns.
+var writeBufs = freelist.New(writeChunk, maxFreeWriteBufs)
+
+const maxFreeWriteBufs = 2
 
 // NewWriter starts SSTable ssid in dir. expectedCount sizes the bloom
 // filter; passing a low estimate only raises its false-positive rate.
@@ -147,14 +152,14 @@ func NewWriter(dev *nvm.Device, dir string, ssid uint64, expectedCount int) (*Wr
 	if err != nil {
 		return nil, err
 	}
-	pooled := writePool.Get().(*[]byte)
+	pooled := writeBufs.Get()
 	return &Writer{
 		dev:     dev,
 		dir:     dir,
 		ssid:    ssid,
 		data:    data,
 		filter:  bloom.New(expectedCount, 0.01),
-		pending: (*pooled)[:0],
+		pending: pooled[:0],
 		pooled:  pooled,
 	}, nil
 }
@@ -212,7 +217,7 @@ func (w *Writer) flush() error {
 		return nil
 	}
 	_, err := w.data.Write(w.pending)
-	w.pending = (*w.pooled)[:0]
+	w.pending = w.pooled[:0]
 	return err
 }
 
@@ -271,10 +276,10 @@ func (w *Writer) seal() (Meta, error) {
 	}, nil
 }
 
-// release hands the write-behind buffer back to writePool, once.
+// release hands the write-behind buffer back to writeBufs, once.
 func (w *Writer) release() {
 	if w.pooled != nil {
-		writePool.Put(w.pooled)
+		writeBufs.Put(w.pooled)
 		w.pooled, w.pending = nil, nil
 	}
 }

@@ -3,11 +3,12 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
-
 	"sync"
 
 	"papyruskv/internal/faults"
+	"papyruskv/internal/freelist"
 	"papyruskv/internal/nvm"
 	"papyruskv/internal/stats"
 )
@@ -26,8 +27,9 @@ type Config struct {
 	// after SSTable flush) or "remote" (entries staged toward other
 	// owners, deleted after migration).
 	Stream string
-	// Sync selects fsync-per-Commit durability (WALSync); otherwise
-	// appends buffer in memory until GroupCommit or rotation.
+	// Sync selects fsync-per-Commit durability, and a fsync before each
+	// sealed segment is closed (WALSync); otherwise appends buffer in
+	// memory until GroupCommit.
 	Sync bool
 	// Rank is reported in injection sites so rules can target one rank's
 	// log on a shared device.
@@ -38,29 +40,48 @@ type Config struct {
 	Stats *stats.WAL
 }
 
-// maxSpare bounds the drained buffer a Log keeps for its next swap: a burst
-// that grew the buffer past it is written and then dropped, so the log's
-// idle footprint stays bounded, not a burst's high water. Below it the two
-// buffers are recycled and a swap allocates nothing; a batch regrown from
-// scratch costs several times its size in allocations. On a saturated
-// two-core host the batches that pile up behind one slow fsync reach 4 MiB;
-// a 1 MiB bound regrew about one batch in nine.
-const maxSpare = 4 << 20
+// The append buffer is a chain of blocks of blockSize bytes. A log recycles
+// its written blocks through a free list of at most freeBlocks — the block
+// being written and the one filling meanwhile — so a commit allocates
+// nothing in steady state and an idle log retains at most that many; a
+// burst past them allocates blocks the collector takes back once written.
+// Every block kept stays on the heap, per stream, and a rank has two: four
+// per log instead of one raised the scan_2r benchmark's heap_mb from 56
+// to 72 MB. A record longer than a block gets a one-off block of its own.
+const (
+	blockSize  = 1 << 20
+	freeBlocks = 2
+)
+
+// chunk is one link of the append chain: framed records of one segment in
+// one block, and the segment's name if a rotation cut the chain after
+// them. A cut does not end the block: the next segment's records go on
+// filling it in a new chunk, so a roll costs no block. Of the chunks that
+// share a block, the last holds it in block, and writing that chunk hands
+// the block back to the free list.
+type chunk struct {
+	b     []byte // the records, a window of the block
+	block []byte // the whole block, on the block's last chunk; nil on the others
+	cut   string // the sealed segment's name; "" while the segment continues
+}
 
 // Log is one stream of segments. It is safe for concurrent use by the
 // application thread, the message handler, and the group-commit thread.
 //
-// Two locks split it into an append side and an I/O side, so appends keep
-// landing in memory while the previous batch is written and fsynced:
+// Two locks split it into an append side and an I/O side, so appends and
+// rotations keep landing in memory while earlier records are written and
+// fsynced:
 //
-//	ioMu  the device state (active segment, dirty, poisoned, spare,
-//	      durable); held across every device write, fsync, rotation and
-//	      close, which it serialises
-//	mu    the append state (buf, appended, epoch, closed); held only to
-//	      append, or to swap the filled buffer for the spare
+//	ioMu  the device state (active segment, taken, dirty, poisoned,
+//	      durable); held across every device write, fsync, segment
+//	      open and close, which it serialises
+//	mu    the append state (chain, sealSeg, appended, epoch, closed); held
+//	      only to append, to cut the chain, or to take chunks off its head
 //
-// Lock order: core's db.mu → ioMu → mu. Appends take mu alone, so a put
-// under db.mu never waits for a write or fsync in flight.
+// Lock order: ioMu → mu. Core's db.mu is taken before mu alone: Append and
+// Rotate, both called under db.mu, take only mu, so a put or a MemTable
+// roll never waits for a write or fsync in flight, and no device call runs
+// under db.mu.
 type Log struct {
 	dev    *nvm.Device
 	dir    string
@@ -69,20 +90,22 @@ type Log struct {
 	rank   int
 	inj    *faults.Injector
 	st     *stats.WAL
+	blocks *freelist.List
 
 	ioMu       sync.Mutex
-	seg        uint64 // segment number within the epoch
-	active     *nvm.Appender
+	seg        uint64        // the active segment's number within the epoch
+	active     *nvm.Appender // nil while a cut could not open the next segment
 	activeName string
-	spare      []byte // the drained buffer the next swap installs
-	durable    uint64 // appends covered by the last successful commit
-	dirty      bool   // device bytes written since the last sync
-	poisoned   bool   // a torn append fired: the device stopped listening
+	taken      []chunk // the chunks being written, off the chain's head
+	durable    uint64  // appends covered by the last successful commit
+	dirty      bool    // device bytes written since the last sync
+	poisoned   bool    // a torn append fired: the device stopped listening
 
 	mu       sync.Mutex
-	epoch    uint32 // set once by Recover, so openSegmentLocked reads it bare
-	buf      []byte // framed records not yet handed to the device
-	appended uint64 // records appended since Recover
+	epoch    uint32  // set once by Recover, so openSegmentLocked reads it bare
+	chain    []chunk // framed records not yet handed to the device, in order
+	sealSeg  uint64  // the number of the segment appends go to
+	appended uint64  // records appended since Recover
 	closed   bool
 }
 
@@ -119,6 +142,7 @@ func Recover(cfg Config) (*Log, []Record, error) {
 		rank:   cfg.Rank,
 		inj:    cfg.Inj,
 		st:     cfg.Stats,
+		blocks: freelist.New(blockSize, freeBlocks),
 	}
 	if l.st == nil {
 		l.st = &stats.WAL{}
@@ -214,10 +238,11 @@ func (l *Log) Epoch() uint32 {
 	return l.epoch
 }
 
-// Append frames r into the in-memory buffer, stamping it with the current
-// epoch. Nothing touches the device until Commit, GroupCommit, or Rotate;
-// the caller decides the durability point. Append takes only the append
-// lock, so it never waits for a device write or fsync in flight.
+// Append frames r onto the tail of the append chain, stamping it with the
+// current epoch. Nothing touches the device until Commit, GroupCommit,
+// Remove or Close; the caller decides the durability point. Append takes
+// only the append lock, so it never waits for a device write or fsync in
+// flight.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -225,44 +250,137 @@ func (l *Log) Append(r Record) error {
 		return ErrClosed
 	}
 	r.Epoch = l.epoch
-	before := len(l.buf)
-	l.buf = AppendRecord(l.buf, r)
+	n := EncodedSize(r)
+	tail := l.tailLocked(n)
+	*tail = AppendRecord(*tail, r)
 	l.appended++
 	l.st.RecordsAppended.Add(1)
-	l.st.BytesAppended.Add(uint64(len(l.buf) - before))
+	l.st.BytesAppended.Add(uint64(n))
 	return nil
 }
 
-// swapLocked takes the filled buffer and installs the spare in its place,
-// holding mu only for the exchange; the caller writes the returned frames
-// outside it. upto counts the appends they end with. Caller holds ioMu. A
-// closed log yields ErrClosed.
-func (l *Log) swapLocked() (b []byte, upto uint64, err error) {
+// tailLocked returns the chunk the next n framed bytes go into: the chain's
+// last chunk while its block has room; past a cut, a new chunk in the rest
+// of that block, which takes the block over; else a new chunk in a new
+// block from the free list — or, for a record longer than a block, a
+// one-off block of its own size. Only Remove's write-through takes part
+// of a block's chunks: a commit or Close takes the whole chain, and the
+// next append starts a new block. Caller holds mu.
+func (l *Log) tailLocked(n int) *[]byte {
+	if k := len(l.chain); k > 0 {
+		if c := &l.chain[k-1]; len(c.b)+n <= cap(c.b) {
+			if c.cut == "" {
+				return &c.b
+			}
+			next := chunk{b: c.b[len(c.b):], block: c.block}
+			c.block = nil
+			l.chain = append(l.chain, next)
+			return &l.chain[k].b
+		}
+	}
+	var b []byte
+	if n > blockSize {
+		b = make([]byte, 0, n)
+	} else {
+		b = l.blocks.Get()[:0]
+	}
+	l.chain = append(l.chain, chunk{b: b, block: b})
+	return &l.chain[len(l.chain)-1].b
+}
+
+// Rotate seals the segment appends go to and returns its name; core calls
+// it under its db mutex at the exact moment the corresponding MemTable
+// rolls, so a segment always holds precisely its table's records, and
+// deletes the segment by that name once the table's flush or migration
+// commits. Rotate only cuts the append chain after its last record: it
+// takes the append lock alone and makes no device call. The next Commit,
+// GroupCommit, Remove or Close writes the sealed segment's blocks, closes
+// it — fsynced first in Sync mode — and opens the next one.
+func (l *Log) Rotate() (sealed string, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return nil, 0, ErrClosed
+		return "", ErrClosed
 	}
-	b = l.buf
-	l.buf, l.spare = l.spare, nil
-	return b, l.appended, nil
+	sealed = segName(l.dir, l.stream, l.epoch, l.sealSeg)
+	l.sealSeg++
+	if k := len(l.chain); k > 0 && l.chain[k-1].cut == "" {
+		l.chain[k-1].cut = sealed
+	} else {
+		l.chain = append(l.chain, chunk{cut: sealed})
+	}
+	return sealed, nil
 }
 
-// writeLocked hands swapped-out frames to the device and keeps their
-// buffer as the next spare if it is small enough. This is where
-// WALTornAppend strikes: the firing append writes only a prefix of its
-// frames and poisons the log — every later write silently drops its bytes
-// while still reporting success, modelling the writes a crashed rank never
-// got onto the device. Replay's frame checksums are what notice. Caller
-// holds ioMu.
-func (l *Log) writeLocked(b []byte) error {
-	defer func() {
-		if cap(b) <= maxSpare {
-			l.spare = b[:0]
+// takeLocked moves chunks off the head of the chain into l.taken, holding
+// mu only for the move: all of them, or — when through names a segment —
+// those up to the cut that seals it, none if no buffered cut does. upto
+// counts the appends the whole chain ends with. Caller holds ioMu. A closed
+// log takes nothing and yields ErrClosed.
+func (l *Log) takeLocked(through string) (upto uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, ErrClosed
+	}
+	n := len(l.chain)
+	if through != "" {
+		n = slices.IndexFunc(l.chain, func(c chunk) bool { return c.cut == through }) + 1
+	}
+	l.moveLocked(n)
+	return l.appended, nil
+}
+
+// moveLocked moves the chain's first n chunks into l.taken. Caller holds
+// ioMu and mu.
+func (l *Log) moveLocked(n int) {
+	l.taken = append(l.taken, l.chain[:n]...)
+	rest := copy(l.chain, l.chain[n:])
+	clear(l.chain[rest:])
+	l.chain = l.chain[:rest]
+}
+
+// writeLocked hands the taken chunks to the device in order, closing the
+// active segment at each cut and opening the next, and recycles each block
+// once its last chunk is written: the chunks before it are written by
+// then, in this call or an earlier one. A failed write stops the data but
+// not the cuts: every cut still advances the segment, so the segments on
+// the device stay in step with the names Rotate handed out, and no later
+// write lands in a segment already sealed — or already removed. It
+// returns the first error. Caller holds ioMu.
+func (l *Log) writeLocked() error {
+	var first error
+	for i := range l.taken {
+		c := &l.taken[i]
+		if first == nil && len(c.b) > 0 {
+			first = l.appendLocked(c.b)
 		}
-	}()
-	if len(b) == 0 || l.poisoned {
+		l.blocks.Put(c.block)
+		if c.cut != "" {
+			if err := l.cutLocked(); first == nil {
+				first = err
+			}
+		}
+		*c = chunk{}
+	}
+	l.taken = l.taken[:0]
+	return first
+}
+
+// appendLocked writes one block to the active segment, opening it first if
+// a cut could not. This is where WALTornAppend strikes: the firing write
+// puts only a prefix of its block on the device and poisons the log —
+// every later write silently drops its bytes while still reporting
+// success, modelling the writes a crashed rank never got onto the device.
+// Replay's frame checksums are what notice. Caller holds ioMu.
+func (l *Log) appendLocked(b []byte) error {
+	if l.poisoned {
 		return nil
+	}
+	if l.active == nil {
+		if err := l.openSegmentLocked(); err != nil {
+			return err
+		}
 	}
 	if l.inj != nil {
 		if dec := l.inj.Eval(faults.WALTornAppend, l.site()); dec.Fire {
@@ -283,6 +401,28 @@ func (l *Log) writeLocked(b []byte) error {
 	return nil
 }
 
+// cutLocked closes the active segment — fsynced first in Sync mode, so a
+// put whose own append sealed the segment is durable before its
+// acknowledgement — and opens the next. Caller holds ioMu.
+func (l *Log) cutLocked() error {
+	var err error
+	if l.active != nil {
+		if l.sync && l.dirty {
+			err = l.syncLocked()
+		}
+		if cerr := l.active.Close(); err == nil {
+			err = cerr
+		}
+		l.active = nil
+	}
+	l.seg++
+	l.dirty = false
+	if oerr := l.openSegmentLocked(); err == nil {
+		err = oerr
+	}
+	return err
+}
+
 // syncLocked makes the written bytes durable; WALSyncError fires here.
 // Caller holds ioMu.
 func (l *Log) syncLocked() error {
@@ -298,12 +438,12 @@ func (l *Log) syncLocked() error {
 }
 
 // persist is the one durability routine behind Commit and GroupCommit: it
-// swaps out everything appended so far, writes it and fsyncs — the append
-// lock held only for the swap, the I/O lock for the whole. A caller whose
-// records an earlier caller's persist already swapped out waits for that
-// one's fsync on ioMu and then finds them durable: concurrent commits share
-// one fsync, and appends made meanwhile wait for the next. synced reports
-// a fsync of a non-empty batch.
+// takes everything appended so far off the chain, writes it and fsyncs —
+// the append lock held only for the take, the I/O lock for the whole. A
+// caller whose records an earlier caller's persist already took waits for
+// that one's fsync on ioMu and then finds them durable: concurrent commits
+// share one fsync, and appends made meanwhile wait for the next. synced
+// reports a fsync after a non-empty write.
 func (l *Log) persist() (synced bool, err error) {
 	l.mu.Lock()
 	target := l.appended
@@ -313,19 +453,18 @@ func (l *Log) persist() (synced bool, err error) {
 	if l.durable >= target {
 		return false, nil
 	}
-	b, upto, err := l.swapLocked()
+	upto, err := l.takeLocked("")
 	if err != nil {
 		return false, err
 	}
-	batched := len(b) > 0
-	if err := l.writeLocked(b); err != nil {
+	if err := l.writeLocked(); err != nil {
 		return false, err
 	}
 	if l.dirty {
 		if err := l.syncLocked(); err != nil {
 			return false, err
 		}
-		synced = batched
+		synced = true
 	}
 	l.durable = upto
 	return synced, nil
@@ -343,9 +482,9 @@ func (l *Log) Commit() error {
 
 // GroupCommit writes and fsyncs the accumulated appends — the WALAsync
 // durability point, called by the group-commit thread every flush
-// interval. Appends keep landing in the other buffer while it writes. A
-// tick with nothing to persist does no device work; on a closed log it is
-// a no-op.
+// interval. Appends keep landing in new blocks while it writes. A tick
+// with nothing to persist does no device work; on a closed log it is a
+// no-op.
 func (l *Log) GroupCommit() error {
 	synced, err := l.persist()
 	if errors.Is(err, ErrClosed) {
@@ -357,91 +496,77 @@ func (l *Log) GroupCommit() error {
 	return err
 }
 
-// Rotate seals the active segment and opens the next one; core calls it
-// under its db mutex at the exact moment the corresponding MemTable rolls,
-// so a segment always holds precisely its table's records. The sealed
-// segment's name is returned for deletion once the table's flush or
-// migration commits. Buffered frames are written to the sealed segment
-// first (and fsynced in Sync mode, so a put that itself triggered the roll
-// is durable before its acknowledgement). It waits on the I/O lock for a
-// write or fsync already in flight.
-func (l *Log) Rotate() (sealed string, err error) {
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
-	b, upto, err := l.swapLocked()
-	if err != nil {
-		return "", err
-	}
-	err = l.writeLocked(b)
-	if err == nil && l.sync && l.dirty {
-		if err = l.syncLocked(); err == nil {
-			l.durable = upto
-		}
-	}
-	if cerr := l.active.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	sealed = l.activeName
-	l.seg++
-	l.dirty = false
-	if oerr := l.openSegmentLocked(); oerr != nil {
-		return sealed, oerr
-	}
-	return sealed, err
-}
-
 // Remove deletes a sealed segment whose data has committed to an SSTable
 // (local stream) or been applied by its owners (remote stream). This is
 // the garbage collection that keeps WAL bytes bounded by the MemTable
-// budget.
+// budget. A segment whose cut is still buffered is written through first,
+// up to and including that cut, so the device has moved past it before the
+// unlink and no later write can re-create it. A failed write-through is
+// returned, but the segment is unlinked all the same: its records are safe
+// elsewhere.
 func (l *Log) Remove(sealed string) error {
-	return l.dev.Remove(sealed)
+	l.ioMu.Lock()
+	_, err := l.takeLocked(sealed)
+	if err == nil {
+		err = l.writeLocked()
+	} else if errors.Is(err, ErrClosed) {
+		err = nil // nothing will be written again
+	}
+	l.ioMu.Unlock()
+	if rerr := l.dev.Remove(sealed); err == nil {
+		err = rerr
+	}
+	return err
 }
 
-// closeLocked marks the log closed and returns the frames still buffered.
-// Caller holds ioMu; ok is false if the log was already closed.
-func (l *Log) closeLocked() (b []byte, ok bool) {
+// closeLocked marks the log closed and moves the whole chain into l.taken,
+// under one hold of mu, so no append lands between the two. Caller holds
+// ioMu; it reports false if the log was already closed.
+func (l *Log) closeLocked() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return nil, false
+		return false
 	}
 	l.closed = true
-	b, l.buf = l.buf, nil
-	return b, true
+	l.moveLocked(len(l.chain))
+	return true
 }
 
 // Abandon releases the active segment WITHOUT persisting buffered appends
 // — the teardown of a failed rank, whose group-commit thread is as dead as
 // the rest of it. Whatever reached the device stays replayable; the
-// in-memory buffer is the crash's loss window and is dropped.
+// in-memory chain is the crash's loss window and is dropped.
 func (l *Log) Abandon() {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
-	if _, ok := l.closeLocked(); !ok {
+	if !l.closeLocked() {
 		return
 	}
-	l.spare = nil
-	_ = l.active.Close()
+	clear(l.taken)
+	l.taken = l.taken[:0]
+	if l.active != nil {
+		_ = l.active.Close()
+	}
 }
 
-// Close flushes and fsyncs any buffered frames and releases the active
-// segment. The segment file stays on the device: whatever it holds is
-// exactly the un-flushed state the next Open must replay.
+// Close writes and fsyncs the buffered chain, cuts included, and releases
+// the active segment. The segment file stays on the device: whatever it
+// holds is exactly the un-flushed state the next Open must replay.
 func (l *Log) Close() error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
-	b, ok := l.closeLocked()
-	if !ok {
+	if !l.closeLocked() {
 		return nil
 	}
-	err := l.writeLocked(b)
-	l.spare = nil
+	err := l.writeLocked()
 	if err == nil && l.dirty {
 		err = l.syncLocked()
 	}
-	if cerr := l.active.Close(); err == nil && cerr != nil {
-		err = cerr
+	if l.active != nil {
+		if cerr := l.active.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }

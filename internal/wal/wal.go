@@ -13,6 +13,14 @@
 // bytes by the MemTable budget. A database-wide sequence number written
 // into every record gives replay a total order across both streams.
 //
+// In memory, appends frame records into a chain of fixed-size blocks, and
+// a rotation is a cut in that chain, after its last record: neither
+// touches the device, so both are safe to call under the caller's own
+// locks. The commit that next
+// writes the chain — Commit, GroupCommit, Remove's write-through, Close —
+// writes the blocks in order and, at each cut, closes the sealed segment
+// and opens the next.
+//
 // Records are CRC32C-framed. Replay distinguishes the two ways a segment
 // can be damaged: an incomplete frame at the end of the file is a torn
 // tail — the expected remains of a crash mid-append — and is silently

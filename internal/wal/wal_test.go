@@ -211,17 +211,113 @@ func TestLogCommitRecover(t *testing.T) {
 	}
 }
 
-// TestLogRotateAndRemove: rotation seals the active segment under a name
-// the caller can delete after its MemTable flush commits, bounding WAL
-// bytes; the next segment continues the same epoch.
+// TestLogRotateAndRemove: rotation seals the segment appends go to under a
+// name the caller can delete after its MemTable flush commits, bounding WAL
+// bytes; the next segment continues the same epoch. Rotate itself only cuts
+// the append chain — no device call, so the sealed segment is still empty —
+// and the segment is complete on the device after the next Commit,
+// GroupCommit or Close, or before Remove unlinks it.
 func TestLogRotateAndRemove(t *testing.T) {
-	dev := testDevice(t)
+	for _, via := range []string{"Commit", "GroupCommit", "Close", "Remove"} {
+		t.Run(via, func(t *testing.T) {
+			dev := testDevice(t)
+			cfg := testConfig(dev)
+			cfg.Sync = via == "Commit"
+			l, _, err := Recover(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := testRecords(5)
+			for _, r := range recs {
+				if err := l.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dev.Stats()
+			sealed, err := l.Rotate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := dev.Stats(); after != before {
+				t.Fatalf("Rotate touched the device: stats %+v -> %+v", before, after)
+			}
+			if sz, err := dev.FileSize(sealed); err != nil || sz != 0 {
+				t.Fatalf("sealed segment %q holds %d bytes (err %v) before any commit", sealed, sz, err)
+			}
+			if err := l.Append(Record{Seq: 99, Key: []byte("after"), Value: []byte("rotation")}); err != nil {
+				t.Fatal(err)
+			}
+			switch via {
+			case "Commit":
+				err = l.Commit()
+			case "GroupCommit":
+				err = l.GroupCommit()
+			case "Close":
+				err = l.Close()
+			case "Remove":
+				// The write-through covers the sealed segment's blocks and
+				// no more: the record appended after the cut stays buffered.
+				written := dev.Stats().BytesWritten
+				err = l.Remove(sealed)
+				if got, want := dev.Stats().BytesWritten-written, uint64(len(encodeAll(recs))); err == nil && got != want {
+					t.Fatalf("Remove wrote %d bytes through, want the sealed segment's %d", got, want)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if via != "Remove" {
+				data, err := dev.ReadFile(sealed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, _, err := DecodeAll(data); err != nil || !sameRecords(got, recs) {
+					t.Fatalf("sealed segment after %s holds %v (err %v), want %v", via, seqs(got), err, seqs(recs))
+				}
+				if err := l.Remove(sealed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if dev.Exists(sealed) {
+				t.Fatal("sealed segment still on device after Remove")
+			}
+			// Data in the removed segment is gone; data after rotation
+			// survives, and the removed segment is never re-created.
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if dev.Exists(sealed) {
+				t.Fatal("a write after Remove re-created the sealed segment")
+			}
+			_, got, err := Recover(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || string(got[0].Key) != "after" {
+				t.Fatalf("recovered %+v, want only the post-rotation record", got)
+			}
+		})
+	}
+}
+
+// TestRemoveRacesAppendsInSharedBlock: past a cut, appends go on filling
+// the sealed segment's block. While Remove writes that segment's records
+// through on a slow device, appends into the rest of the block land
+// without waiting, and neither side sees the other's bytes: the removed
+// segment is gone and replay holds exactly the records after the cut.
+func TestRemoveRacesAppendsInSharedBlock(t *testing.T) {
+	dev, err := nvm.Open(t.TempDir(), nvm.PerfModel{WriteLatency: 20 * time.Millisecond, TimeScale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := testConfig(dev)
+	cfg.Sync = false
 	l, _, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range testRecords(5) {
+	recs := testRecords(10)
+	for _, r := range recs[:5] {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
@@ -230,32 +326,34 @@ func TestLogRotateAndRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sealed == "" || !dev.Exists(sealed) {
-		t.Fatalf("sealed segment %q missing from device", sealed)
+	// The first record past the cut opens the next segment's chunk in the
+	// same block, so Remove writes part of a block the appends still fill.
+	if err := l.Append(recs[5]); err != nil {
+		t.Fatal(err)
 	}
-	sz, err := dev.FileSize(sealed)
-	if err != nil || sz == 0 {
-		t.Fatalf("sealed segment empty (size %d, err %v): Rotate must flush the buffer first", sz, err)
+	done := make(chan error, 1)
+	go func() { done <- l.Remove(sealed) }()
+	time.Sleep(5 * time.Millisecond) // inside Remove's 20 ms write
+	for _, r := range recs[6:] {
+		start := time.Now()
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d >= 5*time.Millisecond {
+			t.Fatalf("append took %v behind Remove's write-through", d)
+		}
 	}
-	if err := l.Remove(sealed); err != nil {
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := l.GroupCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Exists(sealed) {
-		t.Fatal("sealed segment still on device after Remove")
+		t.Fatal("removed segment is back on the device")
 	}
-	// Data in the removed segment is gone; data after rotation survives.
-	if err := l.Append(Record{Seq: 99, Key: []byte("after"), Value: []byte("rotation")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, got, err := Recover(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || string(got[0].Key) != "after" {
-		t.Fatalf("recovered %+v, want only the post-rotation record", got)
+	if got := recoverAll(t, l, cfg); !sameSeqs(got, recs[5:]) {
+		t.Fatalf("recovered %v, want the records after the cut %v", seqs(got), seqs(recs[5:]))
 	}
 }
 
@@ -458,8 +556,7 @@ func recoverAll(t *testing.T, l *Log, cfg Config) []Record {
 }
 
 // TestAppendDoesNotWaitForGroupCommit: while a group commit is inside a
-// slow device write, appends land in the other buffer without waiting for
-// it, and the next commit writes them after the in-flight batch, so replay
+// slow device write, appends land in a new block without waiting for it, and the next commit writes them after the in-flight batch, so replay
 // sees every record in append order.
 func TestAppendDoesNotWaitForGroupCommit(t *testing.T) {
 	dev, err := nvm.Open(t.TempDir(), nvm.PerfModel{WriteLatency: 50 * time.Millisecond, TimeScale: 1})
@@ -510,7 +607,7 @@ func TestAppendDoesNotWaitForGroupCommit(t *testing.T) {
 
 // TestConcurrentCommitsShareSync: sync-mode commits racing one another
 // share fsyncs. While one commit writes, the other writers' appends land in
-// the spare buffer and their commits queue on the I/O lock; the first to
+// new blocks and their commits queue on the I/O lock; the first to
 // get it writes them all, and the rest find their records already synced.
 // Sixteen writers committing five records each settle into two
 // alternating groups of eight per fsync, ten in all; a log that blocked
@@ -562,8 +659,9 @@ func TestConcurrentCommitsShareSync(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBufferBounded: a burst past maxSpare is written and its
-// buffer dropped, so the log keeps no more than one bounded spare.
+// TestGroupCommitBufferBounded: a burst many blocks long is written and
+// its blocks recycled, but the log retains at most freeBlocks of them, and
+// nothing of the burst stays on the chain.
 func TestGroupCommitBufferBounded(t *testing.T) {
 	dev := testDevice(t)
 	cfg := testConfig(dev)
@@ -573,7 +671,7 @@ func TestGroupCommitBufferBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	val := make([]byte, 64<<10)
-	burst := 4 * maxSpare / len(val)
+	burst := 4 * freeBlocks * blockSize / len(val)
 	for i := 0; i < burst; i++ {
 		if err := l.Append(Record{Seq: uint64(i + 1), Key: []byte(fmt.Sprintf("k%03d", i)), Value: val}); err != nil {
 			t.Fatal(err)
@@ -584,13 +682,11 @@ func TestGroupCommitBufferBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l.ioMu.Lock()
 	l.mu.Lock()
-	spare, buf := cap(l.spare), cap(l.buf)
+	chained := len(l.chain)
 	l.mu.Unlock()
-	l.ioMu.Unlock()
-	if spare > maxSpare || buf > maxSpare {
-		t.Fatalf("retained buffers: spare cap %d, buf cap %d; want both <= %d", spare, buf, maxSpare)
+	if free := l.blocks.Len(); free > freeBlocks || free == 0 || chained != 0 {
+		t.Fatalf("after the burst: %d free blocks, %d chained; want 1..%d free and none chained", free, chained, freeBlocks)
 	}
 	if got := recoverAll(t, l, cfg); len(got) != burst {
 		t.Fatalf("recovered %d records, want %d", len(got), burst)
