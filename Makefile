@@ -23,14 +23,17 @@ test:
 # The second line races the WAL's block chain (appends, cuts, and the
 # commits, write-throughs and closes that take blocks off it) against its
 # device writes twenty times over, FuzzLogOps's seed corpus included; the
-# third races the scanners' and writers' recycled windows and buffers,
-# shared by concurrent merges, ten times over; the fourth races a
-# checkpoint copy and a get against compaction's table churn ten times
-# over. Their interleavings differ run to run.
+# third races the device's mapped files — views, extensions and the Close
+# that unmaps once — ten times over; the fourth races the scanners' in-place
+# reads, the tables' Close and the writers' recycled buffers, shared by
+# concurrent merges, ten times over; the fifth races a checkpoint copy and a
+# get against compaction's table churn ten times over. Their interleavings
+# differ run to run.
 race:
 	$(GO) test -race -count=1 -timeout 600s $(RACE_PKGS) $(RACE_CORE)
 	$(GO) test -race -count=20 -run 'Commit|Append|Rotate|Remove|FuzzLogOps' ./internal/wal
-	$(GO) test -race -count=10 -run 'TestScanner|TestMerge|TestWriter' ./internal/sstable
+	$(GO) test -race -count=10 ./internal/nvm
+	$(GO) test -race -count=10 -run 'TestScanner|TestMerge|TestWriter|TestTable' ./internal/sstable
 	$(GO) test -race -count=10 -run 'TestCompactionRunsDuringCheckpointCopy|TestCheckpointPinReleasedBeforeWaitReturns|TestGetRacesTableChurn' ./internal/core
 
 # The seeded soaks by name, for local use; `race` (and so `ci`) already runs

@@ -20,10 +20,11 @@ package core
 //     index. A table the version drops meanwhile is doomed, not gone: its
 //     files stay until the last view naming it — this one — retires.
 //
-// Each scanner reads only the blocks [lo, hi) can touch, once, into a pooled
-// window whose entries are valid through the scanner's following Next; the
-// merge's are valid until its next Next. Next, producePage and the DB.Scan
-// gather copy what they keep before they pull again.
+// Each scanner reads only the blocks [lo, hi) can touch, once, in place
+// from the table's mapping; its entries alias the mapping, which the pinned
+// view keeps until the iterator closes, and the merge's are valid until its
+// next Next. Next, producePage and the DB.Scan gather copy what they keep
+// before they pull again.
 //
 // Flush between the MemTable capture and the view pin can only add a table
 // whose content the iterator already holds from the MemTable side — a

@@ -2,6 +2,6 @@
 
 package core
 
-// Under the race detector sync.Pool drops a share of its Puts on purpose, so
-// tests that count allocations of pooled paths skip.
+// Under the race detector allocation counts are not the program's own, so
+// the tests that pin them skip.
 func init() { raceEnabled = true }

@@ -213,8 +213,8 @@ func (db *DB) scrubMaybeRot(dir string, t manifest.TableMeta) {
 		return
 	}
 	// The rewrite replaced the inode; the view's handle and cached readers
-	// hold the old (clean) one. Real rot decays the bytes an open fd reads
-	// too, so the model must not let them mask it.
+	// map the old (clean) one. Real rot decays the bytes an open mapping
+	// reads too, so the model must not let them mask it.
 	db.readers.Evict(dir, t.SSID)
 	db.reopenTable(t.SSID)
 }

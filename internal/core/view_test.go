@@ -184,6 +184,44 @@ func TestOwnGetAllocs(t *testing.T) {
 	})
 }
 
+// TestSSTableValueOutlivesTable: a value DB.Get served from an SSTable is
+// the caller's own, not a view of the table's mapping: it stays intact
+// after compaction takes the table away and DB.Close closes every handle,
+// by when each table it could alias is unmapped.
+func TestSSTableValueOutlivesTable(t *testing.T) {
+	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("lifetime", quietOpt())
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 200; i++ {
+			mustPut(t, db, churnKey(i), churnVal(i))
+		}
+		if err := db.Barrier(LevelSSTable); err != nil {
+			return err
+		}
+		before := db.metrics.SSTableProbes.Load()
+		got, err := db.Get([]byte(churnKey(77)))
+		if err != nil {
+			return err
+		}
+		if db.metrics.SSTableProbes.Load() == before {
+			return fmt.Errorf("the get was not served from an SSTable")
+		}
+		db.compact()
+		if err := db.Close(); err != nil {
+			return err
+		}
+		if open, _, _ := db.viewStats(); open != 0 {
+			return fmt.Errorf("%d tables still open after Close", open)
+		}
+		if string(got) != churnVal(77) {
+			return fmt.Errorf("value after compaction and Close = %q, want %q", got, churnVal(77))
+		}
+		return nil
+	})
+}
+
 // TestMemGetAllocs pins what a get served from the local MemTable costs
 // the allocator: the caller's copy at the API edge and nothing else — the
 // MemTable hands out aliases, not copies of its own.

@@ -59,7 +59,6 @@ func (db *DB) walOpen() error {
 	base := wal.Config{
 		Device: db.rt.cfg.Device,
 		Dir:    db.ownDir,
-		Sync:   db.opt.WAL == WALSync,
 		Rank:   db.rt.rank,
 		Inj:    db.inj,
 		Stats:  &db.metrics.WAL,

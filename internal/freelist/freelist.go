@@ -1,6 +1,6 @@
 // Package freelist keeps a bounded list of fixed-size byte buffers for
-// reuse. It is what the WAL's append blocks and the SSTable scanners' and
-// writers' streaming buffers are recycled through: unlike a sync.Pool, a
+// reuse. It is what the WAL's append blocks and the SSTable writers'
+// streaming buffers are recycled through: unlike a sync.Pool, a
 // list keeps what it holds across garbage collections and across Ps, so a
 // buffer returned is the next one handed out, and its bound caps what an
 // idle process retains.

@@ -190,17 +190,24 @@ func (d *Device) injectWriteFault(name string) error {
 	return nil
 }
 
-// File is an open random-access handle, used by SSTable binary search. Each
-// ReadAt pays one device read operation — the cost structure that makes
-// binary search a win on NVM and a loss on Lustre.
+// File is a published, immutable file mapped read-only for random access:
+// SSTable gets and scans decode its bytes in place, with no system call and
+// no copy. Each View, Extend or ReadAt is charged to the device as one read
+// of the bytes it hands out — the cost structure that makes binary search a
+// win on NVM and a loss on Lustre — exactly as a pread of them would be. Two
+// trade-offs come with the mapping: a fault on a cold page blocks its
+// thread outside the Go scheduler, where a pread would hand its P to
+// another goroutine, and the device layer needs a unix mmap.
 type File struct {
-	dev  *Device
-	f    *os.File
-	name string
-	sz   int64
+	dev    *Device
+	name   string
+	m      []byte // the mapping; nil for an empty file
+	closed atomic.Bool
 }
 
-// OpenFile opens name for random-access reads, charging the open latency.
+// OpenFile maps name read-only, charging the open latency. The descriptor
+// is closed at once: the mapping outlives it. A failed mapping is an error;
+// there is no read path beside it.
 func (d *Device) OpenFile(name string) (*File, error) {
 	d.th.open()
 	d.opens.Add(1)
@@ -208,34 +215,83 @@ func (d *Device) OpenFile(name string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nvm: %w", err)
 	}
+	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("nvm: %w", err)
 	}
-	return &File{dev: d, f: f, name: name, sz: st.Size()}, nil
+	var m []byte
+	if st.Size() > 0 {
+		if m, err = syscall.Mmap(int(f.Fd()), 0, int(st.Size()), syscall.PROT_READ, syscall.MAP_SHARED); err != nil {
+			return nil, fmt.Errorf("nvm: map %s: %w", name, err)
+		}
+	}
+	return &File{dev: d, name: name, m: m}, nil
 }
 
 // Size returns the file size in bytes.
-func (f *File) Size() int64 { return f.sz }
+func (f *File) Size() int64 { return int64(len(f.m)) }
 
-// ReadAt reads len(p) bytes at offset off as one random-access operation.
-func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	f.dev.th.read(len(p))
+// View returns the n bytes at off, charged as one device read of n bytes.
+// The view aliases the mapping and is valid until Close; the caller must
+// not write to it.
+func (f *File) View(off int64, n int) ([]byte, error) { return f.Extend(nil, off, n) }
+
+// Extend returns v — a view of this file that ends at off, or nil — followed
+// by the n bytes at off, charged as one device read of the n new bytes: a
+// scanner's refill, which carries the unread tail of its last view over.
+// While a fault injector is armed, or when v is itself a copy, the result is
+// a private copy of v and the new bytes, with NVMReadBitFlip applied to the
+// new bytes only, so an injected flip never touches the shared mapping and a
+// flip in v stays.
+func (f *File) Extend(v []byte, off int64, n int) ([]byte, error) {
+	start, end := off-int64(len(v)), off+int64(n)
+	if f.closed.Load() {
+		return nil, fmt.Errorf("nvm: read of %s after Close", f.name)
+	}
+	if start < 0 || n < 0 || end > int64(len(f.m)) {
+		return nil, fmt.Errorf("nvm: read of [%d, %d) outside %s's %d bytes", start, end, f.name, len(f.m))
+	}
+	f.dev.th.read(n)
 	f.dev.reads.Add(1)
-	f.dev.bytesRead.Add(uint64(len(p)))
-	n, err := f.f.ReadAt(p, off)
-	if err != nil && err != io.EOF {
-		return n, fmt.Errorf("nvm: %w", err)
+	f.dev.bytesRead.Add(uint64(n))
+	out := f.m[start:end:end]
+	if f.dev.inj == nil && (len(v) == 0 || &v[0] == &out[0]) {
+		return out, nil
 	}
+	cp := make([]byte, len(out))
+	copy(cp, v)
+	copy(cp[len(v):], f.m[off:end])
 	if dec := f.dev.eval(faults.NVMReadBitFlip, f.name); dec.Fire {
-		dec.FlipBit(p[:n])
+		dec.FlipBit(cp[len(v):])
 	}
-	return n, err
+	return cp, nil
 }
 
-// Close releases the handle.
-func (f *File) Close() error { return f.f.Close() }
+// ReadAt copies up to len(p) bytes at off out of the mapping as one device
+// read, with io.EOF when the file ends first.
+func (f *File) ReadAt(p []byte, off int64) (int, error) {
+	v, err := f.View(off, int(max(0, min(int64(len(p)), f.Size()-off))))
+	if err != nil {
+		return 0, err
+	}
+	if n := copy(p, v); n < len(p) {
+		return n, io.EOF
+	}
+	return len(p), nil
+}
+
+// Close unmaps the file. A second Close is a no-op: unmapping again could
+// unmap a later mapping that reuses the address range.
+func (f *File) Close() error {
+	if !f.closed.CompareAndSwap(false, true) || f.m == nil {
+		return nil
+	}
+	if err := syscall.Munmap(f.m); err != nil {
+		return fmt.Errorf("nvm: unmap %s: %w", f.name, err)
+	}
+	return nil
+}
 
 // Writer streams a new file onto the device; the compaction thread uses it
 // to write SSTables chunk by chunk. Close makes the file visible atomically.

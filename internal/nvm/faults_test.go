@@ -117,6 +117,59 @@ func TestInjectReadBitFlip(t *testing.T) {
 	}
 }
 
+// TestViewBitFlipIsPrivate: an armed NVMReadBitFlip reaches in-place reads
+// — the view holds the flipped bit — but the view is a private copy, so the
+// flip never touches the shared mapping: an unarmed view of the same bytes
+// reads clean, and extending the flipped view keeps its flip.
+func TestViewBitFlipIsPrivate(t *testing.T) {
+	d, err := Open(t.TempDir(), DRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 4096)
+	if err := d.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	f, err := d.OpenFile("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	diff := func(got, want []byte) int {
+		n := 0
+		for i := range got {
+			if got[i] != want[i] {
+				n++
+			}
+		}
+		return n
+	}
+	d.InjectFaults(faults.New(1).
+		Enable(faults.Rule{Point: faults.NVMReadBitFlip, Rank: faults.AnyRank, Count: 1, Fires: 1}))
+	flipped, err := f.View(0, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := diff(flipped, data[:2048]); n != 1 {
+		t.Fatalf("armed view: %d corrupted bytes, want 1", n)
+	}
+	d.InjectFaults(nil)
+	clean, err := f.View(0, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := diff(clean, data[:2048]); n != 0 {
+		t.Fatalf("unarmed view of the same bytes: %d corrupted bytes, want 0: the flip reached the mapping", n)
+	}
+	grown, err := f.Extend(flipped, 2048, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := diff(grown, data); n != 1 || diff(grown[:2048], flipped) != 0 {
+		t.Fatalf("extended flipped view: %d corrupted bytes, want the one it carried", n)
+	}
+}
+
 func TestWhereFilterTargetsOneDevice(t *testing.T) {
 	d0, _ := Open(t.TempDir()+"/nvm-g0", DRAM)
 	d1, _ := Open(t.TempDir()+"/nvm-g1", DRAM)

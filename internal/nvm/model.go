@@ -12,6 +12,12 @@
 // stripe-limited aggregate bandwidth, and file-open (metadata) cost; real
 // bytes land in real files under a directory so persistence, zero-copy
 // reopen, and checkpoint file movement are genuine.
+//
+// A published, immutable file opened for random access is a File: a
+// read-only mapping that SSTable gets and scans decode in place, each view
+// of it charged to the model as one read of its bytes, as a pread was. A
+// fault on a cold page blocks its thread outside the Go scheduler, where a
+// pread would release its P, and the package needs a unix mmap.
 package nvm
 
 import (

@@ -115,6 +115,91 @@ func TestReadAtAllocatesNothingUnarmed(t *testing.T) {
 	}
 }
 
+// TestViewCharges: a view is charged exactly as the read it replaced — one
+// device read of the bytes it hands out — and an extension only for the
+// bytes it adds. The view aliases the mapping: two views of one range share
+// their bytes.
+func TestViewCharges(t *testing.T) {
+	d := testDev(t)
+	data := make([]byte, 8192)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := d.WriteFile("v", data); err != nil {
+		t.Fatal(err)
+	}
+	f, err := d.OpenFile("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	before := d.Stats()
+	v, err := f.View(1000, 300)
+	if err != nil || !bytes.Equal(v, data[1000:1300]) {
+		t.Fatalf("View = %v, %v", len(v), err)
+	}
+	w, err := f.Extend(v[200:], 1300, 500)
+	if err != nil || !bytes.Equal(w, data[1200:1800]) {
+		t.Fatalf("Extend = %v, %v", len(w), err)
+	}
+	after := d.Stats()
+	if reads, read := after.Reads-before.Reads, after.BytesRead-before.BytesRead; reads != 2 || read != 800 {
+		t.Errorf("a view and an extension charged %d reads of %d bytes, want 2 of 800", reads, read)
+	}
+	if &w[0] != &v[200] {
+		t.Error("the extension does not alias the view it extends")
+	}
+	if _, err := f.View(8000, 200); err == nil {
+		t.Error("a view past the end of the file succeeded")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.View(1024, 512); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("View allocates %v times per call with no injector, want 0", allocs)
+	}
+}
+
+// TestFileCloseTwiceUnmapsOnce: the second Close of a file is a no-op. Were
+// it to unmap again, it would unmap whatever later mapping reuses the
+// address range — here another file, opened between the two Closes, whose
+// next read would then fault and kill the process.
+func TestFileCloseTwiceUnmapsOnce(t *testing.T) {
+	d := testDev(t)
+	data := bytes.Repeat([]byte("mapped"), 20000)
+	for _, name := range []string{"a", "b"} {
+		if err := d.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := d.OpenFile("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.OpenFile("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if &a.m[0] != &b.m[0] {
+		t.Log("the second mapping did not reuse the first one's address range")
+	}
+	if err := a.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	v, err := b.View(0, len(data))
+	if err != nil || !bytes.Equal(v, data) {
+		t.Fatalf("the other file after a double Close: %v", err)
+	}
+	if _, err := a.View(0, 1); err == nil {
+		t.Error("a view of a closed file succeeded")
+	}
+}
+
 func TestWriterStreamAndAtomicity(t *testing.T) {
 	d := testDev(t)
 	w, err := d.Create("streamed")

@@ -83,8 +83,8 @@ func resealed(raw []byte) []byte {
 // arbitrary block bytes and an arbitrary key. The block comes off the device
 // and may be damaged in any way, so the walk must answer with a value, a
 // not-found, or a typed ErrCorrupt — never a panic, never a read past the
-// block — and a value it returns must be a copy: the block is a pooled read
-// buffer the next get overwrites. The committed corpus under
+// block — and a value it returns must be a copy: the block is a view of a
+// mapping that the table's Close unmaps. The committed corpus under
 // testdata/fuzz/FuzzSearchBlock seeds well-formed blocks probed for a
 // present key, a tombstone, an absent key between records, before the first
 // and past the last, and damaged blocks: a flipped checksum, a torn record,

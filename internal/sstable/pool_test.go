@@ -54,9 +54,9 @@ func bigTable(t *testing.T, dev *nvm.Device, dir string, ssid uint64, size int) 
 	return entries
 }
 
-// TestScannerRefillAllocs: once the free list is warm, a full sequential
-// pass refills into the scanner's two recycled windows instead of a fresh
-// window per refill — a few hundred bytes for the scanner and its handle, not
+// TestScannerRefillAllocs: a full sequential pass refills by extending its
+// view of the file's mapping instead of reading into a fresh window per
+// refill — a few hundred bytes for the scanner and its handle, not
 // megabytes.
 func TestScannerRefillAllocs(t *testing.T) {
 	dev := testDev(t)
@@ -82,8 +82,6 @@ func TestScannerRefillAllocs(t *testing.T) {
 			t.Fatalf("pass scanned %d entries, want %d", n, len(entries))
 		}
 	}
-	// The free list hands the first pass's windows to the second whatever
-	// P it runs on and however many collections fall between the passes.
 	pass()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -123,10 +121,10 @@ func TestWriterAddAllocs(t *testing.T) {
 }
 
 // TestMergeConcurrentSharedPools runs four compactions at once, each over
-// its own tables, all drawing scanner windows and writer buffers from the
-// same pools. Every merged value must be the newest input's, byte for byte:
-// a window or buffer handed to two users at once would show as a wrong
-// value, a CRC failure or an ordering error.
+// its own tables, all drawing writer buffers from the same free list. Every
+// merged value must be the newest input's, byte for byte: a buffer handed
+// to two users at once would show as a wrong value, a CRC failure or an
+// ordering error.
 func TestMergeConcurrentSharedPools(t *testing.T) {
 	dev := testDev(t)
 	const workers, tables, keys = 4, 3, 1200

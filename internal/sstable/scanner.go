@@ -3,9 +3,7 @@ package sstable
 import (
 	"bytes"
 	"fmt"
-	"io"
 
-	"papyruskv/internal/freelist"
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/nvm"
 )
@@ -20,17 +18,13 @@ import (
 // Both return it by value, so a caller keeps one per table in one array; a
 // used scanner must not be copied.
 //
-// Entries returned by Next alias the scanner's read windows and are valid
-// through the following Next, no longer: the merge advances the winning
-// source once before it hands the winner out, and that is all the slack a
-// window gives. The first window comes from blockPool — a bounded seek whose
-// span fits reads it once and never refills. Later refills go to two fixed
-// windows of windowCap bytes, taken from windows at first need and
-// returned at Close (the one not in use already at the end of the span),
-// and always to the one that does not hold the entry Next returned last; a
-// record longer than a window gets a one-off buffer.
-// So every consumer copies what it keeps before it pulls again: Writer.Add, Iterator.Next, producePage
-// and the DB.Scan gather into their own buffers, redistribution in DB.Put,
+// The scanner reads in place: each refill extends its view of the file's
+// mapping, charged to the device as one read of the bytes it adds. Entries
+// returned by Next alias the mapping and are valid until the scanner closes
+// — for a table's scanner, until the table does, which is never earlier.
+// Nothing outside this package may keep one past that, so every consumer
+// copies what it keeps: Writer.Add, Iterator.Next, producePage and the
+// DB.Scan gather into their own buffers, redistribution in DB.Put,
 // seqSearch with detach, and ReadAll.
 type Scanner struct {
 	f    *nvm.File
@@ -42,20 +36,12 @@ type Scanner struct {
 	// scanner's seeks load the index from the device.
 	idx *ssIndex
 
-	buf    []byte
+	buf    []byte // a view of [off, off+len(buf)) of the file
 	off    int64  // file offset of buf[0]
 	pos    int    // parse position within buf
 	limit  int64  // file offset no read passes: the end of the table or of the span SeekRange bounds
 	window int    // bytes the next refill reads ahead
 	last   []byte // key of the record Next returned last, nil after a seek
-	// pooled is the first window, taken from blockPool; wins are the two
-	// refill windows, taken from windows. Close returns all three.
-	pooled *[]byte
-	wins   [2][]byte
-	// cur names the window buf lives in and held the one the entry Next
-	// returned last lives in: 1 and 2 are wins[0] and wins[1], 0 a window
-	// never written again (the first, or a one-off for an outsized record).
-	cur, held int
 	// pending holds the record SeekRange decoded to find the seek point;
 	// Next returns it before touching the file.
 	pending    memtable.Entry
@@ -66,26 +52,13 @@ type Scanner struct {
 // seek reads scannerFirstWindow bytes and every later one twice the previous,
 // up to scannerChunk, so a long sequential pass — compaction "needs
 // sequential file read" (§2.5) — reaches 1MB reads, bandwidth-bound rather
-// than latency-bound, within nine refills. A bounded seek whose span fits a
-// pooled window reads the whole span at once instead.
+// than latency-bound, within nine refills. A bounded seek whose span is at
+// most maxSpanRead bytes reads the whole span at once instead.
 const (
 	scannerFirstWindow = 4 << 10
 	scannerChunk       = 1 << 20
-	// windowCap is a refill window's capacity: the longest read-ahead plus
-	// the unconsumed tail carried over, a partial record of up to a pooled
-	// block. A record longer than that gets a one-off buffer.
-	windowCap = scannerChunk + maxPooledBlock
+	maxSpanRead        = 64 << 10
 )
-
-// windows recycles the scanners' refill windows, windowCap bytes each. It
-// keeps at most maxFreeWindows, the two windows each of a two-input merge:
-// every window it keeps stays on the heap while no table is being merged,
-// and eight of them, with four writer buffers, held the read_sst
-// benchmark's heap_mb about 10 % above two and one. A merge of more inputs
-// allocates the rest.
-var windows = freelist.New(windowCap, maxFreeWindows)
-
-const maxFreeWindows = 4
 
 // NewScanner opens SSTable ssid's data file for a sequential scan.
 func NewScanner(dev *nvm.Device, dir string, ssid uint64) (Scanner, error) {
@@ -108,8 +81,8 @@ func (t *Table) Scanner() Scanner {
 // unbounded). The SSIndex names the block lo falls in, where the scanner
 // decodes forward to the first record >= lo, and the block hi falls in: no
 // read passes its end, where Next reports the end of the table (at once when
-// hi sorts before the table). The first read covers that span when it fits a
-// pooled window, so a short range costs one read per table. Records >= hi in
+// hi sorts before the table). The first read covers that span when it is at
+// most maxSpanRead bytes, so a short range costs one read per table. Records >= hi in
 // the last block may still be returned; the caller's merge stops at hi.
 //
 // An unreadable or corrupt index degrades to an unbounded forward decode
@@ -138,7 +111,7 @@ func (s *Scanner) SeekRange(lo, hi []byte) error {
 		_, limit, _ = idx.locate(hi, size) // not found: 0, every record is >= hi
 	}
 	s.rewind(off, max(off, limit))
-	if span := s.limit - off; len(hi) > 0 && span <= maxPooledBlock {
+	if span := s.limit - off; len(hi) > 0 && span <= maxSpanRead {
 		s.window = int(span)
 	}
 	return s.skipTo(lo)
@@ -149,10 +122,9 @@ func (s *Scanner) SeekRange(lo, hi []byte) error {
 func (s *Scanner) SeekGE(key []byte) error { return s.SeekRange(key, nil) }
 
 // rewind discards buffered data and repositions the scanner at off, reading
-// no further than limit, with the read-ahead ramp restarted. held is kept:
-// the entry Next returned last stays valid through the next refill.
+// no further than limit, with the read-ahead ramp restarted.
 func (s *Scanner) rewind(off, limit int64) {
-	s.buf, s.off, s.pos, s.limit, s.window, s.last, s.cur = nil, off, 0, limit, scannerFirstWindow, nil, 0
+	s.buf, s.off, s.pos, s.limit, s.window, s.last = nil, off, 0, limit, scannerFirstWindow, nil
 }
 
 // skipTo decodes records forward until one with key >= key appears, and
@@ -170,85 +142,34 @@ func (s *Scanner) skipTo(key []byte) error {
 	}
 }
 
-// fill ensures at least need bytes are available at s.pos, reading the next
-// window as required. Returns false at a clean end of the span. Each refill
-// reads min(window, bytes left before limit) — never less than need — with
-// the unconsumed tail (at most one partial record) moved to the front of the
-// window it reads into.
+// fill ensures at least need bytes are available at s.pos, extending the
+// view as required. Returns false at a clean end of the span. Each refill
+// adds min(window, bytes left before limit) — never fewer than the record
+// needs — to the unconsumed tail (at most one partial record), and only the
+// added bytes are charged.
 func (s *Scanner) fill(need int) (bool, error) {
 	avail := len(s.buf) - s.pos
 	if avail >= need {
 		return true, nil
 	}
-	left := s.limit - (s.off + int64(len(s.buf)))
+	end := s.off + int64(len(s.buf))
+	left := s.limit - end
 	if int64(avail)+left < int64(need) {
 		if avail == 0 && left == 0 {
-			s.releaseIdle()
 			return false, nil
 		}
 		return false, fmt.Errorf("%w: record of %d bytes runs past offset %d", ErrCorrupt, need, s.limit)
 	}
-	n := max(avail+int(min(int64(s.window), left)), need)
+	n := max(int(min(int64(s.window), left)), need-avail)
 	if s.window < scannerChunk {
 		s.window *= 2
 	}
-	win := s.nextWindow(n, need)
-	copy(win, s.buf[s.pos:]) // may overlap: the window refilled in place
-	s.off += int64(s.pos)
-	s.pos = 0
-	got, err := s.f.ReadAt(win[avail:], s.off+int64(avail))
-	s.buf = win[:avail+got]
-	if err != nil && err != io.EOF {
+	buf, err := s.f.Extend(s.buf[s.pos:], end, n)
+	if err != nil {
 		return false, err
 	}
-	if len(s.buf) < need {
-		return false, fmt.Errorf("%w: short read in data file", ErrCorrupt)
-	}
+	s.buf, s.off, s.pos = buf, s.off+int64(s.pos), 0
 	return true, nil
-}
-
-// nextWindow returns the window a refill of n bytes, at least need of them,
-// reads into. The first window that fits comes from blockPool. After it,
-// the refill window is whichever of the two that does not hold the entry
-// Next returned last — alternating is not enough, since one Next can refill
-// twice (for the header, then for a record longer than the window) — cut to
-// windowCap; it may be the window being refilled. A record longer than
-// windowCap gets a one-off buffer.
-func (s *Scanner) nextWindow(n, need int) []byte {
-	switch {
-	case s.pooled == nil && n <= maxPooledBlock:
-		s.pooled, s.cur = blockPool.Get().(*[]byte), 0
-		if cap(*s.pooled) < n {
-			*s.pooled = make([]byte, n)
-		}
-		return (*s.pooled)[:n]
-	case need > windowCap:
-		s.cur = 0
-		return make([]byte, n)
-	}
-	s.cur = 1
-	if s.held == 1 {
-		s.cur = 2
-	}
-	w := &s.wins[s.cur-1]
-	if *w == nil {
-		*w = windows.Get()
-	}
-	return (*w)[:min(n, windowCap)]
-}
-
-// releaseIdle hands back the refill windows that do not hold the entry Next
-// returned last: at Close, and once the span is read to its end — a merge
-// keeps an exhausted input open until the merge ends, and its spare window
-// is better spent on the inputs still being read. Nothing is read from the
-// buffer after its end.
-func (s *Scanner) releaseIdle() {
-	for i, w := range s.wins {
-		if w != nil && s.held != i+1 {
-			windows.Put(w)
-			s.wins[i] = nil
-		}
-	}
 }
 
 // Next returns the next record. ok=false signals the end of the table, or
@@ -280,21 +201,15 @@ func (s *Scanner) Next() (memtable.Entry, bool, error) {
 	if err != nil {
 		return memtable.Entry{}, false, err
 	}
-	s.last, s.held = e.Key, s.cur
+	s.last = e.Key
 	return e, true, nil
 }
 
-// Close returns the pooled windows and releases the data file: an uncached
-// scanner closes the handle it opened, a table's scanner leaves the table's
-// handle open. A repeated Close returns nothing twice.
+// Close releases the data file: an uncached scanner unmaps the file it
+// opened, a table's scanner leaves the table's mapping alone. A repeated
+// Close unmaps nothing twice.
 func (s *Scanner) Close() error {
 	s.buf, s.last, s.pending, s.hasPending = nil, nil, memtable.Entry{}, false
-	if s.pooled != nil {
-		blockPool.Put(s.pooled)
-		s.pooled = nil
-	}
-	s.held = 0 // no entry outlives Close
-	s.releaseIdle()
 	if s.idx != nil {
 		return nil // the table's handle
 	}
@@ -302,7 +217,7 @@ func (s *Scanner) Close() error {
 }
 
 // ReadAll returns every record of SSTable ssid in key order, each copied out
-// of the scanner's windows as it is read.
+// of the mapping as it is read.
 func ReadAll(dev *nvm.Device, dir string, ssid uint64) ([]memtable.Entry, error) {
 	sc, err := NewScanner(dev, dir, ssid)
 	if err != nil {
@@ -318,7 +233,7 @@ func ReadAll(dev *nvm.Device, dir string, ssid uint64) ([]memtable.Entry, error)
 		if !ok {
 			return out, nil
 		}
-		// Copied: the entry aliases a window the next refill may reuse.
+		// Copied: the entry aliases the mapping the deferred Close unmaps.
 		out = append(out, memtable.Entry{Key: bytes.Clone(e.Key), Value: bytes.Clone(e.Value), Tombstone: e.Tombstone})
 	}
 }

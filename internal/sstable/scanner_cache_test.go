@@ -254,33 +254,140 @@ func TestScannerCorruptionBehindCache(t *testing.T) {
 	}
 }
 
-// TestScannerPooledWindowReturnedOnce: a bounded scanner reads its span into
-// a window from blockPool and hands it back at Close — once. A second Close
-// must not Put it again: the pool would then give one buffer to two owners.
-func TestScannerPooledWindowReturnedOnce(t *testing.T) {
+// TestScannerCloseTwice: a scanner's Close unmaps at most once, whichever
+// kind it is. A second unmap could take down a later mapping at the same
+// address, so an uncached scanner closed twice — with another table's
+// mapping opened between the two Closes — and a table's scanner closed
+// twice must leave every other reader, and the table reopened after both,
+// reading correctly.
+func TestScannerCloseTwice(t *testing.T) {
 	dev := testDev(t)
-	entries := sortedEntries(1000, 26)
+	// Two tables of one size, so their mappings fit each other's address
+	// range, and of different values, so a read through the wrong mapping
+	// shows.
+	tables := map[uint64][]memtable.Entry{1: sortedEntries(1000, 26), 2: sortedEntries(1000, 26)}
+	for i, e := range tables[2] {
+		tables[2][i].Value = bytes.ToUpper(e.Value)
+	}
+	for ssid, entries := range tables {
+		if _, err := WriteTable(dev, "db/r0", ssid, entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo, hi := tables[1][400].Key, tables[1][500].Key
+	check := func(what string, sc *Scanner, ssid uint64) {
+		t.Helper()
+		if got := scanRange(t, sc, lo, hi); len(got) != 100 || !bytes.Equal(got[99].Value, tables[ssid][499].Value) {
+			t.Fatalf("%s: range returned %d entries, or another table's", what, len(got))
+		}
+	}
+
+	plain, err := NewScanner(dev, "db/r0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("uncached", &plain, 1)
+	plain.Close()
+	other := mustOpenTable(t, dev, "db/r0", 2) // may reuse the unmapped range
+	plain.Close()
+	tbl := mustOpenTable(t, dev, "db/r0", 1)
+	borrowed := tbl.Scanner()
+	check("borrowed", &borrowed, 1)
+	borrowed.Close()
+	borrowed.Close()
+
+	for _, tc := range []struct {
+		name string
+		ssid uint64
+		tbl  *Table
+	}{{"other table", 2, other}, {"open table", 1, tbl}, {"reopened table", 1, mustOpenTable(t, dev, "db/r0", 1)}} {
+		sc := tc.tbl.Scanner()
+		check(tc.name, &sc, tc.ssid)
+		sc.Close()
+		want := tables[tc.ssid][3]
+		if val, _, found, err := tc.tbl.Get(want.Key, true); err != nil || !found || !bytes.Equal(val, want.Value) {
+			t.Errorf("%s: get after the double Closes: found=%v val=%q err=%v", tc.name, found, val, err)
+		}
+	}
+	again, err := NewScanner(dev, "db/r0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	check("uncached reopened", &again, 1)
+}
+
+// TestTableValueOutlivesClose: a value Table.Get returns is the caller's
+// own copy, not a view of the mapping, so it stays intact once the table is
+// closed and its file unmapped — as do the entries ReadAll returns.
+func TestTableValueOutlivesClose(t *testing.T) {
+	dev := testDev(t)
+	entries := sortedEntries(500, 27)
+	if _, err := WriteTable(dev, "d", 1, entries); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := OpenTable(dev, "d", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, _, found, err := tbl.Get(entries[250].Key, true)
+	if err != nil || !found {
+		t.Fatalf("get: found=%v err=%v", found, err)
+	}
+	all, err := ReadAll(dev, "d", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(val, entries[250].Value) {
+		t.Errorf("value after Close = %q, want %q", val, entries[250].Value)
+	}
+	if len(all) != len(entries) || !bytes.Equal(all[499].Key, entries[499].Key) || !bytes.Equal(all[499].Value, entries[499].Value) {
+		t.Errorf("ReadAll after Close: %d entries", len(all))
+	}
+}
+
+// TestScannerRangeAllocs: a bounded seek and a 100-key walk over a mapped
+// table decode in place — no window, no buffer, no copy — so they allocate
+// nothing.
+func TestScannerRangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	dev := testDev(t)
+	entries := sortedEntries(12000, 28)
 	if _, err := WriteTable(dev, "db/r0", 1, entries); err != nil {
 		t.Fatal(err)
 	}
-	sc := mustOpenTable(t, dev, "db/r0", 1).Scanner()
-	if got := scanRange(t, &sc, entries[400].Key, entries[500].Key); len(got) != 100 {
-		t.Fatalf("range returned %d entries, want 100", len(got))
+	tbl := mustOpenTable(t, dev, "db/r0", 1)
+	lo, hi := entries[7000].Key, entries[7100].Key
+	walk := func() {
+		sc := tbl.Scanner()
+		if err := sc.SeekRange(lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			e, ok, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok || bytes.Compare(e.Key, hi) >= 0 {
+				break
+			}
+			n++
+		}
+		sc.Close()
+		if n != 100 {
+			t.Fatalf("walk returned %d entries, want 100", n)
+		}
 	}
-	window := sc.pooled
-	if window == nil {
-		t.Fatal("bounded scan did not read into a pooled window")
+	if allocs := testing.AllocsPerRun(100, walk); allocs != 0 {
+		t.Errorf("bounded seek and 100-key walk allocate %v times, want 0", allocs)
 	}
-	sc.Close()
-	sc.Close()
-	if sc.pooled != nil {
-		t.Fatal("Close kept the pooled window")
-	}
-	// Put twice, the window would come out of the pool twice in a row.
-	a, b := blockPool.Get().(*[]byte), blockPool.Get().(*[]byte)
-	if a == b {
-		t.Fatal("the pool handed out one window twice: Close returned it twice")
-	}
-	blockPool.Put(a)
-	blockPool.Put(b)
 }
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool

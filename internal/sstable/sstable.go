@@ -43,11 +43,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"papyruskv/internal/bloom"
 	"papyruskv/internal/freelist"
@@ -503,9 +501,10 @@ func loadIndex(dev *nvm.Device, dir string, ssid uint64) (*ssIndex, error) {
 }
 
 // Table is one SSTable open for point reads: its validated bloom filter, its
-// parsed SSIndex and an open handle on SSData. A lookup through it pays only
-// the one block read; the bloom and index were checked once, when the table
-// was opened.
+// parsed SSIndex and SSData mapped read-only. A lookup through it pays only
+// the one block read, taken in place from the mapping; the bloom and index
+// were checked once, when the table was opened. The mapping lives until
+// Close, and nothing the table hands out aliases it.
 type Table struct {
 	filter *bloom.Filter
 	index  *ssIndex
@@ -540,7 +539,7 @@ func (t *Table) Get(key []byte, useBloom bool) (value []byte, tombstone, found b
 	return searchRecords(t.data, t.index, key)
 }
 
-// Close closes the data file.
+// Close unmaps the data file; a second Close is a no-op.
 func (t *Table) Close() error { return t.data.Close() }
 
 // memBytes is what the table holds on the heap: bloom bits and the index.
@@ -559,20 +558,13 @@ func binSearch(dev *nvm.Device, dir string, ssid uint64, key []byte) ([]byte, bo
 	return searchRecords(f, idx, key)
 }
 
-// blockPool holds the scratch buffers searchRecords reads blocks into. A
-// buffer never leaves searchRecords: what a get returns is copied out of it.
-var blockPool = sync.Pool{New: func() any { b := make([]byte, 0, 2*blockSize); return &b }}
-
-// maxPooledBlock is the largest block read through the pool; a bigger one (a
-// single oversized record) gets a buffer of its own, left to the collector.
-const maxPooledBlock = 64 << 10
-
 // searchRecords looks key up in the open data file f through its index: one
-// in-memory locate, one read of the block it names, and a forward walk that
+// in-memory locate, one view of the block it names, and a forward walk that
 // checksum-verifies every record before its key is compared — an unverified
 // bit-flipped key could silently misroute the search into a wrong "not
-// found". The value returned is an exact-size copy, so a caller that caches
-// it retains those bytes and nothing else.
+// found". The block is read in place from the file's mapping; the value
+// returned is an exact-size copy, so a caller that caches it retains those
+// bytes and nothing else, and nothing it keeps outlives the mapping.
 func searchRecords(f *nvm.File, idx *ssIndex, key []byte) ([]byte, bool, bool, error) {
 	off, end, ok := idx.locate(key, f.Size())
 	if !ok {
@@ -581,31 +573,15 @@ func searchRecords(f *nvm.File, idx *ssIndex, key []byte) ([]byte, bool, bool, e
 	if end <= off || end > f.Size() {
 		return nil, false, false, fmt.Errorf("%w: index block [%d,%d) outside a data file of %d bytes", ErrCorrupt, off, end, f.Size())
 	}
-	n := int(end - off)
-	if n > maxPooledBlock {
-		return readBlock(f, make([]byte, n), off, key)
-	}
-	bp := blockPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	val, tomb, found, err := readBlock(f, (*bp)[:n], off, key)
-	blockPool.Put(bp)
-	return val, tomb, found, err
-}
-
-// readBlock fills block from f at off and searches it for key.
-func readBlock(f *nvm.File, block []byte, off int64, key []byte) ([]byte, bool, bool, error) {
-	if n, err := f.ReadAt(block, off); err != nil && err != io.EOF {
+	block, err := f.View(off, int(end-off))
+	if err != nil {
 		return nil, false, false, err
-	} else if n < len(block) {
-		return nil, false, false, fmt.Errorf("%w: data file ends %d bytes into the block at %d", ErrCorrupt, n, off)
 	}
 	return searchBlock(block, key)
 }
 
 // searchBlock walks the records of one SSData block for key. A value it
-// returns is a copy: block is a pooled read buffer.
+// returns is a copy: block is a view of the mapping.
 func searchBlock(block, key []byte) ([]byte, bool, bool, error) {
 	for len(block) > 0 {
 		e, n, err := decodeRecord(block)
@@ -624,7 +600,7 @@ func searchBlock(block, key []byte) ([]byte, bool, bool, error) {
 }
 
 // detach returns a copy of v with cap == len: values leave this package
-// owning exactly their own bytes, never a read buffer's.
+// owning exactly their own bytes, never a mapping's.
 func detach(v []byte) []byte {
 	out := make([]byte, len(v))
 	copy(out, v)
@@ -684,8 +660,8 @@ func seqSearch(dev *nvm.Device, dir string, ssid uint64, key []byte) ([]byte, bo
 		}
 		switch c := bytes.Compare(e.Key, key); {
 		case c == 0:
-			// Copied out: the entry aliases the scanner's read window, which
-			// a caller caching this one value must not keep alive.
+			// Copied out: the entry aliases the file's mapping, which the
+			// deferred Close unmaps.
 			return detach(e.Value), e.Tombstone, true, nil
 		case c > 0:
 			// Records are sorted; the key cannot appear later.

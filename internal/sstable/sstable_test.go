@@ -128,23 +128,22 @@ func TestScannerRoundTrip(t *testing.T) {
 // TestScannerLargeValuesAcrossChunks holds the scanner to its contract: an
 // entry stays valid through the following Next, across the read-ahead ramp,
 // across a Next that refills twice, and across records larger than the
-// ramp's largest read and than a whole window.
+// ramp's largest read and than a bounded span.
 func TestScannerLargeValuesAcrossChunks(t *testing.T) {
 	dev := testDev(t)
-	// The prefix makes one Next refill twice. The first window reads 4096
+	// The prefix makes one Next refill twice. The first refill reads 4096
 	// bytes and 0a fills 4092 of them, so 0b's header straddles its end: a
-	// refill reads 8192 more into one of the two windows, 0b fills 8190 of
-	// that, and 0c's header straddles again. That refill goes to the other
-	// window, and 0c's 100000 bytes need a second refill in the same Next,
-	// which must not land on the window 0b — returned last — lives in.
+	// refill reads 8192 more, 0b fills 8190 of that, and 0c's header
+	// straddles again. 0c's 100000 bytes need a second refill in the same
+	// Next, which must not disturb the bytes 0b — returned last — lives in.
 	framed := func(key string, total int) memtable.Entry {
 		return memtable.Entry{Key: []byte(key), Value: bytes.Repeat([]byte(key[1:]), total-recHeader-len(key)-recTrailer)}
 	}
 	entries := []memtable.Entry{framed("0a", 4092), framed("0b", 8190), framed("0c", 100000)}
 	// A run of small records walks the ramp through several doubling
 	// refills; the values after it force refills sized by the record, not
-	// the ramp, and "d" outgrows a window and gets a buffer of its own.
-	big := make([]byte, windowCap+12345)
+	// the ramp, and "d" outgrows the largest read-ahead plus a bounded span.
+	big := make([]byte, scannerChunk+maxSpanRead+12345)
 	for i := range big {
 		big[i] = byte(i)
 	}

@@ -59,7 +59,8 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // FuzzLogOps drives a log through a sequence of operations decoded from the
-// input, one byte each (the first byte picks WALSync when odd), and checks
+// input, one byte each (the first byte is skipped: it once picked the
+// log's sync mode, and the committed corpus keeps it), and checks
 // it against an in-memory model of its segments:
 //
 //	b%7 == 0  Append a record of (b>>3)*16 value bytes (b == 7: a tombstone)
@@ -89,7 +90,6 @@ func FuzzLogOps(f *testing.F) {
 		}
 		dev := testDevice(t)
 		cfg := testConfig(dev)
-		cfg.Sync = ops[0]&1 == 1
 		l, _, err := Recover(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -27,10 +27,6 @@ type Config struct {
 	// after SSTable flush) or "remote" (entries staged toward other
 	// owners, deleted after migration).
 	Stream string
-	// Sync selects fsync-per-Commit durability, and a fsync before each
-	// sealed segment is closed (WALSync); otherwise appends buffer in
-	// memory until GroupCommit.
-	Sync bool
 	// Rank is reported in injection sites so rules can target one rank's
 	// log on a shared device.
 	Rank int
@@ -86,7 +82,6 @@ type Log struct {
 	dev    *nvm.Device
 	dir    string
 	stream string
-	sync   bool
 	rank   int
 	inj    *faults.Injector
 	st     *stats.WAL
@@ -138,7 +133,6 @@ func Recover(cfg Config) (*Log, []Record, error) {
 		dev:    cfg.Device,
 		dir:    cfg.Dir,
 		stream: cfg.Stream,
-		sync:   cfg.Sync,
 		rank:   cfg.Rank,
 		inj:    cfg.Inj,
 		st:     cfg.Stats,
@@ -295,7 +289,7 @@ func (l *Log) tailLocked(n int) *[]byte {
 // commits. Rotate only cuts the append chain after its last record: it
 // takes the append lock alone and makes no device call. The next Commit,
 // GroupCommit, Remove or Close writes the sealed segment's blocks, closes
-// it — fsynced first in Sync mode — and opens the next one.
+// it — fsynced first — and opens the next one.
 func (l *Log) Rotate() (sealed string, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -346,9 +340,10 @@ func (l *Log) moveLocked(n int) {
 // then, in this call or an earlier one. A failed write stops the data but
 // not the cuts: every cut still advances the segment, so the segments on
 // the device stay in step with the names Rotate handed out, and no later
-// write lands in a segment already sealed — or already removed. It
-// returns the first error. Caller holds ioMu.
-func (l *Log) writeLocked() error {
+// write lands in a segment already sealed — or already removed. The cut
+// that seals unlink, the segment Remove is about to delete, skips its
+// fsync; "" names none. It returns the first error. Caller holds ioMu.
+func (l *Log) writeLocked(unlink string) error {
 	var first error
 	for i := range l.taken {
 		c := &l.taken[i]
@@ -357,7 +352,7 @@ func (l *Log) writeLocked() error {
 		}
 		l.blocks.Put(c.block)
 		if c.cut != "" {
-			if err := l.cutLocked(); first == nil {
+			if err := l.cutLocked(c.cut != unlink); first == nil {
 				first = err
 			}
 		}
@@ -401,13 +396,15 @@ func (l *Log) appendLocked(b []byte) error {
 	return nil
 }
 
-// cutLocked closes the active segment — fsynced first in Sync mode, so a
-// put whose own append sealed the segment is durable before its
-// acknowledgement — and opens the next. Caller holds ioMu.
-func (l *Log) cutLocked() error {
+// cutLocked closes the active segment — fsynced first when sync is set and
+// it holds unsynced bytes, so a put whose own append sealed the segment is
+// durable before its acknowledgement, and a GroupCommit whose chain
+// crosses a cut leaves both segments durable — and opens the next. Caller
+// holds ioMu.
+func (l *Log) cutLocked(sync bool) error {
 	var err error
 	if l.active != nil {
-		if l.sync && l.dirty {
+		if sync && l.dirty {
 			err = l.syncLocked()
 		}
 		if cerr := l.active.Close(); err == nil {
@@ -457,7 +454,7 @@ func (l *Log) persist() (synced bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	if err := l.writeLocked(); err != nil {
+	if err := l.writeLocked(""); err != nil {
 		return false, err
 	}
 	if l.dirty {
@@ -508,7 +505,7 @@ func (l *Log) Remove(sealed string) error {
 	l.ioMu.Lock()
 	_, err := l.takeLocked(sealed)
 	if err == nil {
-		err = l.writeLocked()
+		err = l.writeLocked(sealed)
 	} else if errors.Is(err, ErrClosed) {
 		err = nil // nothing will be written again
 	}
@@ -559,7 +556,7 @@ func (l *Log) Close() error {
 	if !l.closeLocked() {
 		return nil
 	}
-	err := l.writeLocked()
+	err := l.writeLocked("")
 	if err == nil && l.dirty {
 		err = l.syncLocked()
 	}

@@ -146,7 +146,7 @@ func testDevice(t *testing.T) *nvm.Device {
 }
 
 func testConfig(d *nvm.Device) Config {
-	return Config{Device: d, Dir: "db/r0", Stream: "local", Sync: true, Rank: 0, Stats: &stats.WAL{}}
+	return Config{Device: d, Dir: "db/r0", Stream: "local", Rank: 0, Stats: &stats.WAL{}}
 }
 
 // TestLogCommitRecover: records committed before a (simulated) kill are all
@@ -222,7 +222,6 @@ func TestLogRotateAndRemove(t *testing.T) {
 		t.Run(via, func(t *testing.T) {
 			dev := testDevice(t)
 			cfg := testConfig(dev)
-			cfg.Sync = via == "Commit"
 			l, _, err := Recover(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -311,7 +310,6 @@ func TestRemoveRacesAppendsInSharedBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(dev)
-	cfg.Sync = false
 	l, _, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -514,7 +512,6 @@ func TestStreamsAreIndependent(t *testing.T) {
 func TestGroupCommitStats(t *testing.T) {
 	dev := testDevice(t)
 	cfg := testConfig(dev)
-	cfg.Sync = false
 	l, _, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -542,6 +539,50 @@ func TestGroupCommitStats(t *testing.T) {
 	l.Close()
 }
 
+// TestGroupCommitAcrossCutSyncsBothSegments: a GroupCommit whose chain
+// crosses a cut writes into two segments and must leave both durable — one
+// fsync per segment, the sealed one's at the cut. Remove's write-through
+// skips the fsync of the segment it is about to unlink: its records are
+// safe elsewhere.
+func TestGroupCommitAcrossCutSyncsBothSegments(t *testing.T) {
+	dev := testDevice(t)
+	cfg := testConfig(dev)
+	l, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recs := testRecords(3)
+	if err := l.Append(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.GroupCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Stats.Fsyncs.Load(); n != 2 {
+		t.Fatalf("GroupCommit across a cut: Fsyncs = %d, want 2 (one per segment)", n)
+	}
+	sealed, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Remove(sealed); err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Stats.Fsyncs.Load(); n != 2 {
+		t.Fatalf("Remove's write-through: Fsyncs = %d, want 2 (the unlinked segment is not synced)", n)
+	}
+}
+
 // recoverAll abandons l and returns every record the next Recover replays.
 func recoverAll(t *testing.T, l *Log, cfg Config) []Record {
 	t.Helper()
@@ -564,7 +605,6 @@ func TestAppendDoesNotWaitForGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(dev)
-	cfg.Sync = false
 	l, _, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -665,7 +705,6 @@ func TestConcurrentCommitsShareSync(t *testing.T) {
 func TestGroupCommitBufferBounded(t *testing.T) {
 	dev := testDevice(t)
 	cfg := testConfig(dev)
-	cfg.Sync = false
 	l, _, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
