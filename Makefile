@@ -27,14 +27,16 @@ test:
 # that unmaps once — ten times over; the fourth races the scanners' in-place
 # reads, the tables' Close and the writers' recycled buffers, shared by
 # concurrent merges, ten times over; the fifth races a checkpoint copy and a
-# get against compaction's table churn ten times over. Their interleavings
-# differ run to run.
+# get against compaction's table churn ten times over; the sixth races the
+# cache's shards — puts, fills and invalidations against a disabling
+# SetEnabled — ten times over. Their interleavings differ run to run.
 race:
 	$(GO) test -race -count=1 -timeout 600s $(RACE_PKGS) $(RACE_CORE)
 	$(GO) test -race -count=20 -run 'Commit|Append|Rotate|Remove|FuzzLogOps' ./internal/wal
 	$(GO) test -race -count=10 ./internal/nvm
 	$(GO) test -race -count=10 -run 'TestScanner|TestMerge|TestWriter|TestTable' ./internal/sstable
 	$(GO) test -race -count=10 -run 'TestCompactionRunsDuringCheckpointCopy|TestCheckpointPinReleasedBeforeWaitReturns|TestGetRacesTableChurn' ./internal/core
+	$(GO) test -race -count=10 ./internal/lru
 
 # The seeded soaks by name, for local use; `race` (and so `ci`) already runs
 # each of them as part of the whole core package.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 
+	"papyruskv/internal/lru"
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/sstable"
 )
@@ -83,34 +84,35 @@ func memGet(mt *memtable.Table, imm []*memtable.Table, key []byte) (memtable.Ent
 // getMemory searches this rank's in-memory local structures: its MemTables
 // newest first, then the local cache. hit=true means the search is decided
 // (found may still be a tombstone); hit=false means fall through to the
-// SSTables.
-func (db *DB) getMemory(key []byte) (val []byte, tomb, hit bool) {
+// SSTables, and st is the key's local-cache stamp for the fill that follows.
+//
+// The stamp samples the key's cache generation before the MemTables are
+// searched: a put the search misses inserts after it and then invalidates
+// the key, which advances that generation, so the fill cannot cache the
+// older value the SSTables still hold over that put's.
+func (db *DB) getMemory(key []byte) (val []byte, tomb, hit bool, st lru.Stamp) {
+	st = db.localCache.Gen(key)
 	db.mu.Lock()
 	e, ok := memGet(db.localMT, db.immLocal, key)
 	db.mu.Unlock()
 	if ok {
 		db.metrics.MemTableHits.Add(1)
-		return e.Value, e.Tombstone, true
+		return e.Value, e.Tombstone, true, st
 	}
 
-	if v, found, ok := db.localCache.Get(key); ok {
+	if v, found, ok := db.localCache.GetAt(st, key); ok {
 		db.metrics.LocalCacheHits.Add(1)
-		return v, !found, true // a cached negative result acts as a tombstone
+		return v, !found, true, st // a cached negative result acts as a tombstone
 	}
-	return nil, false, false
+	return nil, false, false, st
 }
 
 // getLocalFull is the complete local get: memory structures, then the
 // SSTables on NVM, highest SSID first. Values found in SSTables are
-// promoted into the local cache (Figure 3).
-//
-// The cache generation is sampled before the MemTables are searched: a put
-// the search misses inserts after it and then invalidates the key, which
-// advances the generation, so the fill cannot cache the older value the
-// SSTables still hold over that put's.
+// promoted into the local cache (Figure 3) under the stamp getMemory took.
 func (db *DB) getLocalFull(key []byte) (val []byte, tomb, found bool, err error) {
-	gen := db.localCache.Gen()
-	if v, t, hit := db.getMemory(key); hit {
+	v, t, hit, st := db.getMemory(key)
+	if hit {
 		return v, t, true, nil
 	}
 	val, tomb, found, err = db.searchOwnSSTables(key)
@@ -123,7 +125,7 @@ func (db *DB) getLocalFull(key []byte) (val []byte, tomb, found bool, err error)
 			db.beforeFill(key)
 		}
 		if !tomb {
-			db.localCache.Fill(key, val, gen)
+			db.localCache.Fill(key, val, st)
 		}
 	}
 	return val, tomb, found, nil

@@ -42,3 +42,41 @@ func TestLocalCacheFillRacesPut(t *testing.T) {
 		return db.Close()
 	})
 }
+
+// TestLocalCacheHitAllocs: a get the local cache serves allocates only the
+// copy of the value the caller keeps.
+func TestLocalCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the program's own under -race")
+	}
+	opt := smallOpt()
+	opt.CompactionEvery = 0
+	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+		db, err := rt.Open("cachehit", opt)
+		if err != nil {
+			return err
+		}
+		k := string(ownKeys(db, 0, 1)[0])
+		mustPut(t, db, k, "cached")
+		if err := db.Barrier(LevelSSTable); err != nil {
+			return err
+		}
+		if err := wantGet(db, k, "cached"); err != nil { // the fill
+			return err
+		}
+		key := []byte(k)
+		hits := db.metrics.LocalCacheHits.Load()
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := db.Get(key); err != nil {
+				t.Error(err)
+			}
+		})
+		if served := db.metrics.LocalCacheHits.Load() - hits; served < 1000 {
+			t.Errorf("the local cache served %d of 1001 gets", served)
+		}
+		if allocs > 1 {
+			t.Errorf("a local-cache hit allocates %v times, want 1 (the API copy)", allocs)
+		}
+		return db.Close()
+	})
+}

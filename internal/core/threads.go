@@ -409,7 +409,7 @@ func (db *DB) handleGet(m mpi.Message) {
 	if err = db.readHealth(); err == nil {
 		if req.Group != db.rt.group {
 			val, tomb, found, err = db.getLocalFull(req.Key)
-		} else if val, tomb, found = db.getMemory(req.Key); !found {
+		} else if val, tomb, found, _ = db.getMemory(req.Key); !found {
 			// Owner-side candidate selection: only the tables whose key
 			// bounds cover the key, in probe (recency) order — the requester
 			// probes O(levels) tables instead of every live SSID.

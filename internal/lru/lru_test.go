@@ -93,14 +93,14 @@ func TestFillRefusedAfterInvalidate(t *testing.T) {
 		c.Clear,
 		func() { c.SetEnabled(false); c.SetEnabled(true) },
 	} {
-		gen := c.Gen()
+		gen := c.Gen([]byte("k"))
 		overtake()
 		c.Fill([]byte("k"), []byte("stale"), gen)
 		if _, _, hit := c.Get([]byte("k")); hit {
 			t.Fatal("a fill overtaken by an invalidation was cached")
 		}
 	}
-	c.Fill([]byte("k"), []byte("v"), c.Gen())
+	c.Fill([]byte("k"), []byte("v"), c.Gen([]byte("k")))
 	if v, found, hit := c.Get([]byte("k")); !hit || !found || string(v) != "v" {
 		t.Fatalf("Get after a current fill = %q, %v, %v", v, found, hit)
 	}
